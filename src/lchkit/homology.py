@@ -1,15 +1,19 @@
 """Exact homology of integer chain complexes via Smith normal form.
 
-The integral homology of (V, d) is read off from the Smith form of each
-boundary matrix: H_d = ker(M_d) / im(M_{d+1}) with the kernel basis taken
-from the column transform V of M_d's Smith decomposition and the image
-expressed in those coordinates.  Field dimensions, the mod-2 Bockstein,
-and a universal-coefficient consistency check round out the module.
+Over Z, the homology of (V, d) in degree d is read off from invariant
+factors alone: ker M_d is a direct summand of C_d (its quotient embeds in
+the free group C_{d-1}), so H_d = Z^(n_d - rk M_d - rk M_{d+1}) plus one
+Z/f for each invariant factor f > 1 of M_{d+1}.  `invariant_factors` gets
+them by sparse elimination without transforms; the dense
+`smith_normal_form` keeps U and V for callers that need them.  Field
+dimensions, the mod-2 Bockstein, and a universal-coefficient consistency
+check round out the module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 
 from .errors import FieldRequired, NotAComplex, RingMismatch
 from .linearize import ChainComplex
@@ -29,7 +33,7 @@ from .rings import QQ, ZZ, RingDesc
 # ----------------------------------------------------------------------
 
 
-def _snf_inplace(A, m: int, n: int, U, V, Vinv) -> int:
+def _snf_inplace(A, m: int, n: int, U, V) -> int:
     """Diagonalize A by unimodular row/column operations; returns the rank.
 
     Pivot choice is the entry of minimal absolute value in the remaining
@@ -51,9 +55,6 @@ def _snf_inplace(A, m: int, n: int, U, V, Vinv) -> int:
             A[r][j] += q * A[r][i]
         for r in range(n):
             V[r][j] += q * V[r][i]
-        Wi, Wj = Vinv[i], Vinv[j]
-        for c in range(n):
-            Wi[c] -= q * Wj[c]
 
     def row_swap(i, j):
         A[i], A[j] = A[j], A[i]
@@ -64,7 +65,6 @@ def _snf_inplace(A, m: int, n: int, U, V, Vinv) -> int:
             A[r][i], A[r][j] = A[r][j], A[r][i]
         for r in range(n):
             V[r][i], V[r][j] = V[r][j], V[r][i]
-        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
 
     t = 0
     while True:
@@ -135,34 +135,176 @@ def _snf_inplace(A, m: int, n: int, U, V, Vinv) -> int:
     return t
 
 
-def _snf_full(M, m: int, n: int):
-    """(D, U, V, Vinv, rank) with D = U*M*V, V*Vinv = I, U, V unimodular."""
-    A = [list(M[i]) for i in range(m)]
-    U = identity(m)
-    V = identity(n)
-    Vinv = identity(n)
-    rank = _snf_inplace(A, m, n, U, V, Vinv)
-    return A, U, V, Vinv, rank
-
-
 def smith_normal_form(M):
     """Smith normal form: returns (U, D, V) with D = U*M*V.
 
     U and V are unimodular; D is diagonal with nonnegative entries forming
     a divisibility chain d1 | d2 | ...  M is a list of equal-length rows.
+    This dense routine keeps both transforms; `invariant_factors` is the
+    sparse route to the diagonal alone.
     """
     m = len(M)
     n = len(M[0]) if m else 0
-    D, U, V, _, _ = _snf_full(M, m, n)
+    D = [list(row) for row in M]
+    U = identity(m)
+    V = identity(n)
+    _snf_inplace(D, m, n, U, V)
     return U, D, V
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s*a + t*b = g = gcd(a, b) >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    if a < 0:
+        return -a, -s0, -t0
+    return a, s0, t0
+
+
+class _SparseMatrix:
+    """Integer matrix as rows of {col: value} dicts with a col -> rows index.
+
+    Only nonzero entries are stored; empty rows are dropped.  The row and
+    column operations below are unimodular, so they preserve the Smith form.
+    """
+
+    def __init__(self, M):
+        self.rows: dict[int, dict[int, int]] = {}
+        self.cols: dict[int, set[int]] = {}
+        for i, row in enumerate(M):
+            entries = {j: x for j, x in enumerate(row) if x}
+            if entries:
+                self.rows[i] = entries
+                for j in entries:
+                    self.cols.setdefault(j, set()).add(i)
+
+    def pivot(self) -> tuple[int, int]:
+        """Entry of least |value|, ties broken by Markowitz cost (r-1)(c-1)."""
+        cols = self.cols
+        best_a = best_cost = None
+        best = None
+        for i, row in self.rows.items():
+            row_fill = len(row) - 1
+            for j, x in row.items():
+                a = x if x > 0 else -x
+                if best_a is not None and a > best_a:
+                    continue
+                cost = row_fill * (len(cols[j]) - 1)
+                if best_a is None or a < best_a or cost < best_cost:
+                    best_a, best_cost, best = a, cost, (i, j)
+                    if a == 1 and cost == 0:
+                        return best
+        return best
+
+    def add_row(self, i: int, r: int, q: int) -> None:
+        """row_i += q * row_r, for q != 0."""
+        Ri = self.rows[i]
+        cols = self.cols
+        for j, x in self.rows[r].items():
+            old = Ri.get(j)
+            y = q * x if old is None else old + q * x
+            if y:
+                Ri[j] = y
+                if old is None:
+                    cols[j].add(i)
+            else:
+                del Ri[j]
+                cols[j].discard(i)
+        if not Ri:
+            del self.rows[i]
+
+    def _store(self, i: int, j: int, x: int) -> None:
+        row = self.rows.get(i)
+        if x:
+            if row is None:
+                self.rows[i] = row = {}
+            if j not in row:
+                self.cols[j].add(i)
+            row[j] = x
+        elif row is not None and j in row:
+            del row[j]
+            self.cols[j].discard(i)
+            if not row:
+                del self.rows[i]
+
+    def mix_rows(self, r: int, i: int, a: int, b: int, c: int, d: int) -> None:
+        """(row_r, row_i) <- (a*row_r + b*row_i, c*row_r + d*row_i)."""
+        Rr, Ri = self.rows[r], self.rows[i]
+        pairs = [(j, Rr.get(j, 0), Ri.get(j, 0)) for j in Rr.keys() | Ri.keys()]
+        for j, x, y in pairs:
+            self._store(r, j, a * x + b * y)
+            self._store(i, j, c * x + d * y)
+
+    def mix_cols(self, k: int, j: int, a: int, b: int, c: int, d: int) -> None:
+        """(col_k, col_j) <- (a*col_k + b*col_j, c*col_k + d*col_j)."""
+        rows = self.rows
+        hit = self.cols[k] | self.cols[j]
+        pairs = [(i, rows[i].get(k, 0), rows[i].get(j, 0)) for i in hit]
+        for i, x, y in pairs:
+            self._store(i, k, a * x + b * y)
+            self._store(i, j, c * x + d * y)
+
+    def drop_row(self, r: int) -> None:
+        for j in self.rows.pop(r):
+            self.cols[j].discard(r)
+
+
+def _divisibility_chain(diagonal: list[int]) -> list[int]:
+    """Invariant factors of diag(d_1, ..., d_r), d_i > 0, by gcd/lcm swaps."""
+    rest = [d for d in diagonal if d != 1]
+    for i in range(len(rest)):
+        for j in range(i + 1, len(rest)):
+            a, b = rest[i], rest[j]
+            g = gcd(a, b)
+            rest[i], rest[j] = g, a // g * b
+    return [1] * (len(diagonal) - len(rest)) + rest
+
+
 def invariant_factors(M) -> list[int]:
-    """Nonzero diagonal entries of the Smith form, in divisibility order."""
-    m = len(M)
-    n = len(M[0]) if m else 0
-    D, _, _, _, rank = _snf_full(M, m, n)
-    return [D[i][i] for i in range(rank)]
+    """Nonzero diagonal entries of the Smith form, in divisibility order.
+
+    Sparse elimination that keeps no transforms.  Each step takes the
+    entry of least |value| as pivot (fewest fill-ins among equals), clears
+    its column by exact-quotient row steps, and repairs an entry the pivot
+    does not divide with a 2x2 unimodular extended-gcd step, which shrinks
+    the pivot.  Once the pivot divides its whole row, the row and column
+    split off as one diagonal entry; the diagonal is then put into
+    divisibility order.
+    """
+    A = _SparseMatrix(M)
+    diagonal = []
+    while A.rows:
+        r, c = A.pivot()
+        p = A.rows[r][c]
+        while True:
+            for i in list(A.cols[c]):
+                if i == r:
+                    continue
+                x = A.rows[i][c]
+                q, rem = divmod(x, p)
+                if not rem:
+                    A.add_row(i, r, -q)
+                else:
+                    g, s, t = _xgcd(p, x)
+                    A.mix_rows(r, i, s, t, -x // g, p // g)
+                    p = g
+            # Column c is now p at row r alone, so exact column steps would
+            # change row r only: once p divides that row, dropping it splits
+            # off p.
+            bad = next((j for j, y in A.rows[r].items() if y % p), None)
+            if bad is None:
+                break
+            y = A.rows[r][bad]
+            g, s, t = _xgcd(p, y)
+            A.mix_cols(c, bad, s, t, -y // g, p // g)
+            p = g
+        A.drop_row(r)
+        diagonal.append(abs(p))
+    return _divisibility_chain(diagonal)
 
 
 # ----------------------------------------------------------------------
@@ -309,46 +451,28 @@ class GradedHomology:
 
 
 def integral_homology(C: ChainComplex) -> GradedHomology:
-    """H_d = ker(M_d) / im(M_{d+1}) over Z, as free rank + invariant factors."""
+    """H_d over Z as free rank + invariant factors, one reduction per boundary.
+
+    C_d / ker M_d embeds in the free group C_{d-1}, so it is free and
+    ker M_d is a direct summand of C_d.  Hence
+    H_d = Z^(n_d - rk M_d - rk M_{d+1}) + Z/f_1 + ... + Z/f_s, where the
+    f_i > 1 are the invariant factors of M_{d+1}; no kernel coordinates
+    are needed.
+    """
     if C.ring != ZZ:
         raise NotAComplex(f"integral homology needs an integer complex, got {C.ring}")
     C.check_square_zero()
+    degrees = C.degrees()
+    if not degrees:
+        return GradedHomology({})
+    factors = {
+        d: invariant_factors(C.matrix(d)) for d in range(degrees[0], degrees[-1] + 2)
+    }
     groups: dict[int, HomologyGroup] = {}
-    for d in C.degrees():
-        names = C.basis_of(d)
-        n_d = len(names)
-        n_prev = len(C.basis_of(d - 1))
-        n_next = len(C.basis_of(d + 1))
-        M_d = C.matrix(d)
-        M_next = C.matrix(d + 1)
-        if n_prev == 0:
-            rank = 0
-            Vinv = identity(n_d)
-        else:
-            _, _, _, Vinv, rank = _snf_full(M_d, n_prev, n_d)
-        k = n_d - rank  # kernel rank; V's last k columns are a kernel basis
-        if k == 0:
-            continue
-        if n_next == 0:
-            groups[d] = HomologyGroup(free_rank=k)
-            continue
-        # Express each image column in kernel coordinates: y = Vinv * col.
-        coords = [
-            [
-                sum(Vinv[i][l] * M_next[l][j] for l in range(n_d))
-                for j in range(n_next)
-            ]
-            for i in range(n_d)
-        ]
-        for i in range(rank):
-            if any(coords[i]):
-                raise NotAComplex(f"image at degree {d} is not contained in the kernel")
-        B = coords[rank:]
-        factors = invariant_factors(B)
-        orders = [d_i for d_i in factors] + [0] * (k - len(factors))
-        group = from_orders(orders)
-        if not group.is_trivial():
-            groups[d] = group
+    for d in degrees:
+        free_rank = len(C.basis_of(d)) - len(factors[d]) - len(factors[d + 1])
+        torsion = tuple(f for f in factors[d + 1] if f > 1)
+        groups[d] = HomologyGroup(free_rank=free_rank, torsion=torsion)
     return GradedHomology(groups)
 
 

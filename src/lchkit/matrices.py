@@ -1,8 +1,10 @@
-"""Small exact dense-matrix helpers shared across the package.
+"""Exact dense-matrix helpers shared across the package.
 
 Matrices are lists of rows (lists).  Entries are Python ints (or Fractions
-where stated); nothing here ever rounds.  Shapes stay small (a few dozen),
-so the implementations favor clarity over asymptotics.
+where stated); nothing here ever rounds.  Shapes are not always small:
+connected sums reach hundreds of chords.  These dense routines serve
+products and ranks over fields; integral invariant factors use the sparse
+elimination in `homology`.
 """
 
 from __future__ import annotations
@@ -10,16 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def zero_matrix(rows: int, cols: int) -> list[list[int]]:
-    return [[0] * cols for _ in range(rows)]
-
-
 def identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def copy_matrix(M) -> list[list[int]]:
-    return [row[:] for row in M]
 
 
 def matmul(A, B, inner: int | None = None) -> list[list[int]]:
@@ -49,39 +43,8 @@ def is_zero_matrix(M) -> bool:
     return all(all(x == 0 for x in row) for row in M)
 
 
-def transpose(M, cols: int | None = None) -> list[list[int]]:
-    if not M:
-        return [[] for _ in range(cols or 0)]
-    return [list(col) for col in zip(*M)]
-
-
 def reduce_mod(M, m: int) -> list[list[int]]:
     return [[x % m for x in row] for row in M]
-
-
-def determinant(M) -> int:
-    """Exact determinant via fraction-free (Bareiss) elimination."""
-    n = len(M)
-    if n == 0:
-        return 1
-    A = [row[:] for row in M]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            for i in range(k + 1, n):
-                if A[i][k] != 0:
-                    A[k], A[i] = A[i], A[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-            A[i][k] = 0
-        prev = A[k][k]
-    return sign * A[n - 1][n - 1]
 
 
 def rank_rationals(M) -> int:

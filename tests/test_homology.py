@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from lchkit.augment import Augmentation, enumerate_augmentations
-from lchkit.dga import DGA, euler_tb, lambda0, lambda_k, unknot
+from lchkit.dga import DGA, euler_tb, geography_dga, lambda0, lambda_k, unknot
 from lchkit.errors import FieldRequired, NotAComplex, RingMismatch
 from lchkit.homology import (
     GradedHomology,
@@ -18,7 +18,7 @@ from lchkit.homology import (
     uct_check,
 )
 from lchkit.linearize import ChainComplex, linearized_differential
-from lchkit.matrices import determinant, identity, matmul, rank_rationals
+from lchkit.matrices import identity, matmul, rank_rationals
 from lchkit.rings import QQ, ZZ, Zmod
 
 
@@ -35,6 +35,31 @@ def eps_n_k(k, n):
 # ----------------------------------------------------------------------
 # Smith normal form
 # ----------------------------------------------------------------------
+
+
+def determinant(M) -> int:
+    """Exact determinant via fraction-free (Bareiss) elimination."""
+    n = len(M)
+    if n == 0:
+        return 1
+    A = [row[:] for row in M]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if A[k][k] == 0:
+            for i in range(k + 1, n):
+                if A[i][k] != 0:
+                    A[k], A[i] = A[i], A[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
+            A[i][k] = 0
+        prev = A[k][k]
+    return sign * A[n - 1][n - 1]
 
 
 def minors_gcd(M, k):
@@ -108,6 +133,17 @@ def test_snf_random_matrices_with_oracle():
             dk = minors_gcd(M, k)
             assert diag[k - 1] == dk // dk_prev
             dk_prev = dk
+    # Boundary-shaped cases: up to 40 x 40, about 5% dense, mostly +-1.
+    # The sparse invariant_factors must match the dense Smith diagonal.
+    units = (1, -1) * 4 + (2, -2, 3, -5, 6)
+    for _ in range(200):
+        m = rng.randint(1, 40)
+        n = rng.randint(1, 40)
+        M = [[rng.choice(units) if rng.random() < 0.05 else 0 for _ in range(n)]
+             for _ in range(m)]
+        _, D, _ = smith_normal_form(M)
+        diag = [D[i][i] for i in range(min(m, n)) if D[i][i]]
+        assert invariant_factors(M) == diag
 
 
 def test_invariant_factors():
@@ -183,6 +219,18 @@ def test_lambda_k_table():
                 k: HomologyGroup(0, (n,)),
                 -k - 1: HomologyGroup(0, (n,)),
             }
+
+
+def test_large_lambda0_sums():
+    # Mixed torsion orders on lambda0 sums once made the dense Smith form's
+    # entries grow for tens of seconds; the sparse route takes milliseconds.
+    rng = random.Random(7)
+    for orders in ([60, 40, 32, 42, 39, 6], [rng.randint(2, 60) for _ in range(20)]):
+        dga, aug = geography_dga(-1, 0, orders)
+        H = integral_homology(linearized_differential(dga, aug))
+        assert H.group(-1) == from_orders(orders)
+        # each lambda0 summand adds Z^2 to H_0 next to its torsion
+        assert H.group(0) == from_orders([0] * (2 * len(orders)) + orders)
 
 
 def test_unknot_homology():
