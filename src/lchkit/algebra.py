@@ -6,11 +6,13 @@ t*t^-1 = t^-1*t = 1.  A polynomial is a finite sum of monomials; a monomial
 is an integer coefficient times an ordered word of symbols.  Symbols are
 plain strings; "t" and "t^-1" are reserved for the basepoint.
 
-Besides ring arithmetic the module provides the two evaluation maps used by
+Besides ring arithmetic the module provides the two evaluation maps of
 linearization: `evaluate` (apply a scalar value to every symbol) and
 `s_linear_part` (the coefficient of the first-order term after substituting
 x -> s*x + eps(x) on chords, computed positionally so the bookkeeping
-variable s never needs to exist).
+variable s never needs to exist).  They are the reference route: the
+pipeline evaluates the compiled form `DGA.compiled`, and the tests compare
+the two.
 """
 
 from __future__ import annotations

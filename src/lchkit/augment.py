@@ -15,13 +15,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import algebra
-from .algebra import evaluate, s_linear_part, symbol_sort_key
-from .dga import DGA
+from .algebra import symbol_sort_key
+from .dga import DGA, evaluate_terms
 from .errors import (
     FieldRequired,
     InvalidParameter,
     InvalidValue,
-    NotAnAugmentation,
     ParseError,
     SearchTooLarge,
     UnknownGenerator,
@@ -107,12 +106,6 @@ class Augmentation:
         }
 
 
-def combine_values(v1: dict, v2: dict) -> dict:
-    out = dict(v1)
-    out.update(v2)
-    return out
-
-
 def parse_augmentation_literal(text: str, default_ring: RingDesc | None = None) -> Augmentation:
     """Parse 'a1=2, a2=-1 @ Z/5'.  The '@ ring' part is optional."""
     text = text.strip()
@@ -158,47 +151,14 @@ def is_augmentation(dga: DGA, aug: Augmentation) -> bool:
     on a validly graded DGA.
     """
     eps = aug.eps_map(dga)
-    for chord in dga.diff:
-        if not aug.ring.is_zero(evaluate(dga.differential(chord), eps)):
-            return False
-    return True
+    return all(
+        aug.ring.is_zero(evaluate_terms(constant, eps)) for constant, _ in dga.compiled.values()
+    )
 
 
 # ----------------------------------------------------------------------
 # enumeration
 # ----------------------------------------------------------------------
-
-
-def _compile_constraints(dga: DGA, variables: list[str]):
-    """Degree-1 differentials as sparse polynomials in the degree-0 chords.
-
-    Each constraint is (fire_depth, terms) with terms a list of
-    (coefficient, variable-index tuple); t letters fold into the
-    coefficient as factors of -1, and monomials containing a chord of
-    nonzero degree are dropped (they evaluate to 0).
-    """
-    index = {name: i for i, name in enumerate(variables)}
-    grading = dga.grading
-    constraints = []
-    for chord in dga.chords_of_degree(1):
-        terms: list[tuple[int, tuple[int, ...]]] = []
-        for word, coeff in dga.differential(chord).terms.items():
-            c = coeff
-            idxs: list[int] = []
-            dead = False
-            for x in word:
-                if algebra.is_basepoint(x):
-                    c = -c
-                elif grading[x] != 0:
-                    dead = True
-                    break
-                else:
-                    idxs.append(index[x])
-            if not dead:
-                terms.append((c, tuple(idxs)))
-        fire_depth = max((max(t[1]) for t in terms if t[1]), default=-1)
-        constraints.append((fire_depth, terms))
-    return constraints
 
 
 def _enumerate(dga: DGA, ring: RingDesc, domain: list, cap: int) -> list[Augmentation]:
@@ -208,44 +168,32 @@ def _enumerate(dga: DGA, ring: RingDesc, domain: list, cap: int) -> list[Augment
         raise SearchTooLarge(
             f"{len(domain)}^{len(variables)} = {size} assignments exceeds cap {cap}"
         )
-    constraints = _compile_constraints(dga, variables)
+    # Each degree-1 constraint fires at the depth of its last variable;
+    # constant constraints (depth -1) are checked before any variable.
+    depth_of = {name: i for i, name in enumerate(variables)}
     by_depth: dict[int, list] = {}
-    for depth, terms in constraints:
-        by_depth.setdefault(depth, []).append(terms)
+    for chord in dga.chords_of_degree(1):
+        constant = dga.compiled.get(chord, ([], []))[0]
+        depth = max((depth_of[x] for _, names in constant for x in names), default=-1)
+        by_depth.setdefault(depth, []).append(constant)
 
-    def holds(terms, assignment) -> bool:
-        total = 0
-        for c, idxs in terms:
-            v = c
-            for i in idxs:
-                v *= assignment[i]
-            total += v
-        return ring.is_zero(total)
-
-    # Constant constraints (no degree-0 variables) decide everything up front.
-    for terms in by_depth.get(-1, []):
-        if not holds(terms, []):
-            return []
-
+    assignment = dict.fromkeys(variables, 0)
     results: list[Augmentation] = []
     n = len(variables)
-    assignment: list = [0] * n
 
     def walk(depth: int):
+        # Check the constraints that fire once variables[depth - 1] is set.
+        for terms in by_depth.get(depth - 1, ()):
+            if not ring.is_zero(evaluate_terms(terms, assignment)):
+                return
         if depth == n:
-            results.append(
-                Augmentation(ring=ring, values=dict(zip(variables, assignment)))
-            )
+            results.append(Augmentation(ring=ring, values=dict(assignment)))
             return
+        name = variables[depth]
         for value in domain:
-            assignment[depth] = value
-            if all(holds(terms, assignment) for terms in by_depth.get(depth, [])):
-                walk(depth + 1)
+            assignment[name] = value
+            walk(depth + 1)
 
-    if n == 0:
-        # No degree-0 chords: the empty assignment stands or falls with the
-        # constant constraints checked above.
-        return [Augmentation(ring=ring, values={})]
     walk(0)
     return results
 
@@ -284,24 +232,16 @@ def tangent_space_dim(dga: DGA, aug: Augmentation) -> int:
     """Dimension of the Zariski tangent space at a field-valued point.
 
     Equals dim A_0 minus the rank of the linearized boundary block from
-    degree-1 chords to degree-0 chords over the field.
+    degree-1 chords to degree-0 chords over the field.  A point off the
+    variety raises NotAnAugmentation from the linearization.
     """
     if not aug.ring.is_field:
         raise FieldRequired(f"tangent space needs a field, got {aug.ring}")
-    if not is_augmentation(dga, aug):
-        raise NotAnAugmentation("the given point is not on the augmentation variety")
-    eps = aug.eps_map(dga)
-    deg0 = dga.chords_of_degree(0)
-    deg1 = dga.chords_of_degree(1)
-    row_of = {name: i for i, name in enumerate(deg0)}
-    block = [[0] * len(deg1) for _ in deg0]
-    for j, chord in enumerate(deg1):
-        for name, value in s_linear_part(dga.differential(chord), eps).items():
-            i = row_of.get(name)
-            if i is not None:
-                block[i][j] = value
+    from .linearize import linearized_differential
+
+    block = linearized_differential(dga, aug).matrix(1)
     if aug.ring.kind == "Q":
         rank = rank_rationals(block)
     else:
         rank = rank_mod_p(block, aug.ring.modulus)
-    return len(deg0) - rank
+    return len(dga.chords_of_degree(0)) - rank

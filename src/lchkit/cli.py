@@ -15,7 +15,6 @@ import sys
 
 from . import dgafile
 from .augment import (
-    Augmentation,
     enumerate_augmentations,
     enumerate_augmentations_bounded,
     parse_augmentation_literal,
@@ -52,8 +51,14 @@ def _ring_arg(text: str) -> RingDesc:
     return RingDesc.parse(text)
 
 
-def _aug_for(dga: DGA, literal: str, ring: RingDesc | None) -> Augmentation:
-    return parse_augmentation_literal(literal, default_ring=ring)
+def _int_list(text: str) -> list[int]:
+    """Comma-separated integers, as in '--primes 2,3'; empty items are skipped."""
+    try:
+        return [int(item) for item in text.split(",") if item.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
 
 
 def _emit(args, obj, text: str) -> None:
@@ -135,7 +140,7 @@ def _homology_text(dims_or_groups, ring: RingDesc) -> str:
 def cmd_homology(args) -> int:
     dga = load_dga(args.dga)
     ring = _ring_arg(args.ring) if args.ring else None
-    aug = _aug_for(dga, args.aug, ring)
+    aug = parse_augmentation_literal(args.aug, default_ring=ring)
     complex_ = linearized_differential(dga, aug)
     if aug.ring == ZZ:
         homology = integral_homology(complex_)
@@ -155,7 +160,7 @@ def cmd_homology(args) -> int:
 def cmd_duality(args) -> int:
     dga = load_dga(args.dga)
     ring = RingDesc.parse(args.field)
-    aug = _aug_for(dga, args.aug, ring)
+    aug = parse_augmentation_literal(args.aug, default_ring=ring)
     report = sabloff_check(dga, aug)
     _emit(args, report.to_json_obj(), report.format_report())
     return 0 if report.duality_ok else 1
@@ -163,18 +168,16 @@ def cmd_duality(args) -> int:
 
 def cmd_scan(args) -> int:
     dga = load_dga(args.dga)
-    primes = [int(p) for p in args.primes.split(",") if p.strip()]
-    report = torsion_scan(dga, primes, bound=args.bound, cap=search_cap_from_env())
+    report = torsion_scan(dga, args.primes, bound=args.bound, cap=search_cap_from_env())
     _emit(args, report.to_json_obj(), report.format_report())
     return 0
 
 
 def cmd_geography(args) -> int:
-    torsions = [int(n) for n in args.torsion.split(",") if n.strip()] if args.torsion else []
-    dga, aug = geography_dga(args.grading, args.free, torsions)
+    dga, aug = geography_dga(args.grading, args.free, args.torsion)
     homology = integral_homology(linearized_differential(dga, aug))
     achieved = homology.group(args.grading)
-    requested = from_orders([0] * args.free + torsions)
+    requested = from_orders([0] * args.free + args.torsion)
     if achieved != requested:
         # The construction guarantees this; a mismatch means a bug.
         print(
@@ -183,12 +186,12 @@ def cmd_geography(args) -> int:
         )
         return 1
     # Verified isomorphic, so print the group in the user's decomposition.
-    pieces = ["Z"] * args.free + [f"Z/{n}" for n in torsions]
+    pieces = ["Z"] * args.free + [f"Z/{n}" for n in args.torsion]
     text = f"H_{args.grading} = " + " + ".join(pieces)
     obj = {
         "dga": dga.name,
         "grading": args.grading,
-        "requested": {"free_rank": args.free, "torsion_orders": torsions},
+        "requested": {"free_rank": args.free, "torsion_orders": args.torsion},
         "achieved": achieved.to_json_obj(),
         "homology": homology.to_json_obj(),
         "augmentation": aug.to_json_obj(),
@@ -202,7 +205,7 @@ def cmd_geography(args) -> int:
 
 def cmd_bockstein(args) -> int:
     dga = load_dga(args.dga)
-    aug = _aug_for(dga, args.aug, ZZ)
+    aug = parse_augmentation_literal(args.aug, default_ring=ZZ)
     ranks = bockstein(linearized_differential(dga, aug))
     obj = {"dga": dga.name, "bockstein_ranks": {str(d): r for d, r in sorted(ranks.items(), reverse=True)}}
     if ranks:
@@ -219,7 +222,7 @@ def cmd_bockstein(args) -> int:
 def cmd_obstruction(args) -> int:
     dga = load_dga(args.dga)
     ring = RingDesc.parse(args.field)
-    aug = _aug_for(dga, args.aug, ring)
+    aug = parse_augmentation_literal(args.aug, default_ring=ring)
     verdict = filling_obstruction(dga, aug)
     _emit(args, verdict.to_json_obj(), verdict.format_report())
     return 0 if verdict.geometric_possible else 1
@@ -263,13 +266,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("scan", cmd_scan, "torsion evidence scan over several primes")
     p.add_argument("dga")
-    p.add_argument("--primes", default="2,3", help="comma-separated primes")
+    p.add_argument("--primes", type=_int_list, default="2,3", help="comma-separated primes")
     p.add_argument("--bound", type=int, default=None, help="also scan Z values in [-N, N]")
 
     p = add("geography", cmd_geography, "realize a group as LCH in a grading")
     p.add_argument("--grading", type=int, required=True)
     p.add_argument("--free", type=int, default=0, help="free rank m")
-    p.add_argument("--torsion", default="", help="comma-separated torsion orders")
+    p.add_argument("--torsion", type=_int_list, default="", help="comma-separated torsion orders")
     p.add_argument("--out", default=None, help="also write the constructed .dga")
 
     p = add("bockstein", cmd_bockstein, "mod-2 Bockstein ranks at a Z augmentation")

@@ -18,6 +18,7 @@ Built-ins:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import algebra
 from .algebra import Poly, degree_of_word, gen, substitute, t_gen
@@ -69,29 +70,72 @@ class DGA:
 
     # -- lookups ----------------------------------------------------------
 
-    @property
+    @cached_property
     def grading(self) -> dict[str, int]:
         return dict(self.chords)
+
+    @cached_property
+    def compiled(self) -> dict[str, tuple[list, list]]:
+        """Chord -> ``(constant, linear)`` for each nonzero differential.
+
+        Both hold term lists of ``(c, degree-0 names)`` to sum with
+        :func:`evaluate_terms`: ``constant`` sums to eps(d chord), and
+        ``linear`` pairs each row chord, in order of first occurrence,
+        with the terms that sum to its s-linear coefficient.
+        """
+        return {chord: _compile(p, self.grading) for chord, p in self.diff.items()}
 
     def chord_names(self) -> list[str]:
         return [name for name, _ in self.chords]
 
     def degree_of(self, chord: str) -> int:
-        for name, deg in self.chords:
-            if name == chord:
-                return deg
-        raise UnknownGenerator(f"unknown chord {chord!r}")
+        if chord not in self.grading:
+            raise UnknownGenerator(f"unknown chord {chord!r}")
+        return self.grading[chord]
 
     def chords_of_degree(self, degree: int) -> list[str]:
         return [name for name, deg in self.chords if deg == degree]
 
     def differential(self, chord: str) -> Poly:
-        if chord not in {name for name, _ in self.chords}:
+        if chord not in self.grading:
             raise UnknownGenerator(f"unknown chord {chord!r}")
         return self.diff.get(chord, Poly.zero())
 
     def tb_value(self) -> int:
         return self.tb if self.tb is not None else euler_tb(self)
+
+
+def _compile(p: Poly, grading: dict[str, int]) -> tuple[list, list]:
+    """The compiled form of one differential; see :attr:`DGA.compiled`.
+
+    eps sends t and t^-1 to -1, so each basepoint letter flips the sign of
+    the coefficient.  eps vanishes on chords of nonzero degree, so a
+    monomial with two of them drops out, and one with a single such chord
+    feeds only that chord's row.
+    """
+    terms = p.terms
+    constant: list[tuple[int, tuple[str, ...]]] = []
+    linear = {x: [] for word in terms for x in word if not algebra.is_basepoint(x)}
+    for word, coeff in terms.items():
+        letters = [x for x in word if not algebra.is_basepoint(x)]
+        c = -coeff if (len(word) - len(letters)) % 2 else coeff
+        graded = [j for j, x in enumerate(letters) if grading[x] != 0]
+        if not graded:
+            constant.append((c, tuple(letters)))
+        if len(graded) <= 1:
+            for j in graded or range(len(letters)):
+                linear[letters[j]].append((c, tuple(letters[:j] + letters[j + 1 :])))
+    return constant, [(row, row_terms) for row, row_terms in linear.items() if row_terms]
+
+
+def evaluate_terms(terms, values):
+    """Sum of c * values[x_1] * ... * values[x_k] over compiled (c, names) terms."""
+    total = 0
+    for c, names in terms:
+        for name in names:
+            c = c * values[name]
+        total += c
+    return total
 
 
 @dataclass(frozen=True)
@@ -245,44 +289,63 @@ def _fresh_c_name(taken: set[str]) -> str:
     return f"c#{j}"
 
 
-def _connected_sum_parts(d1: DGA, d2: DGA) -> tuple[DGA, dict[str, str], str]:
-    """Sum DGA plus the rename map applied to d2's chords and the c name."""
-    for d in (d1, d2):
-        report = validate(d)
-        if not report.ok:
+def _connected_sum_parts(summands: list[DGA]) -> tuple[DGA, list[dict[str, str]], list[str]]:
+    """The iterated sum (((d1 # d2) # d3) # ...) built in one pass.
+
+    Returns the sum, each summand's chord rename map and the new c chords
+    in order.  Names and chord order are those of folding
+    :func:`connected_sum` from the left.  Composing the basepoint
+    substitutions of the fold, summand 1 gets t -> c_1, summand j gets
+    t -> -c_j*c_{j-1}, and the last gets t -> -t*c_{n-1}.
+    """
+    for d in summands:
+        if not validate(d).ok:
             raise ValidationFailed(f"connected_sum needs valid inputs; {d.name} fails")
 
-    taken = set(d1.chord_names())
-    names2 = d2.chord_names()
-    rename: dict[str, str] = {}
-    if taken & set(names2):
-        suffix = _fresh_suffix(taken | set(names2), names2)
-        rename = {name: name + suffix for name in names2}
-    else:
-        rename = {name: name for name in names2}
-    c_name = _fresh_c_name(taken | set(rename.values()))
-    c = gen(c_name)
+    taken = set(summands[0].chord_names())
+    renames = [{name: name for name in taken}]
+    c_names: list[str] = []
+    chords = list(summands[0].chords)
+    for d in summands[1:]:
+        names = d.chord_names()
+        suffix = _fresh_suffix(taken | set(names), names) if taken & set(names) else ""
+        rename = {name: name + suffix for name in names}
+        taken.update(rename.values())
+        c_name = _fresh_c_name(taken)
+        taken.add(c_name)
+        chords += [(rename[name], deg) for name, deg in d.chords] + [(c_name, 0)]
+        renames.append(rename)
+        c_names.append(c_name)
 
-    # d1 keeps its chords; t is replaced by c in its differentials.
+    cs = [gen(name) for name in c_names]
     diff: dict[str, Poly] = {}
-    images1: dict[str, Poly] = {name: gen(name) for name in d1.chord_names()}
-    images1[algebra.T_SYMBOL] = c
-    for chord, p in d1.diff.items():
-        diff[chord] = substitute(p, images1)
+    for j, (d, rename) in enumerate(zip(summands, renames)):
+        head = cs[j] if j < len(cs) else t_gen
+        images: dict[str, Poly] = {name: gen(rename[name]) for name in d.chord_names()}
+        images[algebra.T_SYMBOL] = head if j == 0 else -(head * cs[j - 1])
+        for chord, p in d.diff.items():
+            diff[rename[chord]] = substitute(p, images)
 
-    # d2's chords are renamed; its basepoint t' becomes -t*c.
-    images2: dict[str, Poly] = {name: gen(rename[name]) for name in names2}
-    images2[algebra.T_SYMBOL] = -(t_gen * c)
-    for chord, p in d2.diff.items():
-        diff[rename[chord]] = substitute(p, images2)
+    name = "#".join(d.name for d in summands)
+    return DGA(name=name, chords=tuple(chords), diff=diff), renames, c_names
 
-    chords = (
-        tuple(d1.chords)
-        + tuple((rename[name], deg) for name, deg in d2.chords)
-        + ((c_name, 0),)
-    )
-    summed = DGA(name=f"{d1.name}#{d2.name}", chords=chords, diff=diff)
-    return summed, rename, c_name
+
+def _connected_sum_augmented(summands: list[DGA], augs: list):
+    """Iterated connected sum with the combined augmentation (c_j -> -1)."""
+    from .augment import Augmentation
+    from .errors import RingMismatch
+
+    ring = augs[0].ring
+    for aug in augs[1:]:
+        if aug.ring != ring:
+            raise RingMismatch(f"augmentation rings differ: {ring} vs {aug.ring}")
+    summed, renames, c_names = _connected_sum_parts(summands)
+    values: dict[str, object] = {}
+    for j, (aug, rename) in enumerate(zip(augs, renames)):
+        values.update((rename.get(k, k), v) for k, v in aug.values.items())
+        if j:
+            values[c_names[j - 1]] = ring.coerce(-1)
+    return summed, Augmentation(ring=ring, values=values)
 
 
 def connected_sum(d1: DGA, d2: DGA) -> DGA:
@@ -292,7 +355,7 @@ def connected_sum(d1: DGA, d2: DGA) -> DGA:
     -t*c; c itself is closed.  Chord name collisions are resolved by
     suffixing d2's chords with ``#j``.
     """
-    return _connected_sum_parts(d1, d2)[0]
+    return _connected_sum_parts([d1, d2])[0]
 
 
 def connected_sum_augmented(d1: DGA, aug1, d2: DGA, aug2):
@@ -302,15 +365,7 @@ def connected_sum_augmented(d1: DGA, aug1, d2: DGA, aug2):
     augmentation keeps each summand's values (under the renaming) and
     sends the new chord c to -1.
     """
-    from .augment import Augmentation, combine_values
-    from .errors import RingMismatch
-
-    if aug1.ring != aug2.ring:
-        raise RingMismatch(f"augmentation rings differ: {aug1.ring} vs {aug2.ring}")
-    summed, rename, c_name = _connected_sum_parts(d1, d2)
-    values = combine_values(aug1.values, {rename[k]: v for k, v in aug2.values.items()})
-    values[c_name] = aug1.ring.coerce(-1)
-    return summed, Augmentation(ring=aug1.ring, values=values)
+    return _connected_sum_augmented([d1, d2], [aug1, aug2])
 
 
 # ----------------------------------------------------------------------
@@ -362,11 +417,7 @@ def geography_dga(i: int, m: int, torsions: list[int]):
 
     base, _ = _family_member_for_grading(i)
     ns = [0] * m + list(torsions)
-
-    result = base
-    aug = Augmentation(ring=ZZ, values=_eps_n_values(base, ns[0]))
-    for n in ns[1:]:
-        copy_aug = Augmentation(ring=ZZ, values=_eps_n_values(base, n))
-        result, aug = connected_sum_augmented(result, aug, base, copy_aug)
+    augs = [Augmentation(ring=ZZ, values=_eps_n_values(base, n)) for n in ns]
+    result, aug = _connected_sum_augmented([base] * len(ns), augs)
     result = DGA(name=f"geography[{i}]", chords=result.chords, diff=result.diff, tb=result.tb)
     return result, aug

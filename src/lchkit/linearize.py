@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import evaluate, s_linear_part
 from .augment import Augmentation
-from .dga import DGA
+from .dga import DGA, evaluate_terms
 from .errors import NotAComplex, NotAnAugmentation, ValidationFailed
 from .matrices import is_zero_matrix, matmul
 from .rings import RingDesc
@@ -58,9 +57,6 @@ class ChainComplex:
             if not is_zero_matrix(reduced):
                 raise NotAComplex(f"boundary squared is nonzero from degree {d + 1}")
 
-    def total_dimension(self) -> int:
-        return sum(len(names) for names in self.basis.values())
-
     def dump(self) -> str:
         """Human-readable matrix dump with chord labels, for goldens."""
         lines = []
@@ -88,6 +84,7 @@ def linearized_differential(dga: DGA, aug: Augmentation) -> ChainComplex:
     raises NotAnAugmentation.
     """
     grading = dga.grading
+    compiled = dga.compiled
     eps = aug.eps_map(dga)
     ring = aug.ring
 
@@ -110,16 +107,16 @@ def linearized_differential(dga: DGA, aug: Augmentation) -> ChainComplex:
         cols = basis.get(d, [])
         M = [[0] * len(cols) for _ in rows]
         for j, chord in enumerate(cols):
-            p = dga.differential(chord)
-            if p.is_zero():
+            if chord not in compiled:
                 continue
-            constant = evaluate(p, eps)
+            constant_terms, linear = compiled[chord]
+            constant = evaluate_terms(constant_terms, eps)
             if not ring.is_zero(constant):
                 raise NotAnAugmentation(
                     f"eps(d {chord}) = {constant} != 0: not an augmentation"
                 )
-            for name, value in s_linear_part(p, eps).items():
-                value = ring.reduce(value)
+            for name, terms in linear:
+                value = ring.reduce(evaluate_terms(terms, eps))
                 if ring.is_zero(value):
                     continue
                 if grading[name] != d - 1:

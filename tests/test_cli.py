@@ -87,6 +87,17 @@ def test_usage_error_exits_2(capsys):
     capsys.readouterr()
 
 
+def test_bad_comma_lists_are_usage_errors(capsys):
+    for argv in (
+        ["scan", "builtin:unknot", "--primes", "2,q"],
+        ["geography", "--grading", "2", "--torsion", "2,x"],
+    ):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "expected comma-separated integers" in err and "Traceback" not in err
+
+
 def test_builtin_emission_round_trips(tmp_path, capsys):
     out_file = tmp_path / "l2.dga"
     code, _, _ = invoke(capsys, "builtin", "lambda_k", "--k", "2", "--out", str(out_file))

@@ -192,6 +192,49 @@ def test_geography_negative_one_uses_lambda0():
     assert H.group(-1).torsion == (3,)
 
 
+def _family_member(i):
+    if i > 1:
+        return lambda_k(i)
+    return lambda0() if i == -1 else lambda_k(-i - 1)
+
+
+def _eps(dga, n):
+    values = {"a1": n, "a2": -1, "a3": 1}
+    extra = ["a6"] if dga.name == "lambda0" else dga.chords_of_degree(0)[3:]
+    values.update(dict.fromkeys(extra, 1))
+    return Augmentation(ZZ, values)
+
+
+def test_geography_equals_fold_of_pairwise_sums(monkeypatch):
+    """One-pass geography sums match folding connected_sum_augmented."""
+    import lchkit.dga as dga_module
+
+    calls = []
+    real_validate = dga_module.validate
+
+    def counting_validate(d):
+        calls.append(d)
+        return real_validate(d)
+
+    monkeypatch.setattr(dga_module, "validate", counting_validate)
+    for i in (-5, -4, -3, -2, -1, 2, 3, 4, 5):
+        base = _family_member(i)
+        for m, orders in ((0, [3]), (1, []), (1, [2, 5]), (2, [4, 6])):
+            calls.clear()
+            g, aug = geography_dga(i, m, orders)
+            assert len(calls) == m + len(orders)
+            ns = [0] * m + orders
+            folded, folded_aug = base, _eps(base, ns[0])
+            for n in ns[1:]:
+                folded, folded_aug = connected_sum_augmented(
+                    folded, folded_aug, base, _eps(base, n)
+                )
+            assert g.name == f"geography[{i}]"
+            assert g.chords == folded.chords
+            assert g.diff == folded.diff
+            assert aug == folded_aug
+
+
 def test_geography_rejects_bad_gradings():
     for i in (0, 1):
         with pytest.raises(InvalidParameter):

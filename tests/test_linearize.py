@@ -1,15 +1,20 @@
+from fractions import Fraction
+from itertools import product
+
 import pytest
 
+from lchkit.algebra import evaluate, gen, s_linear_part, t_gen, t_inv_gen
 from lchkit.augment import (
     Augmentation,
     enumerate_augmentations,
     enumerate_augmentations_bounded,
+    is_augmentation,
 )
-from lchkit.dga import DGA, connected_sum, lambda0, lambda_k, unknot
+from lchkit.dga import DGA, connected_sum, connected_sum_augmented, lambda0, lambda_k, unknot
 from lchkit.errors import NotAnAugmentation
 from lchkit.linearize import linearized_differential
 from lchkit.matrices import reduce_mod
-from lchkit.rings import ZZ, Zmod
+from lchkit.rings import QQ, ZZ, Zmod
 
 
 def eps_n(n):
@@ -104,3 +109,81 @@ def test_dump_mentions_labels():
     C = linearized_differential(d, Augmentation(ZZ, {}))
     text = C.dump()
     assert "degree 1" in text and "a" in text
+
+
+RINGS = (Zmod(2), Zmod(3), Zmod(4), Zmod(5), ZZ, QQ)
+
+
+def _spread(items, limit):
+    return items[:: max(1, len(items) // limit)][:limit]
+
+
+def _family_points(dga, ring, limit):
+    """Augmentations over ring; over Q also points with a1 = a3 = 1/2, a2 = 0."""
+    if ring.is_finite:
+        return _spread(enumerate_augmentations(dga, ring), limit)
+    points = _spread(enumerate_augmentations_bounded(dga, 2 if ring == ZZ else 1), limit)
+    if ring == ZZ:
+        return points
+    halves = {"a1": Fraction(1, 2), "a2": 0, "a3": Fraction(1, 2)}
+    out = [Augmentation(QQ, aug.values) for aug in points]
+    if "a1" in dga.grading:
+        out += [Augmentation(QQ, {**aug.values, **halves}) for aug in points]
+    return out
+
+
+def _t_inverse_dga():
+    x, y, z, b = gen("x"), gen("y"), gen("z"), gen("b")
+    return DGA(
+        name="tinv",
+        chords=(("x", 0), ("y", 0), ("z", -1), ("a", 1), ("b", 1)),
+        diff={
+            "a": t_inv_gen * x - x * y * t_gen + 1 + z * b,
+            "b": t_gen * x * t_inv_gen * y - 2 * t_gen * t_gen * y * y + y * y,
+        },
+    )
+
+
+def _compiled_route_cases():
+    for ring in RINGS:
+        for dga in (lambda0(), lambda_k(1), lambda_k(2), lambda_k(3), unknot()):
+            for aug in _family_points(dga, ring, 12):
+                yield dga, aug
+        for d1, d2 in ((unknot(), lambda0()), (lambda0(), lambda_k(1))):
+            for a1 in _family_points(d1, ring, 3):
+                for a2 in _family_points(d2, ring, 4):
+                    yield connected_sum_augmented(d1, a1, d2, a2)
+        tinv = _t_inverse_dga()
+        if ring.is_finite:
+            domain = list(ring.elements())
+        elif ring == ZZ:
+            domain = range(-2, 3)
+        else:
+            domain = [-2, -1, Fraction(-1, 2), 0, Fraction(1, 2), 1, 2]
+        for vx, vy in product(domain, repeat=2):
+            yield tinv, Augmentation(ring, {"x": vx, "y": vy})
+
+
+def test_compiled_route_matches_reference_route():
+    """Compiled evaluation equals algebra.evaluate and algebra.s_linear_part."""
+    complexes = rejected = 0
+    for dga, aug in _compiled_route_cases():
+        ring = aug.ring
+        eps = aug.eps_map(dga)
+        expected = all(ring.is_zero(evaluate(p, eps)) for p in dga.diff.values())
+        assert is_augmentation(dga, aug) == expected
+        if not expected:
+            rejected += 1
+            with pytest.raises(NotAnAugmentation):
+                linearized_differential(dga, aug)
+            continue
+        complexes += 1
+        C = linearized_differential(dga, aug)
+        for chord in dga.chord_names():
+            reference = s_linear_part(dga.differential(chord), eps)
+            assert column(C, chord) == {
+                name: ring.reduce(value)
+                for name, value in reference.items()
+                if not ring.is_zero(value)
+            }
+    assert complexes > 400 and rejected > 100
