@@ -136,7 +136,7 @@ def parse_augmentation_literal(text: str, default_ring: RingDesc | None = None) 
                 raise ParseError(f"bad chord name {name!r} in augmentation literal")
             try:
                 value: object = Fraction(raw) if "/" in raw else int(raw)
-            except ValueError:
+            except (ValueError, ZeroDivisionError):
                 raise ParseError(f"bad value {raw!r} for {name!r}") from None
             if name in values:
                 raise ParseError(f"chord {name!r} assigned twice")

@@ -4,10 +4,12 @@ Over Z, the homology of (V, d) in degree d is read off from invariant
 factors alone: ker M_d is a direct summand of C_d (its quotient embeds in
 the free group C_{d-1}), so H_d = Z^(n_d - rk M_d - rk M_{d+1}) plus one
 Z/f for each invariant factor f > 1 of M_{d+1}.  `invariant_factors` gets
-them by sparse elimination without transforms; the dense
-`smith_normal_form` keeps U and V for callers that need them.  Field
-dimensions, the mod-2 Bockstein, and a universal-coefficient consistency
-check round out the module.
+them with the sparse elimination kernel `matrices._SparseMatrix`, without
+transforms; the dense `smith_normal_form` keeps U and V for callers that
+need them.  Field dimensions read each boundary's rank once, over Q by the
+same kernel without Fractions (`rank_rationals`) and over Z/p densely.  The
+mod-2 Bockstein and a universal-coefficient consistency check round out the
+module.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from .errors import FieldRequired, NotAComplex, RingMismatch
 from .linearize import ChainComplex
 from .matrices import (
     SpanModP,
+    _SparseMatrix,
+    _xgcd,
     identity,
     kernel_mod_p,
     mat_vec,
@@ -152,107 +156,6 @@ def smith_normal_form(M):
     return U, D, V
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, s, t) with s*a + t*b = g = gcd(a, b) >= 0."""
-    s0, s1, t0, t1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if a < 0:
-        return -a, -s0, -t0
-    return a, s0, t0
-
-
-class _SparseMatrix:
-    """Integer matrix as rows of {col: value} dicts with a col -> rows index.
-
-    Only nonzero entries are stored; empty rows are dropped.  The row and
-    column operations below are unimodular, so they preserve the Smith form.
-    """
-
-    def __init__(self, M):
-        self.rows: dict[int, dict[int, int]] = {}
-        self.cols: dict[int, set[int]] = {}
-        for i, row in enumerate(M):
-            entries = {j: x for j, x in enumerate(row) if x}
-            if entries:
-                self.rows[i] = entries
-                for j in entries:
-                    self.cols.setdefault(j, set()).add(i)
-
-    def pivot(self) -> tuple[int, int]:
-        """Entry of least |value|, ties broken by Markowitz cost (r-1)(c-1)."""
-        cols = self.cols
-        best_a = best_cost = None
-        best = None
-        for i, row in self.rows.items():
-            row_fill = len(row) - 1
-            for j, x in row.items():
-                a = x if x > 0 else -x
-                if best_a is not None and a > best_a:
-                    continue
-                cost = row_fill * (len(cols[j]) - 1)
-                if best_a is None or a < best_a or cost < best_cost:
-                    best_a, best_cost, best = a, cost, (i, j)
-                    if a == 1 and cost == 0:
-                        return best
-        return best
-
-    def add_row(self, i: int, r: int, q: int) -> None:
-        """row_i += q * row_r, for q != 0."""
-        Ri = self.rows[i]
-        cols = self.cols
-        for j, x in self.rows[r].items():
-            old = Ri.get(j)
-            y = q * x if old is None else old + q * x
-            if y:
-                Ri[j] = y
-                if old is None:
-                    cols[j].add(i)
-            else:
-                del Ri[j]
-                cols[j].discard(i)
-        if not Ri:
-            del self.rows[i]
-
-    def _store(self, i: int, j: int, x: int) -> None:
-        row = self.rows.get(i)
-        if x:
-            if row is None:
-                self.rows[i] = row = {}
-            if j not in row:
-                self.cols[j].add(i)
-            row[j] = x
-        elif row is not None and j in row:
-            del row[j]
-            self.cols[j].discard(i)
-            if not row:
-                del self.rows[i]
-
-    def mix_rows(self, r: int, i: int, a: int, b: int, c: int, d: int) -> None:
-        """(row_r, row_i) <- (a*row_r + b*row_i, c*row_r + d*row_i)."""
-        Rr, Ri = self.rows[r], self.rows[i]
-        pairs = [(j, Rr.get(j, 0), Ri.get(j, 0)) for j in Rr.keys() | Ri.keys()]
-        for j, x, y in pairs:
-            self._store(r, j, a * x + b * y)
-            self._store(i, j, c * x + d * y)
-
-    def mix_cols(self, k: int, j: int, a: int, b: int, c: int, d: int) -> None:
-        """(col_k, col_j) <- (a*col_k + b*col_j, c*col_k + d*col_j)."""
-        rows = self.rows
-        hit = self.cols[k] | self.cols[j]
-        pairs = [(i, rows[i].get(k, 0), rows[i].get(j, 0)) for i in hit]
-        for i, x, y in pairs:
-            self._store(i, k, a * x + b * y)
-            self._store(i, j, c * x + d * y)
-
-    def drop_row(self, r: int) -> None:
-        for j in self.rows.pop(r):
-            self.cols[j].discard(r)
-
-
 def _divisibility_chain(diagonal: list[int]) -> list[int]:
     """Invariant factors of diag(d_1, ..., d_r), d_i > 0, by gcd/lcm swaps."""
     rest = [d for d in diagonal if d != 1]
@@ -279,19 +182,8 @@ def invariant_factors(M) -> list[int]:
     diagonal = []
     while A.rows:
         r, c = A.pivot()
-        p = A.rows[r][c]
         while True:
-            for i in list(A.cols[c]):
-                if i == r:
-                    continue
-                x = A.rows[i][c]
-                q, rem = divmod(x, p)
-                if not rem:
-                    A.add_row(i, r, -q)
-                else:
-                    g, s, t = _xgcd(p, x)
-                    A.mix_rows(r, i, s, t, -x // g, p // g)
-                    p = g
+            p = A.clear_column(r, c)
             # Column c is now p at row r alone, so exact column steps would
             # change row r only: once p divides that row, dropping it splits
             # off p.
@@ -301,7 +193,6 @@ def invariant_factors(M) -> list[int]:
             y = A.rows[r][bad]
             g, s, t = _xgcd(p, y)
             A.mix_cols(c, bad, s, t, -y // g, p // g)
-            p = g
         A.drop_row(r)
         diagonal.append(abs(p))
     return _divisibility_chain(diagonal)
@@ -494,10 +385,13 @@ def field_homology(C: ChainComplex, field_ring: RingDesc) -> dict[int, int]:
             return rank_rationals(M)
         return rank_mod_p(M, field_ring.modulus)
 
+    degrees = C.degrees()
+    if not degrees:
+        return {}
+    ranks = {d: rank(C.matrix(d)) for d in range(degrees[0], degrees[-1] + 2)}
     dims: dict[int, int] = {}
-    for d in C.degrees():
-        n_d = len(C.basis_of(d))
-        dim = n_d - rank(C.matrix(d)) - rank(C.matrix(d + 1))
+    for d in degrees:
+        dim = len(C.basis_of(d)) - ranks[d] - ranks[d + 1]
         if dim:
             dims[d] = dim
     return dims

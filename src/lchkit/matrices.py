@@ -1,15 +1,17 @@
-"""Exact dense-matrix helpers shared across the package.
+"""Exact matrix helpers shared across the package.
 
 Matrices are lists of rows (lists).  Entries are Python ints (or Fractions
 where stated); nothing here ever rounds.  Shapes are not always small:
-connected sums reach hundreds of chords.  These dense routines serve
-products and ranks over fields; integral invariant factors use the sparse
-elimination in `homology`.
+connected sums reach hundreds of chords.  The dense routines serve products
+and ranks and kernels over Z/p.  `_SparseMatrix` is the one sparse integer
+elimination kernel: `homology.invariant_factors` runs it for integral
+invariant factors, and `rank_rationals` counts its pivots after clearing
+each row's denominators, so rank over Q needs no Fraction arithmetic.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import lcm
 
 
 def identity(n: int) -> list[list[int]]:
@@ -47,30 +49,147 @@ def reduce_mod(M, m: int) -> list[list[int]]:
     return [[x % m for x in row] for row in M]
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s*a + t*b = g = gcd(a, b) >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    if a < 0:
+        return -a, -s0, -t0
+    return a, s0, t0
+
+
+class _SparseMatrix:
+    """Integer matrix as rows of {col: value} dicts with a col -> rows index.
+
+    Only nonzero entries are stored; empty rows are dropped.  The row and
+    column operations below are unimodular, so they preserve the Smith form.
+    """
+
+    def __init__(self, M):
+        self.rows: dict[int, dict[int, int]] = {}
+        self.cols: dict[int, set[int]] = {}
+        for i, row in enumerate(M):
+            entries = {j: x for j, x in enumerate(row) if x}
+            if entries:
+                self.rows[i] = entries
+                for j in entries:
+                    self.cols.setdefault(j, set()).add(i)
+
+    def pivot(self) -> tuple[int, int]:
+        """Entry of least |value|, ties broken by Markowitz cost (r-1)(c-1)."""
+        cols = self.cols
+        best_a = best_cost = None
+        best = None
+        for i, row in self.rows.items():
+            row_fill = len(row) - 1
+            for j, x in row.items():
+                a = x if x > 0 else -x
+                if best_a is not None and a > best_a:
+                    continue
+                cost = row_fill * (len(cols[j]) - 1)
+                if best_a is None or a < best_a or cost < best_cost:
+                    best_a, best_cost, best = a, cost, (i, j)
+                    if a == 1 and cost == 0:
+                        return best
+        return best
+
+    def add_row(self, i: int, r: int, q: int) -> None:
+        """row_i += q * row_r, for q != 0."""
+        Ri = self.rows[i]
+        cols = self.cols
+        for j, x in self.rows[r].items():
+            old = Ri.get(j)
+            y = q * x if old is None else old + q * x
+            if y:
+                Ri[j] = y
+                if old is None:
+                    cols[j].add(i)
+            else:
+                del Ri[j]
+                cols[j].discard(i)
+        if not Ri:
+            del self.rows[i]
+
+    def _store(self, i: int, j: int, x: int) -> None:
+        row = self.rows.get(i)
+        if x:
+            if row is None:
+                self.rows[i] = row = {}
+            if j not in row:
+                self.cols[j].add(i)
+            row[j] = x
+        elif row is not None and j in row:
+            del row[j]
+            self.cols[j].discard(i)
+            if not row:
+                del self.rows[i]
+
+    def mix_rows(self, r: int, i: int, a: int, b: int, c: int, d: int) -> None:
+        """(row_r, row_i) <- (a*row_r + b*row_i, c*row_r + d*row_i)."""
+        Rr, Ri = self.rows[r], self.rows[i]
+        pairs = [(j, Rr.get(j, 0), Ri.get(j, 0)) for j in Rr.keys() | Ri.keys()]
+        for j, x, y in pairs:
+            self._store(r, j, a * x + b * y)
+            self._store(i, j, c * x + d * y)
+
+    def mix_cols(self, k: int, j: int, a: int, b: int, c: int, d: int) -> None:
+        """(col_k, col_j) <- (a*col_k + b*col_j, c*col_k + d*col_j)."""
+        rows = self.rows
+        hit = self.cols[k] | self.cols[j]
+        pairs = [(i, rows[i].get(k, 0), rows[i].get(j, 0)) for i in hit]
+        for i, x, y in pairs:
+            self._store(i, k, a * x + b * y)
+            self._store(i, j, c * x + d * y)
+
+    def clear_column(self, r: int, c: int) -> int:
+        """Make (r, c) the only entry of column c by row steps; returns it.
+
+        A row whose entry the pivot divides takes an exact-quotient step;
+        otherwise a 2x2 extended-gcd step on rows r and i leaves the gcd
+        at (r, c), which shrinks the pivot.
+        """
+        p = self.rows[r][c]
+        for i in list(self.cols[c]):
+            if i == r:
+                continue
+            x = self.rows[i][c]
+            q, rem = divmod(x, p)
+            if not rem:
+                self.add_row(i, r, -q)
+            else:
+                g, s, t = _xgcd(p, x)
+                self.mix_rows(r, i, s, t, -x // g, p // g)
+                p = g
+        return p
+
+    def drop_row(self, r: int) -> None:
+        for j in self.rows.pop(r):
+            self.cols[j].discard(r)
+
+
 def rank_rationals(M) -> int:
-    """Rank over Q by exact Fraction elimination."""
-    A = [[Fraction(x) for x in row] for row in M]
-    rows = len(A)
-    cols = len(A[0]) if A else 0
+    """Rank over Q of a matrix of ints and Fractions, without Fraction arithmetic.
+
+    Each row is multiplied by the lcm of its entries' denominators, which
+    leaves the row space over Q unchanged.  The integer rows are then
+    eliminated sparsely: each pivot's column is cleared by unimodular row
+    steps and its row dropped, so the rank is the number of pivots.
+    """
+    rows = []
+    for row in M:
+        scale = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (scale // x.denominator) for x in row])
+    A = _SparseMatrix(rows)
     rank = 0
-    for col in range(cols):
-        pivot = None
-        for i in range(rank, rows):
-            if A[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        A[rank], A[pivot] = A[pivot], A[rank]
-        inv = 1 / A[rank][col]
-        A[rank] = [x * inv for x in A[rank]]
-        for i in range(rows):
-            if i != rank and A[i][col] != 0:
-                f = A[i][col]
-                A[i] = [x - f * y for x, y in zip(A[i], A[rank])]
+    while A.rows:
+        r, c = A.pivot()
+        A.clear_column(r, c)
+        A.drop_row(r)
         rank += 1
-        if rank == rows:
-            break
     return rank
 
 

@@ -98,6 +98,15 @@ def test_bad_comma_lists_are_usage_errors(capsys):
         assert "expected comma-separated integers" in err and "Traceback" not in err
 
 
+def test_zero_denominator_in_literal_is_a_parse_error(capsys):
+    code, out, err = invoke(
+        capsys, "duality", "builtin:lambda0", "--aug", "a1=1/0", "--field", "Q"
+    )
+    assert code == 2
+    assert out == ""
+    assert "bad value '1/0'" in err and "Traceback" not in err
+
+
 def test_builtin_emission_round_trips(tmp_path, capsys):
     out_file = tmp_path / "l2.dga"
     code, _, _ = invoke(capsys, "builtin", "lambda_k", "--k", "2", "--out", str(out_file))

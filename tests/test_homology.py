@@ -1,10 +1,19 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from lchkit.augment import Augmentation, enumerate_augmentations
-from lchkit.dga import DGA, euler_tb, geography_dga, lambda0, lambda_k, unknot
+from lchkit.dga import (
+    DGA,
+    connected_sum_augmented,
+    euler_tb,
+    geography_dga,
+    lambda0,
+    lambda_k,
+    unknot,
+)
 from lchkit.errors import FieldRequired, NotAComplex, RingMismatch
 from lchkit.homology import (
     GradedHomology,
@@ -144,6 +153,82 @@ def test_snf_random_matrices_with_oracle():
         _, D, _ = smith_normal_form(M)
         diag = [D[i][i] for i in range(min(m, n)) if D[i][i]]
         assert invariant_factors(M) == diag
+
+
+def fraction_rank(M) -> int:
+    """Rank over Q by dense Gauss-Jordan elimination on Fractions (reference)."""
+    A = [[Fraction(x) for x in row] for row in M]
+    rows = len(A)
+    cols = len(A[0]) if A else 0
+    rank = 0
+    for col in range(cols):
+        pivot = None
+        for i in range(rank, rows):
+            if A[i][col] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        A[rank], A[pivot] = A[pivot], A[rank]
+        inv = 1 / A[rank][col]
+        A[rank] = [x * inv for x in A[rank]]
+        for i in range(rows):
+            if i != rank and A[i][col] != 0:
+                f = A[i][col]
+                A[i] = [x - f * y for x, y in zip(A[i], A[rank])]
+        rank += 1
+        if rank == rows:
+            break
+    return rank
+
+
+def test_rank_rationals_matches_fraction_elimination():
+    assert rank_rationals([]) == 0
+    assert rank_rationals([[], []]) == 0
+    assert rank_rationals([[0, 0], [0, 0]]) == 0
+    assert rank_rationals([[Fraction(1, 2), Fraction(1, 3)], [3, 2]]) == 1
+    rng = random.Random(4321)
+
+    def entry():
+        if rng.random() < 0.3:
+            return 0
+        if rng.random() < 0.5:
+            return rng.randint(-9, 9)
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+
+    # Non-integral entries, with some zero rows and columns, and products
+    # of thin factors so that the rank is often below min(m, n).
+    for _ in range(600):
+        m = rng.randint(0, 9)
+        n = rng.randint(0, 9)
+        if rng.random() < 0.5:
+            k = rng.randint(0, 4)
+            B = [[entry() for _ in range(k)] for _ in range(m)]
+            C = [[entry() for _ in range(n)] for _ in range(k)]
+            M = matmul(B, C) if k else [[0] * n for _ in range(m)]
+        else:
+            M = [[entry() for _ in range(n)] for _ in range(m)]
+        for i in rng.sample(range(m), rng.randint(0, m // 3)):
+            M[i] = [0] * n
+        for j in rng.sample(range(n), rng.randint(0, n // 3)):
+            for row in M:
+                row[j] = 0
+        assert rank_rationals(M) == fraction_rank(M), M
+    # Boundary-shaped integer matrices: up to 60 x 60, about 5% dense,
+    # mostly +-1 with some entries of size 2..60.
+    for _ in range(80):
+        m = rng.randint(1, 60)
+        n = rng.randint(1, 60)
+        M = [
+            [
+                (rng.choice((1, -1)) if rng.random() < 0.8 else rng.randint(2, 60) * rng.choice((1, -1)))
+                if rng.random() < 0.05
+                else 0
+                for _ in range(n)
+            ]
+            for _ in range(m)
+        ]
+        assert rank_rationals(M) == fraction_rank(M)
 
 
 def test_invariant_factors():
@@ -286,13 +371,38 @@ def test_euler_characteristic_across_enumerated_augmentations():
             assert H.euler_characteristic() == euler_tb(dga)
 
 
+def seeded_lambda_sum(rng, chords):
+    """Sum of lambda_k summands (k in 1..4) with `chords` chords, at eps_n.
+
+    s summands have sum(2 k_i + 12) - 1 chords, so any odd count from 19
+    up is reached by the fewest summands that fit; the seed picks the k_i,
+    their order and each summand's n in 0..60.
+    """
+    summands = next(s for s in range(1, chords) if 14 * s - 1 <= chords <= 20 * s - 1)
+    ks = [1] * summands
+    for _ in range((chords + 1 - 12 * summands) // 2 - summands):
+        ks[rng.choice([i for i, k in enumerate(ks) if k < 4])] += 1
+    parts = [(lambda_k(k), eps_n_k(k, rng.randint(0, 60))) for k in ks]
+    dga, aug = parts[0]
+    for piece, piece_aug in parts[1:]:
+        dga, aug = connected_sum_augmented(dga, aug, piece, piece_aug)
+    assert len(dga.chords) == chords
+    return dga, aug
+
+
 def test_free_rank_matches_rational_dimension():
-    for dga, aug in [(lambda0(), eps_n(3)), (lambda_k(2), eps_n_k(2, 4))]:
+    # The same integer eps read over Q gives the Q ranks by a route that
+    # shares no rank code with the invariant factors over Z.
+    rng = random.Random(2024)
+    cases = [(lambda0(), eps_n(3)), (lambda_k(2), eps_n_k(2, 4)), (lambda_k(3), eps_n_k(3, 0))]
+    cases += [seeded_lambda_sum(rng, n) for n in (19, 27, 41, 55, 83, 111, 143, 143)]
+    for dga, aug in cases:
         C = linearized_differential(dga, aug)
         H = integral_homology(C)
-        dims = field_homology(C, QQ)
-        for d in set(H.degrees()) | set(dims):
-            assert dims.get(d, 0) == H.group(d).free_rank
+        free = {d: H.group(d).free_rank for d in H.degrees() if H.group(d).free_rank}
+        assert field_homology(C, QQ) == free
+        C_q = linearized_differential(dga, Augmentation(QQ, aug.values))
+        assert field_homology(C_q, QQ) == free
 
 
 # ----------------------------------------------------------------------
