@@ -9,6 +9,7 @@ All output is deterministic; --json switches to structured output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -228,7 +229,9 @@ def cmd_obstruction(args) -> int:
     return 0 if verdict.geometric_possible else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `lch` argument parser, built once on first use and then reused."""
     parser = argparse.ArgumentParser(
         prog="lch",
         description="Exact linearized contact homology for Chekanov-Eliashberg DGAs.",

@@ -1,15 +1,16 @@
 """Exact homology of integer chain complexes via Smith normal form.
 
-Over Z, the homology of (V, d) in degree d is read off from invariant
-factors alone: ker M_d is a direct summand of C_d (its quotient embeds in
-the free group C_{d-1}), so H_d = Z^(n_d - rk M_d - rk M_{d+1}) plus one
-Z/f for each invariant factor f > 1 of M_{d+1}.  `invariant_factors` gets
-them with the sparse elimination kernel `matrices._SparseMatrix`, without
-transforms; the dense `smith_normal_form` keeps U and V for callers that
-need them.  Field dimensions read each boundary's rank once, over Q by the
-same kernel without Fractions (`rank_rationals`) and over Z/p densely.  The
-mod-2 Bockstein and a universal-coefficient consistency check round out the
-module.
+Every integral invariant here is read off from invariant factors alone.
+ker M_d is a direct summand of C_d (its quotient embeds in the free group
+C_{d-1}), so H_d = Z^(n_d - rk M_d - rk M_{d+1}) plus one Z/f for each
+invariant factor f > 1 of M_{d+1}; and the mod-2 Bockstein
+H_d(Z/2) -> H_{d-1}(Z/2) has rank #{invariant factors f of M_d with
+f = 2 mod 4}.  `invariant_factors` gets them with the sparse elimination
+kernel `matrices._SparseMatrix`, without transforms; the dense
+`smith_normal_form` keeps U and V for callers that need them.  Field
+dimensions read each boundary's rank once, over Q by the same kernel
+without Fractions (`rank_rationals`) and over Z/p densely.  A
+universal-coefficient consistency check rounds out the module.
 """
 
 from __future__ import annotations
@@ -19,16 +20,7 @@ from math import gcd
 
 from .errors import FieldRequired, NotAComplex, RingMismatch
 from .linearize import ChainComplex
-from .matrices import (
-    SpanModP,
-    _SparseMatrix,
-    _xgcd,
-    identity,
-    kernel_mod_p,
-    mat_vec,
-    rank_mod_p,
-    rank_rationals,
-)
+from .matrices import _SparseMatrix, _xgcd, identity, rank_mod_p, rank_rationals
 from .rings import QQ, ZZ, RingDesc
 
 
@@ -272,25 +264,11 @@ TRIVIAL_GROUP = HomologyGroup()
 
 def from_orders(orders) -> HomologyGroup:
     """Group from a list of cyclic orders (0 = Z), in canonical form."""
-    rank = 0
-    primary: dict[int, list[int]] = {}
-    for d in orders:
-        d = abs(d)
-        if d == 0:
-            rank += 1
-        elif d > 1:
-            for p, e in _primary_parts(d).items():
-                primary.setdefault(p, []).append(e)
-    width = max((len(v) for v in primary.values()), default=0)
-    factors = []
-    for i in range(width):
-        f = 1
-        for p, exps in primary.items():
-            exps = sorted(exps, reverse=True)
-            if i < len(exps):
-                f *= p ** exps[i]
-        factors.append(f)
-    return HomologyGroup(free_rank=rank, torsion=tuple(sorted(factors)))
+    orders = [abs(d) for d in orders]
+    factors = _divisibility_chain([d for d in orders if d])
+    return HomologyGroup(
+        free_rank=orders.count(0), torsion=tuple(f for f in factors if f > 1)
+    )
 
 
 @dataclass(frozen=True)
@@ -352,7 +330,6 @@ def integral_homology(C: ChainComplex) -> GradedHomology:
     """
     if C.ring != ZZ:
         raise NotAComplex(f"integral homology needs an integer complex, got {C.ring}")
-    C.check_square_zero()
     degrees = C.degrees()
     if not degrees:
         return GradedHomology({})
@@ -398,48 +375,18 @@ def field_homology(C: ChainComplex, field_ring: RingDesc) -> dict[int, int]:
 
 
 def bockstein(C: ChainComplex) -> dict[int, int]:
-    """Ranks of the Bockstein beta: H_d(Z/2) -> H_{d-1}(Z/2).
+    """Ranks of the Bockstein beta: H_d(Z/2) -> H_{d-1}(Z/2), nonzero only.
 
-    For each mod-2 homology class, lift a representative cycle to a 0/1
-    integer vector, apply the integer boundary, halve, and reduce mod 2;
-    the rank of the induced map is recorded per degree (nonzero only).
+    beta is the connecting map onto the elements of order at most 2 in
+    H_{d-1}(Z), followed by reduction mod 2; a summand Z/f of H_{d-1}(Z)
+    contributes rank one exactly when f = 2 mod 4 (Hatcher, Algebraic
+    Topology, 3.E).  H_{d-1}(Z) has one Z/f per invariant factor f > 1 of M_d.
     """
     if C.ring != ZZ:
         raise RingMismatch("the Bockstein lift needs an integer complex")
-    C.check_square_zero()
     ranks: dict[int, int] = {}
     for d in C.degrees():
-        names = C.basis_of(d)
-        n_d = len(names)
-        n_prev = len(C.basis_of(d - 1))
-        M_d = C.matrix(d)
-        M_next = C.matrix(d + 1)
-        # mod-2 cycles, modulo mod-2 boundaries
-        kernel = kernel_mod_p(M_d, n_prev, n_d, 2)
-        image_span = SpanModP(2)
-        if M_next and M_next[0]:
-            for col in zip(*M_next):
-                image_span.add([x % 2 for x in col])
-        reps = []
-        span = image_span.copy()
-        for z in kernel:
-            if span.add(z):
-                reps.append(z)
-        if not reps or n_prev == 0:
-            continue
-        # beta images, read in H_{d-1}(Z/2) = cycles / im(M_d mod 2)
-        target_span = SpanModP(2)
-        if M_d and M_d[0]:
-            for col in zip(*M_d):
-                target_span.add([x % 2 for x in col])
-        rank = 0
-        for z in reps:
-            w = mat_vec(M_d, z)
-            if any(x % 2 for x in w):
-                raise NotAComplex("mod-2 cycle lift has an odd boundary")
-            v = [(x // 2) % 2 for x in w]
-            if target_span.add(v):
-                rank += 1
+        rank = sum(1 for f in invariant_factors(C.matrix(d)) if f % 4 == 2)
         if rank:
             ranks[d] = rank
     return ranks

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .augment import Augmentation
 from .dga import DGA, evaluate_terms
 from .errors import NotAComplex, NotAnAugmentation, ValidationFailed
-from .matrices import is_zero_matrix, matmul
+from .matrices import matmul
 from .rings import RingDesc
 
 
@@ -27,11 +27,18 @@ class ChainComplex:
     Matrices are stored for every d from min degree to max degree + 1, so
     compositions are checkable at the ends; missing degrees have empty
     bases.  Entries are exact (ints; Fractions over Q).
+
+    Construction checks d^2 = 0 (raising NotAComplex), so every consumer
+    may rely on it without checking again.  Do not mutate the boundaries
+    afterwards: the check is not repeated.
     """
 
     ring: RingDesc
     basis: dict[int, list[str]]
     boundary: dict[int, list[list[int]]]
+
+    def __post_init__(self):
+        self.check_square_zero()
 
     def degrees(self) -> list[int]:
         return sorted(d for d, names in self.basis.items() if names)
@@ -46,15 +53,14 @@ class ChainComplex:
 
     def check_square_zero(self) -> None:
         """Raise NotAComplex unless consecutive boundaries compose to zero."""
-        for d in list(self.boundary):
+        for d in self.boundary:
             A = self.matrix(d + 1)
             B = self.matrix(d)
             n_mid = len(self.basis_of(d))
             if not B or not A or n_mid == 0:
                 continue
             prod = matmul(B, A, inner=n_mid)
-            reduced = [[self.ring.reduce(x) for x in row] for row in prod]
-            if not is_zero_matrix(reduced):
+            if any(self.ring.reduce(x) for row in prod for x in row):
                 raise NotAComplex(f"boundary squared is nonzero from degree {d + 1}")
 
     def dump(self) -> str:
@@ -127,6 +133,4 @@ def linearized_differential(dga: DGA, aug: Augmentation) -> ChainComplex:
                 M[row_index[name]][j] = value
         boundary[d] = M
 
-    complex_ = ChainComplex(ring=ring, basis=basis, boundary=boundary)
-    complex_.check_square_zero()
-    return complex_
+    return ChainComplex(ring=ring, basis=basis, boundary=boundary)

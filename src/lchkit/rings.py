@@ -13,18 +13,34 @@ from fractions import Fraction
 from .errors import InvalidValue, ParseError
 
 
+# Miller-Rabin with the first 12 primes as bases is exact below 3.1 * 10^23;
+# moduli are capped at 2^64, inside that range, so `is_field` is exact and
+# cheap.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MODULUS_LIMIT = 2**64
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test, exact for n < 2^64."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -41,6 +57,8 @@ class RingDesc:
         if self.kind == "Zmod":
             if not isinstance(self.modulus, int) or self.modulus < 2:
                 raise InvalidValue("modulus must be an integer >= 2")
+            if self.modulus >= _MODULUS_LIMIT:
+                raise InvalidValue("modulus must be below 2^64")
         elif self.modulus is not None:
             raise InvalidValue(f"{self.kind} takes no modulus")
 

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 
+import lchkit
 from lchkit.cli import run
 from lchkit.dgafile import parse
 from lchkit.homology import GradedHomology
@@ -55,6 +59,32 @@ def test_geography_json_has_canonical_form(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["achieved"] == {"free_rank": 1, "torsion": [2, 12]}
+
+
+def _lch_process(*argv):
+    """`lch argv` in a fresh interpreter, killed after 10 s of wall time."""
+    src = os.path.dirname(os.path.dirname(lchkit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "lchkit.cli", *argv],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+
+
+def test_huge_prime_torsion_order_is_fast():
+    proc = _lch_process("geography", "--grading", "2", "--torsion", str(2**61 - 1))
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == f"H_2 = Z/{2**61 - 1}"
+
+
+def test_huge_prime_modulus_is_fast():
+    aug = "a1=2,a2=-1,a3=1,a6=1"
+    proc = _lch_process("homology", "builtin:lambda0", "--aug", aug, "--ring", f"Z/{2**61 - 1}")
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines() == [f"H_1 = (Z/{2**61 - 1})", f"H_0 = (Z/{2**61 - 1})^2"]
+    proc = _lch_process("homology", "builtin:lambda0", "--aug", aug, "--ring", f"Z/{2**64}")
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "2^64" in proc.stderr
 
 
 def test_validate_builtin_and_bad_file(tmp_path, capsys):

@@ -4,7 +4,11 @@ from itertools import combinations
 
 import pytest
 
-from lchkit.augment import Augmentation, enumerate_augmentations
+from lchkit.augment import (
+    Augmentation,
+    enumerate_augmentations,
+    enumerate_augmentations_bounded,
+)
 from lchkit.dga import (
     DGA,
     connected_sum_augmented,
@@ -247,6 +251,33 @@ def test_from_orders_canonicalizes():
     assert from_orders([4, 6]) == HomologyGroup(0, (2, 12))
     assert from_orders([0, 0, 1, 1]) == HomologyGroup(2, ())
     assert from_orders([2, 4, 2]) == HomologyGroup(0, (2, 2, 4))
+    assert from_orders([-3, 1, 0]) == HomologyGroup(1, (3,))
+
+
+def _prime_power_parts(n):
+    parts, p = [], 2
+    while n > 1:
+        q = 1
+        while n % p == 0:
+            n //= p
+            q *= p
+        if q > 1:
+            parts.append(q)
+        p += 1
+    return parts
+
+
+def test_from_orders_matches_primary_parts():
+    """The canonical group has the same free rank and prime-power parts as
+    the direct sum of the given cyclic groups."""
+    rng = random.Random(5)
+    for _ in range(500):
+        orders = [rng.choice([0, 1, 2, 3, 4, 5, 6, 8, 9, 12, 30, 49, 360])
+                  for _ in range(rng.randrange(8))]
+        G = from_orders(orders)
+        assert G.free_rank == orders.count(0)
+        parts = [q for n in orders if n for q in _prime_power_parts(n)]
+        assert G.primary_decomposition() == sorted(parts, reverse=True)
 
 
 def test_group_direct_sum_and_str():
@@ -339,15 +370,32 @@ def test_integral_homology_requires_integer_complex():
 
 
 def test_non_complex_rejected():
-    C = ChainComplex(
-        ring=ZZ,
-        basis={0: ["x"], 1: ["y"], 2: ["z"]},
-        boundary={0: [], 1: [[1]], 2: [[1]], 3: [[]]},
-    )
     with pytest.raises(NotAComplex):
-        C.check_square_zero()
-    with pytest.raises(NotAComplex):
+        ChainComplex(
+            ring=ZZ,
+            basis={0: ["x"], 1: ["y"], 2: ["z"]},
+            boundary={0: [], 1: [[1]], 2: [[1]], 3: [[]]},
+        )
+
+
+def test_square_zero_checked_once_per_complex(monkeypatch):
+    """Construction checks d^2 = 0; no consumer checks the same complex again."""
+    calls = []
+    check = ChainComplex.check_square_zero
+
+    def counted(self):
+        calls.append(self)
+        check(self)
+
+    monkeypatch.setattr(ChainComplex, "check_square_zero", counted)
+    cases = [(lambda0(), eps_n(2)), (lambda0(), eps_n(6)), (lambda_k(2), eps_n_k(2, 6))]
+    for dga, aug in cases:
+        C = linearized_differential(dga, aug)
         integral_homology(C)
+        bockstein(C)
+        field_homology(C, Zmod(2))
+        field_homology(C, QQ)
+    assert len(calls) == len(cases)
 
 
 def test_euler_characteristic_matches_tb():
@@ -473,6 +521,80 @@ def test_bockstein_matches_exact_two_torsion_counts():
         for d in degrees:
             expected = sum(1 for f in H.group(d - 1).torsion if f % 2 == 0 and f % 4)
             assert ranks.get(d, 0) == expected
+
+
+def _bockstein_by_lift(C):
+    """Reference Bockstein: lift mod-2 cycles, apply the integer boundary,
+    halve, and reduce mod 2.  Vectors over Z/2 are int bitmasks."""
+
+    def columns(M, n_cols):
+        return [sum(1 << i for i, row in enumerate(M) if row[j] % 2) for j in range(n_cols)]
+
+    def add(span, v):  # span: leading bit -> vector; True if the rank grew
+        while v:
+            top = v.bit_length() - 1
+            if top not in span:
+                span[top] = v
+                return True
+            v ^= span[top]
+        return False
+
+    ranks = {}
+    for d in C.degrees():
+        n_d = len(C.basis_of(d))
+        M_d = C.matrix(d)
+        # kernel of M_d mod 2, from the column combinations that vanish
+        kernel, pivots = [], {}
+        for j, col in enumerate(columns(M_d, n_d)):
+            comb = 1 << j
+            while col:
+                top = col.bit_length() - 1
+                if top not in pivots:
+                    pivots[top] = (col, comb)
+                    break
+                col ^= pivots[top][0]
+                comb ^= pivots[top][1]
+            else:
+                kernel.append(comb)
+        span = {}
+        for col in columns(C.matrix(d + 1), len(C.basis_of(d + 1))):
+            add(span, col)
+        reps = [z for z in kernel if add(span, z)]
+        target = {}
+        for col in columns(M_d, n_d):
+            add(target, col)
+        rank = 0
+        for z in reps:
+            w = [sum(row[j] for j in range(n_d) if z >> j & 1) for row in M_d]
+            assert all(x % 2 == 0 for x in w)
+            if add(target, sum(1 << i for i, x in enumerate(w) if x // 2 % 2)):
+                rank += 1
+        if rank:
+            ranks[d] = rank
+    return ranks
+
+
+def _bockstein_corpus():
+    """Bounded-2 integer augmentations of lambda0..lambda3, and 90 seeded
+    geography sums in gradings +-2..+-4."""
+    for dga in (lambda0(), lambda_k(1), lambda_k(2), lambda_k(3)):
+        for aug in enumerate_augmentations_bounded(dga, 2):
+            yield linearized_differential(dga, aug)
+    rng = random.Random(7)
+    for grading in (2, 3, 4, -2, -3, -4):
+        for _ in range(15):
+            free = rng.randrange(2)
+            torsion = [rng.choice([2, 3, 4, 6, 10, 12]) for _ in range(rng.randrange(1, 4))]
+            yield linearized_differential(*geography_dga(grading, free, torsion))
+
+
+def test_bockstein_matches_mod2_lift_reference():
+    nonzero = 0
+    for count, C in enumerate(_bockstein_corpus(), 1):
+        ranks = bockstein(C)
+        assert ranks == _bockstein_by_lift(C)
+        nonzero += bool(ranks)
+    assert count == 338 and nonzero > 100
 
 
 def test_bockstein_zero_complex():
