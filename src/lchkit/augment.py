@@ -161,13 +161,14 @@ def is_augmentation(dga: DGA, aug: Augmentation) -> bool:
 # ----------------------------------------------------------------------
 
 
-def _enumerate(dga: DGA, ring: RingDesc, domain: list, cap: int) -> list[Augmentation]:
+def _enumerate(dga: DGA, ring: RingDesc, domain: range, cap: int) -> list[Augmentation]:
     variables = dga.chords_of_degree(0)
-    size = len(domain) ** len(variables)
-    if size > cap:
-        raise SearchTooLarge(
-            f"{len(domain)}^{len(variables)} = {size} assignments exceeds cap {cap}"
-        )
+    # The domain stays a range until the cap check passes; its length is
+    # read from its ends, since len() fails on ranges beyond sys.maxsize.
+    # The grid size is not printed: it can have more digits than str() takes.
+    values = domain.stop - domain.start
+    if values ** len(variables) > cap:
+        raise SearchTooLarge(f"{values}^{len(variables)} assignments exceeds cap {cap}")
     # Each degree-1 constraint fires at the depth of its last variable;
     # constant constraints (depth -1) are checked before any variable.
     depth_of = {name: i for i, name in enumerate(variables)}
@@ -210,7 +211,7 @@ def enumerate_augmentations(
     if not ring.is_finite:
         raise InvalidParameter(f"enumeration needs a finite ring, got {ring}")
     cap = search_cap_from_env() if cap is None else cap
-    return _enumerate(dga, ring, list(ring.elements()), cap)
+    return _enumerate(dga, ring, ring.elements(), cap)
 
 
 def enumerate_augmentations_bounded(
@@ -220,7 +221,7 @@ def enumerate_augmentations_bounded(
     if bound < 0:
         raise InvalidParameter("bound must be >= 0")
     cap = search_cap_from_env() if cap is None else cap
-    return _enumerate(dga, ZZ, list(range(-bound, bound + 1)), cap)
+    return _enumerate(dga, ZZ, range(-bound, bound + 1), cap)
 
 
 # ----------------------------------------------------------------------

@@ -29,7 +29,7 @@ from .dga import DGA
 from .errors import DuplicateGenerator, ParseError, UnknownGenerator
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_#]*")
-_INT = re.compile(r"-?\d+")
+_DIGITS = re.compile(r"\d+")
 
 
 def _strip_comment(line: str) -> str:
@@ -63,8 +63,8 @@ class _LineTokens:
                 self.tokens.append((text[i : j + 1], i))
                 i = j + 1
                 continue
-            if ch.isdigit():
-                m = re.match(r"\d+", text[i:])
+            if ch.isdecimal():
+                m = _DIGITS.match(text, i)
                 self.tokens.append((m.group(0), i))
                 i += len(m.group(0))
                 continue
@@ -105,13 +105,21 @@ def _is_ident(token: str) -> bool:
     return token == "t^-1" or bool(_IDENT.fullmatch(token))
 
 
+def _to_int(tok: str, lineno: int, col: int) -> int:
+    """int(tok), or a ParseError past sys.get_int_max_str_digits() digits."""
+    try:
+        return int(tok)
+    except ValueError:
+        raise ParseError(f"integer of {len(tok)} digits is too long", lineno, col + 1) from None
+
+
 def _parse_term(toks: _LineTokens) -> tuple[int, list[str]]:
     """One term: [int] ('*' factor)* | factors; returns (coeff, word)."""
     coeff = 1
     word: list[str] = []
     tok, col = toks.next()
     if tok.isdigit():
-        coeff = int(tok)
+        coeff = _to_int(tok, toks.lineno, col)
         if toks.peek() == "*":
             toks.next()
             tok, col = toks.next()
@@ -129,17 +137,19 @@ def _parse_term(toks: _LineTokens) -> tuple[int, list[str]]:
 
 
 def _parse_poly(toks: _LineTokens) -> Poly:
-    result = Poly.zero()
+    """Sum of the line's terms; equal words are summed before one Poly is built."""
+    terms: dict[tuple[str, ...], int] = {}
     sign = 1
     if toks.peek() in ("+", "-"):
         tok, _ = toks.next()
         sign = -1 if tok == "-" else 1
     while True:
         coeff, word = _parse_term(toks)
-        result = result + Poly({tuple(word): sign * coeff})
+        key = tuple(word)
+        terms[key] = terms.get(key, 0) + sign * coeff
         nxt = toks.peek()
         if nxt is None:
-            return result
+            return Poly(terms)
         if nxt in ("+", "-"):
             toks.next()
             sign = -1 if nxt == "-" else 1
@@ -155,7 +165,7 @@ def _parse_int(toks: _LineTokens) -> int:
         tok, col = toks.next()
     if not tok.isdigit():
         raise ParseError(f"expected an integer, got {tok!r}", toks.lineno, col + 1)
-    return sign * int(tok)
+    return sign * _to_int(tok, toks.lineno, col)
 
 
 def parse(text: str) -> DGA:

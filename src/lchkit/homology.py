@@ -8,9 +8,10 @@ H_d(Z/2) -> H_{d-1}(Z/2) has rank #{invariant factors f of M_d with
 f = 2 mod 4}.  `invariant_factors` gets them with the sparse elimination
 kernel `matrices._SparseMatrix`, without transforms; the dense
 `smith_normal_form` keeps U and V for callers that need them.  Field
-dimensions read each boundary's rank once, over Q by the same kernel
-without Fractions (`rank_rationals`) and over Z/p densely.  A
-universal-coefficient consistency check rounds out the module.
+dimensions read each boundary's rank once by the same kernel, over Q
+without Fractions (`rank_rationals`) and over Z/p with entries reduced
+mod p (`rank_mod_p`).  A universal-coefficient consistency check rounds
+out the module.
 """
 
 from __future__ import annotations

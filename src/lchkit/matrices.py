@@ -3,12 +3,13 @@
 Matrices are lists of rows (lists).  Entries are Python ints (or Fractions
 where stated); nothing here ever rounds.  Shapes are not always small:
 connected sums reach hundreds of chords.  The dense routines serve products
-and ranks over Z/p; there are no kernels over Z/p, since every integral
-invariant, the Bockstein included, is read from invariant factors.
-`_SparseMatrix` is the one sparse integer elimination kernel:
-`homology.invariant_factors` runs it for integral invariant factors, and
+only; there are no kernels over Z/p, since every integral invariant, the
+Bockstein included, is read from invariant factors.  `_SparseMatrix` is the
+one sparse elimination kernel, over Z or over Z/p:
+`homology.invariant_factors` runs it for integral invariant factors,
 `rank_rationals` counts its pivots after clearing each row's denominators,
-so rank over Q needs no Fraction arithmetic.
+so rank over Q needs no Fraction arithmetic, and `rank_mod_p` counts its
+pivots with entries reduced mod p.
 """
 
 from __future__ import annotations
@@ -39,10 +40,6 @@ def matmul(A, B, inner: int | None = None) -> list[list[int]]:
     return out
 
 
-def reduce_mod(M, m: int) -> list[list[int]]:
-    return [[x % m for x in row] for row in M]
-
-
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, s, t) with s*a + t*b = g = gcd(a, b) >= 0."""
     s0, s1, t0, t1 = 1, 0, 0, 1
@@ -57,27 +54,48 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 class _SparseMatrix:
-    """Integer matrix as rows of {col: value} dicts with a col -> rows index.
+    """Matrix over Z, or over Z/m for a prime m, as rows of {col: value}
+    dicts with a col -> rows index.
 
-    Only nonzero entries are stored; empty rows are dropped.  The row and
-    column operations below are unimodular, so they preserve the Smith form.
+    Only nonzero entries are stored; empty rows are dropped.  Over Z the
+    row and column operations below are unimodular, so they preserve the
+    Smith form.  With a modulus m > 0 every entry is kept reduced into
+    [1, m), so entries never grow, and only `add_row` steps are taken; the
+    mix steps serve the integer case alone.
     """
 
-    def __init__(self, M):
+    def __init__(self, M, modulus: int = 0):
+        self.modulus = modulus
         self.rows: dict[int, dict[int, int]] = {}
         self.cols: dict[int, set[int]] = {}
         for i, row in enumerate(M):
-            entries = {j: x for j, x in enumerate(row) if x}
+            if modulus:
+                entries = {j: y for j, x in enumerate(row) if (y := x % modulus)}
+            else:
+                entries = {j: x for j, x in enumerate(row) if x}
             if entries:
                 self.rows[i] = entries
                 for j in entries:
                     self.cols.setdefault(j, set()).add(i)
 
     def pivot(self) -> tuple[int, int]:
-        """Entry of least |value|, ties broken by Markowitz cost (r-1)(c-1)."""
+        """Entry of least |value|, ties broken by Markowitz cost (r-1)(c-1).
+
+        Over Z/m every nonzero entry is a unit, so the cost alone decides.
+        """
         cols = self.cols
         best_a = best_cost = None
         best = None
+        if self.modulus:
+            for i, row in self.rows.items():
+                row_fill = len(row) - 1
+                for j in row:
+                    cost = row_fill * (len(cols[j]) - 1)
+                    if best_cost is None or cost < best_cost:
+                        if not cost:
+                            return i, j
+                        best_cost, best = cost, (i, j)
+            return best
         for i, row in self.rows.items():
             row_fill = len(row) - 1
             for j, x in row.items():
@@ -92,12 +110,15 @@ class _SparseMatrix:
         return best
 
     def add_row(self, i: int, r: int, q: int) -> None:
-        """row_i += q * row_r, for q != 0."""
+        """row_i += q * row_r, for q != 0 (reduced mod m under a modulus)."""
         Ri = self.rows[i]
         cols = self.cols
+        m = self.modulus
         for j, x in self.rows[r].items():
             old = Ri.get(j)
             y = q * x if old is None else old + q * x
+            if m:
+                y %= m
             if y:
                 Ri[j] = y
                 if old is None:
@@ -142,11 +163,20 @@ class _SparseMatrix:
     def clear_column(self, r: int, c: int) -> int:
         """Make (r, c) the only entry of column c by row steps; returns it.
 
-        A row whose entry the pivot divides takes an exact-quotient step;
-        otherwise a 2x2 extended-gcd step on rows r and i leaves the gcd
-        at (r, c), which shrinks the pivot.
+        Under a modulus each row takes one exact step, row_i -= x/p * row_r
+        with the inverse of the pivot p mod m.  Over Z a row whose entry the
+        pivot divides takes an exact-quotient step; otherwise a 2x2
+        extended-gcd step on rows r and i leaves the gcd at (r, c), which
+        shrinks the pivot.
         """
         p = self.rows[r][c]
+        m = self.modulus
+        if m:
+            minus_inv = -pow(p, -1, m)
+            for i in list(self.cols[c]):
+                if i != r:
+                    self.add_row(i, r, self.rows[i][c] * minus_inv % m)
+            return p
         for i in list(self.cols[c]):
             if i == r:
                 continue
@@ -165,6 +195,17 @@ class _SparseMatrix:
             self.cols[j].discard(r)
 
 
+def _pivot_count(A: _SparseMatrix) -> int:
+    """Rank of A: pick a pivot, clear its column, drop its row, until empty."""
+    rank = 0
+    while A.rows:
+        r, c = A.pivot()
+        A.clear_column(r, c)
+        A.drop_row(r)
+        rank += 1
+    return rank
+
+
 def rank_rationals(M) -> int:
     """Rank over Q of a matrix of ints and Fractions, without Fraction arithmetic.
 
@@ -177,38 +218,14 @@ def rank_rationals(M) -> int:
     for row in M:
         scale = lcm(*(x.denominator for x in row))
         rows.append([x.numerator * (scale // x.denominator) for x in row])
-    A = _SparseMatrix(rows)
-    rank = 0
-    while A.rows:
-        r, c = A.pivot()
-        A.clear_column(r, c)
-        A.drop_row(r)
-        rank += 1
-    return rank
+    return _pivot_count(_SparseMatrix(rows))
 
 
 def rank_mod_p(M, p: int) -> int:
-    """Rank over the field Z/p (p prime)."""
-    A = [[x % p for x in row] for row in M]
-    rows = len(A)
-    cols = len(A[0]) if A else 0
-    rank = 0
-    for col in range(cols):
-        pivot = None
-        for i in range(rank, rows):
-            if A[i][col] % p:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        A[rank], A[pivot] = A[pivot], A[rank]
-        inv = pow(A[rank][col], -1, p)
-        A[rank] = [(x * inv) % p for x in A[rank]]
-        for i in range(rows):
-            if i != rank and A[i][col]:
-                f = A[i][col]
-                A[i] = [(x - f * y) % p for x, y in zip(A[i], A[rank])]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    """Rank over the field Z/p (p prime) of an integer matrix.
+
+    The entries are reduced mod p once and eliminated sparsely, as in
+    `rank_rationals`; every row step keeps them below p, whatever the size
+    of the integer lift.
+    """
+    return _pivot_count(_SparseMatrix(M, p))

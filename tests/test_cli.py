@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import lchkit
 from lchkit.cli import run
 from lchkit.dgafile import parse
@@ -85,6 +87,40 @@ def test_huge_prime_modulus_is_fast():
     proc = _lch_process("homology", "builtin:lambda0", "--aug", aug, "--ring", f"Z/{2**64}")
     assert proc.returncode == 2
     assert proc.stdout == "" and "2^64" in proc.stderr
+
+
+def test_huge_modulus_enumeration_stops_at_the_cap():
+    # The cap is checked before any value list is built: a list of 2^61
+    # values, or of four million, is never made.
+    for ring in (f"Z/{2**61 - 1}", "Z/4000037"):
+        proc = _lch_process("augs", "builtin:lambda0", "--ring", ring)
+        assert proc.returncode == 2
+        assert proc.stdout == "" and "exceeds cap" in proc.stderr
+    proc = _lch_process("augs", "builtin:lambda0", "--ring", "Z", "--bound", str(10**30))
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "exceeds cap" in proc.stderr
+
+
+def test_cap_message_for_a_grid_too_large_to_print(tmp_path, capsys):
+    # 600 free chords over Z/(2^61 - 1): the grid size has about 11000 digits.
+    doc = tmp_path / "free.dga"
+    doc.write_text('dga "free"\n' + "".join(f"gen a{i} 0\n" for i in range(600)))
+    code, out, err = invoke(capsys, "augs", str(doc), "--ring", f"Z/{2**61 - 1}")
+    assert code == 2
+    assert out == "" and f"{2**61 - 1}^600 assignments exceeds cap" in err
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this interpreter converts integers of any length",
+)
+def test_overlong_coefficient_is_a_parse_error(tmp_path, capsys):
+    digits = "1" * (sys.get_int_max_str_digits() + 700)
+    doc = tmp_path / "big.dga"
+    doc.write_text(f'dga "big"\ngen a 0\ngen b 1\nd b = {digits}*a\n')
+    code, out, err = invoke(capsys, "validate", str(doc))
+    assert code == 2
+    assert out == "" and "line 4, col 7" in err
 
 
 def test_validate_builtin_and_bad_file(tmp_path, capsys):

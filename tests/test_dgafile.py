@@ -1,4 +1,6 @@
 import random
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -108,10 +110,52 @@ def test_parse_errors():
         'dga "x"\ngen a 1\nd a = 1\nd a = t\n',  # duplicate differential
         'dga "x"\nbasepoint s\n',  # wrong basepoint
         'dga "x"\ngen a 1\nd a = a ~ a\n',  # stray character
+        'dga "x"\ngen a 1\nd a = \u00b2*a\n',  # a digit to isdigit(), not to int()
     ]
     for doc in cases:
         with pytest.raises(ParseError):
             parse(doc)
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this interpreter converts integers of any length",
+)
+def test_overlong_integers_are_parse_errors():
+    # Past sys.get_int_max_str_digits() (4300 by default) int() refuses to
+    # convert; each integer slot must report the location instead.
+    digits = "1" * (sys.get_int_max_str_digits() + 700)
+    cases = [
+        (f'dga "x"\ngen a 0\ngen b 1\nd b = {digits}*a\n', 4, 7),
+        (f'dga "x"\ngen a 0\ngen b 1\nd b = a - {digits}\n', 4, 11),
+        (f'dga "x"\ntb -{digits}\n', 2, 5),
+        (f'dga "x"\ngen a {digits}\n', 2, 7),
+    ]
+    for doc, line, col in cases:
+        with pytest.raises(ParseError) as info:
+            parse(doc)
+        assert (info.value.line, info.value.col) == (line, col)
+        assert "too long" in str(info.value)
+
+
+def test_long_differential_line_parses_in_linear_time():
+    # One line of 32768 distinct terms.  Rebuilding the whole Poly for every
+    # term made this take seconds; summing into one dict takes a fraction.
+    names = [f"g{i}" for i in range(182)]
+    words = [f"{x}*{y}" for x in names for y in names][:32768]
+    doc = (
+        'dga "long"\n'
+        + "".join(f"gen {x} 0\n" for x in names)
+        + "gen z 1\nd z = " + " + ".join(words) + " - g0*g0 + 2*g0*g0\n"
+    )
+    start = time.perf_counter()
+    dga = parse(doc)
+    elapsed = time.perf_counter() - start
+    terms = dga.diff["z"].terms
+    assert len(terms) == 32768
+    assert terms[("g0", "g0")] == 2 and terms[("g179", "g8")] == 1
+    assert parse(serialize(dga)) == dga
+    assert elapsed < 3.0, elapsed
 
 
 def test_duplicate_and_unknown_generators():

@@ -31,7 +31,7 @@ from lchkit.homology import (
     uct_check,
 )
 from lchkit.linearize import ChainComplex, linearized_differential
-from lchkit.matrices import identity, matmul, rank_rationals
+from lchkit.matrices import _SparseMatrix, identity, matmul, rank_mod_p, rank_rationals
 from lchkit.rings import QQ, ZZ, Zmod
 
 
@@ -233,6 +233,136 @@ def test_rank_rationals_matches_fraction_elimination():
             for _ in range(m)
         ]
         assert rank_rationals(M) == fraction_rank(M)
+
+
+def dense_rank_mod_p(M, p: int) -> int:
+    """Rank over Z/p by dense Gauss-Jordan elimination (reference)."""
+    A = [[x % p for x in row] for row in M]
+    rows = len(A)
+    cols = len(A[0]) if A else 0
+    rank = 0
+    for col in range(cols):
+        pivot = None
+        for i in range(rank, rows):
+            if A[i][col] % p:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        A[rank], A[pivot] = A[pivot], A[rank]
+        inv = pow(A[rank][col], -1, p)
+        A[rank] = [(x * inv) % p for x in A[rank]]
+        for i in range(rows):
+            if i != rank and A[i][col]:
+                f = A[i][col]
+                A[i] = [(x - f * y) % p for x, y in zip(A[i], A[rank])]
+        rank += 1
+        if rank == rows:
+            break
+    return rank
+
+
+RANK_PRIMES = (2, 3, 5, 7, 2**61 - 1)
+
+
+def _huge_lift(rng, x: int, p: int) -> int:
+    """x plus a multiple of p far larger than p, or x itself."""
+    return x + rng.choice((0, 1, -1, rng.randint(-2**90, 2**90))) * p
+
+
+def test_rank_mod_p_matches_dense_elimination():
+    for p in RANK_PRIMES:
+        assert rank_mod_p([], p) == 0
+        assert rank_mod_p([[], []], p) == 0
+        assert rank_mod_p([[0, 0], [0, 0]], p) == 0
+        assert rank_mod_p([[p, 2 * p], [-p, 5 * p]], p) == 0
+        assert rank_mod_p([[1, 2], [2, 4 + p]], p) == 1
+    rng = random.Random(6061)
+
+    def entry(p):
+        if rng.random() < 0.3:
+            return 0
+        if rng.random() < 0.3:
+            return rng.randint(-2**100, 2**100)
+        return _huge_lift(rng, rng.randint(-9, 9), p)
+
+    # Empty shapes, zero rows and columns, and products of thin factors so
+    # that the rank is often below min(m, n); entries far larger than p.
+    for p in RANK_PRIMES:
+        for _ in range(150):
+            m = rng.randint(0, 9)
+            n = rng.randint(0, 9)
+            if rng.random() < 0.5:
+                k = rng.randint(0, 4)
+                B = [[entry(p) for _ in range(k)] for _ in range(m)]
+                C = [[entry(p) for _ in range(n)] for _ in range(k)]
+                M = matmul(B, C) if k else [[0] * n for _ in range(m)]
+            else:
+                M = [[entry(p) for _ in range(n)] for _ in range(m)]
+            for i in rng.sample(range(m), rng.randint(0, m // 3)):
+                M[i] = [0] * n
+            for j in rng.sample(range(n), rng.randint(0, n // 3)):
+                for row in M:
+                    row[j] = 0
+            assert rank_mod_p(M, p) == dense_rank_mod_p(M, p), (p, M)
+    # Boundary-shaped matrices: up to 60 x 60, about 5% dense, mostly +-1
+    # with some entries of size 2..60, each lifted by a large multiple of p.
+    for p in RANK_PRIMES:
+        for _ in range(25):
+            m = rng.randint(1, 60)
+            n = rng.randint(1, 60)
+            M = [
+                [
+                    _huge_lift(rng, rng.choice((1, -1)) if rng.random() < 0.8
+                               else rng.randint(2, 60) * rng.choice((1, -1)), p)
+                    if rng.random() < 0.05
+                    else 0
+                    for _ in range(n)
+                ]
+                for _ in range(m)
+            ]
+            assert rank_mod_p(M, p) == dense_rank_mod_p(M, p)
+
+
+def test_sparse_kernel_mod_p_keeps_entries_reduced():
+    # Under a modulus every row step is one exact step with the pivot's
+    # inverse: clear_column hands back the pivot unchanged, leaves it alone
+    # in its column, and every stored entry stays in [1, p), whatever the
+    # size of the integer lift.
+    rng = random.Random(1789)
+    for p in RANK_PRIMES:
+        for _ in range(30):
+            m = rng.randint(1, 25)
+            n = rng.randint(1, 25)
+            M = [[_huge_lift(rng, rng.randint(-9, 9), p) if rng.random() < 0.2 else 0
+                  for _ in range(n)] for _ in range(m)]
+            A = _SparseMatrix(M, p)
+            rank = 0
+            while A.rows:
+                assert all(0 < x < p for row in A.rows.values() for x in row.values())
+                r, c = A.pivot()
+                pivot = A.rows[r][c]
+                assert A.clear_column(r, c) == pivot
+                assert A.cols[c] == {r}
+                A.drop_row(r)
+                rank += 1
+            assert rank == dense_rank_mod_p(M, p)
+
+
+@pytest.mark.parametrize("summands, chords", [(64, 1023), (128, 2047)])
+def test_field_homology_of_large_sums_matches_uct(summands, chords):
+    # Geography sums of 1023 and 2047 chords, with boundaries up to 895 x 640
+    # at the larger size: field homology over Z/2 and Z/3 must agree with
+    # integral homology through the universal coefficient theorem.
+    dga, aug = geography_dga(2, 0, [2, 3] * (summands // 2))
+    assert len(dga.chords) == chords
+    C = linearized_differential(dga, aug)
+    H = integral_homology(C)
+    assert H.group(2) == from_orders([2, 3] * (summands // 2))
+    for p in (2, 3):
+        dims = field_homology(C, Zmod(p))
+        assert dims[2] == summands // 2
+        assert uct_check(H, p, dims)
 
 
 def test_invariant_factors():

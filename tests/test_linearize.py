@@ -13,8 +13,11 @@ from lchkit.augment import (
 from lchkit.dga import DGA, connected_sum, connected_sum_augmented, lambda0, lambda_k, unknot
 from lchkit.errors import NotAnAugmentation
 from lchkit.linearize import linearized_differential
-from lchkit.matrices import reduce_mod
 from lchkit.rings import QQ, ZZ, Zmod
+
+
+def reduce_mod(M, m):
+    return [[x % m for x in row] for row in M]
 
 
 def eps_n(n):
