@@ -48,10 +48,6 @@ def load_dga(source: str) -> DGA:
         return dgafile.parse(handle.read())
 
 
-def _ring_arg(text: str) -> RingDesc:
-    return RingDesc.parse(text)
-
-
 def _int_list(text: str) -> list[int]:
     """Comma-separated integers, as in '--primes 2,3'; empty items are skipped."""
     try:
@@ -64,9 +60,11 @@ def _int_list(text: str) -> list[int]:
 
 def _emit(args, obj, text: str) -> None:
     if args.json:
-        print(json.dumps(obj, indent=2, sort_keys=True))
-    else:
-        print(text)
+        try:
+            text = json.dumps(obj, indent=2, sort_keys=True)
+        except ValueError as exc:  # an integer past sys.get_int_max_str_digits()
+            raise LchError(f"cannot write the JSON report: {exc}") from None
+    print(text)
 
 
 def cmd_validate(args) -> int:
@@ -109,7 +107,7 @@ def cmd_builtin(args) -> int:
 
 def cmd_augs(args) -> int:
     dga = load_dga(args.dga)
-    ring = _ring_arg(args.ring)
+    ring = RingDesc.parse(args.ring)
     cap = search_cap_from_env()
     if ring == ZZ:
         if args.bound is None:
@@ -140,7 +138,7 @@ def _homology_text(dims_or_groups, ring: RingDesc) -> str:
 
 def cmd_homology(args) -> int:
     dga = load_dga(args.dga)
-    ring = _ring_arg(args.ring) if args.ring else None
+    ring = RingDesc.parse(args.ring) if args.ring else None
     aug = parse_augmentation_literal(args.aug, default_ring=ring)
     complex_ = linearized_differential(dga, aug)
     if aug.ring == ZZ:

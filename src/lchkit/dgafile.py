@@ -16,8 +16,14 @@ or t^-1; a bare integer is a constant term and 1 is the unit monomial:
 
     d a10 = 1 - a4 - a6 - a6*a5*a4 - a6*a11*a7
 
-Whitespace within a line is insignificant.  The serializer emits canonical
-term order (length-lex) with LF line endings; parse(serialize(d)) == d.
+Each line loses its comment first; one regex then splits the rest into
+typed tokens: int (decimal digits), ident (a chord name
+[A-Za-z_][A-Za-z0-9_#]* or t^-1), op (= + - *) and str (a double-quoted
+name).  As the comment goes first, a '#' after whitespace ends the line
+even inside quotes: dga "a #b" is an unterminated string.  Whitespace
+between tokens is insignificant, and errors report line and column.  The
+serializer emits canonical term order (length-lex) with LF line endings;
+parse(serialize(d)) == d.
 """
 
 from __future__ import annotations
@@ -28,64 +34,42 @@ from .algebra import Poly, format_poly
 from .dga import DGA
 from .errors import DuplicateGenerator, ParseError, UnknownGenerator
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_#]*")
-_DIGITS = re.compile(r"\d+")
-
-
-def _strip_comment(line: str) -> str:
-    for i, ch in enumerate(line):
-        if ch == "#" and (i == 0 or line[i - 1].isspace()):
-            return line[:i]
-    return line
+# A comment starts at a '#' that begins the line or follows whitespace.
+_COMMENT = re.compile(r"(?<!\S)#")
+# One token per match, leading whitespace folded in; m.lastindex is the
+# kind.  The last group catches a lone '"' or a stray character: it must
+# be \S, or \s* would backtrack and report a trailing space.  Lines are
+# right-stripped first, or finditer would retry at every trailing blank.
+_TOKEN = re.compile(
+    r'\s*(?:(\d+)|(t\^-1|[A-Za-z_][A-Za-z0-9_#]*)|([=+*-])|("[^"]*")|(\S))'
+)
+_KINDS = (None, "int", "ident", "op", "str")
+_BAD = len(_KINDS)
 
 
 class _LineTokens:
-    """Tokens of one logical line, with positions for error messages."""
+    """(kind, text, col) tokens of one line, with positions for errors."""
 
-    def __init__(self, text: str, lineno: int):
+    def __init__(self, raw: str, lineno: int):
         self.lineno = lineno
-        self.tokens: list[tuple[str, int]] = []
-        i = 0
-        n = len(text)
-        while i < n:
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch in "=+-*":
-                self.tokens.append((ch, i))
-                i += 1
-                continue
-            if ch == '"':
-                j = text.find('"', i + 1)
-                if j < 0:
-                    raise ParseError("unterminated string", lineno, i + 1)
-                self.tokens.append((text[i : j + 1], i))
-                i = j + 1
-                continue
-            if ch.isdecimal():
-                m = _DIGITS.match(text, i)
-                self.tokens.append((m.group(0), i))
-                i += len(m.group(0))
-                continue
-            m = _IDENT.match(text, i)
-            if m:
-                token = m.group(0)
-                # t^-1 is a single factor token
-                if token == "t" and text[i : i + 4] == "t^-1":
-                    token = "t^-1"
-                self.tokens.append((token, i))
-                i += len(token)
-                continue
-            raise ParseError(f"unexpected character {ch!r}", lineno, i + 1)
+        self.tokens: list[tuple[str, str, int]] = []
+        for m in _TOKEN.finditer(_COMMENT.split(raw, maxsplit=1)[0].rstrip()):
+            kind = m.lastindex
+            col = m.start(kind)
+            if kind == _BAD:
+                ch = m.group(kind)
+                if ch == '"':
+                    raise ParseError("unterminated string", lineno, col + 1)
+                raise ParseError(f"unexpected character {ch!r}", lineno, col + 1)
+            self.tokens.append((_KINDS[kind], m.group(kind), col))
         self.pos = 0
 
     def peek(self) -> str | None:
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
+        return self.tokens[self.pos][1] if self.pos < len(self.tokens) else None
 
-    def next(self) -> tuple[str, int]:
+    def next(self) -> tuple[str, str, int]:
         if self.pos >= len(self.tokens):
-            last_col = self.tokens[-1][1] + 1 if self.tokens else 1
+            last_col = self.tokens[-1][2] + 1 if self.tokens else 1
             raise ParseError("unexpected end of line", self.lineno, last_col)
         tok = self.tokens[self.pos]
         self.pos += 1
@@ -93,16 +77,12 @@ class _LineTokens:
 
     def expect_end(self):
         if self.pos < len(self.tokens):
-            tok, col = self.tokens[self.pos]
+            _, tok, col = self.tokens[self.pos]
             raise ParseError(f"unexpected token {tok!r}", self.lineno, col + 1)
 
     def error(self, message: str):
-        col = self.tokens[self.pos][1] + 1 if self.pos < len(self.tokens) else 1
+        col = self.tokens[self.pos][2] + 1 if self.pos < len(self.tokens) else 1
         raise ParseError(message, self.lineno, col)
-
-
-def _is_ident(token: str) -> bool:
-    return token == "t^-1" or bool(_IDENT.fullmatch(token))
 
 
 def _to_int(tok: str, lineno: int, col: int) -> int:
@@ -117,21 +97,21 @@ def _parse_term(toks: _LineTokens) -> tuple[int, list[str]]:
     """One term: [int] ('*' factor)* | factors; returns (coeff, word)."""
     coeff = 1
     word: list[str] = []
-    tok, col = toks.next()
-    if tok.isdigit():
+    kind, tok, col = toks.next()
+    if kind == "int":
         coeff = _to_int(tok, toks.lineno, col)
         if toks.peek() == "*":
             toks.next()
-            tok, col = toks.next()
+            kind, tok, col = toks.next()
         else:
             return coeff, word
     while True:
-        if not _is_ident(tok) or tok.isdigit():
+        if kind != "ident":
             raise ParseError(f"expected a factor, got {tok!r}", toks.lineno, col + 1)
         word.append(tok)
         if toks.peek() == "*":
             toks.next()
-            tok, col = toks.next()
+            kind, tok, col = toks.next()
         else:
             return coeff, word
 
@@ -141,8 +121,7 @@ def _parse_poly(toks: _LineTokens) -> Poly:
     terms: dict[tuple[str, ...], int] = {}
     sign = 1
     if toks.peek() in ("+", "-"):
-        tok, _ = toks.next()
-        sign = -1 if tok == "-" else 1
+        sign = -1 if toks.next()[1] == "-" else 1
     while True:
         coeff, word = _parse_term(toks)
         key = tuple(word)
@@ -158,12 +137,12 @@ def _parse_poly(toks: _LineTokens) -> Poly:
 
 
 def _parse_int(toks: _LineTokens) -> int:
-    tok, col = toks.next()
+    kind, tok, col = toks.next()
     sign = 1
     if tok == "-":
         sign = -1
-        tok, col = toks.next()
-    if not tok.isdigit():
+        kind, tok, col = toks.next()
+    if kind != "int":
         raise ParseError(f"expected an integer, got {tok!r}", toks.lineno, col + 1)
     return sign * _to_int(tok, toks.lineno, col)
 
@@ -180,16 +159,15 @@ def parse(text: str) -> DGA:
     diff_lines: list[tuple[str, _LineTokens]] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw.rstrip("\r\n"))
-        if not line.strip():
+        toks = _LineTokens(raw, lineno)
+        if not toks.tokens:
             continue
-        toks = _LineTokens(line, lineno)
-        keyword, col = toks.next()
+        _, keyword, col = toks.next()
         if name is None:
             if keyword != "dga":
                 raise ParseError("document must start with: dga \"<name>\"", lineno, col + 1)
-            tok, col = toks.next()
-            if not (tok.startswith('"') and tok.endswith('"') and len(tok) >= 2):
+            kind, tok, col = toks.next()
+            if kind != "str":
                 raise ParseError("expected a quoted name", lineno, col + 1)
             name = tok[1:-1]
             toks.expect_end()
@@ -202,13 +180,13 @@ def parse(text: str) -> DGA:
             tb = _parse_int(toks)
             toks.expect_end()
         elif keyword == "basepoint":
-            tok, col = toks.next()
+            _, tok, col = toks.next()
             if tok != "t":
                 raise ParseError("the basepoint must be t", lineno, col + 1)
             toks.expect_end()
         elif keyword == "gen":
-            tok, col = toks.next()
-            if not _is_ident(tok) or tok.isdigit() or tok in ("t", "t^-1"):
+            kind, tok, col = toks.next()
+            if kind != "ident" or tok in ("t", "t^-1"):
                 raise ParseError(f"bad chord name {tok!r}", lineno, col + 1)
             if tok in declared:
                 raise DuplicateGenerator(f"chord {tok!r} declared twice (line {lineno})")
@@ -217,10 +195,10 @@ def parse(text: str) -> DGA:
             declared.add(tok)
             chords.append((tok, degree))
         elif keyword == "d":
-            tok, col = toks.next()
-            if not _is_ident(tok) or tok.isdigit():
+            kind, tok, col = toks.next()
+            if kind != "ident":
                 raise ParseError(f"bad chord name {tok!r}", lineno, col + 1)
-            eq, col = toks.next()
+            _, eq, col = toks.next()
             if eq != "=":
                 raise ParseError(f"expected '=', got {eq!r}", lineno, col + 1)
             diff_lines.append((tok, toks))

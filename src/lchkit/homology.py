@@ -332,10 +332,8 @@ def integral_homology(C: ChainComplex) -> GradedHomology:
     if C.ring != ZZ:
         raise NotAComplex(f"integral homology needs an integer complex, got {C.ring}")
     degrees = C.degrees()
-    if not degrees:
-        return GradedHomology({})
     factors = {
-        d: invariant_factors(C.matrix(d)) for d in range(degrees[0], degrees[-1] + 2)
+        d: invariant_factors(C.matrix(d)) for d in {*degrees, *(d + 1 for d in degrees)}
     }
     groups: dict[int, HomologyGroup] = {}
     for d in degrees:
@@ -364,9 +362,7 @@ def field_homology(C: ChainComplex, field_ring: RingDesc) -> dict[int, int]:
         return rank_mod_p(M, field_ring.modulus)
 
     degrees = C.degrees()
-    if not degrees:
-        return {}
-    ranks = {d: rank(C.matrix(d)) for d in range(degrees[0], degrees[-1] + 2)}
+    ranks = {d: rank(C.matrix(d)) for d in {*degrees, *(d + 1 for d in degrees)}}
     dims: dict[int, int] = {}
     for d in degrees:
         dim = len(C.basis_of(d)) - ranks[d] - ranks[d + 1]

@@ -24,9 +24,10 @@ class ChainComplex:
 
     ``boundary[d]`` maps degree d to degree d-1: shape
     len(basis[d-1]) x len(basis[d]), columns indexed by degree-d chords.
-    Matrices are stored for every d from min degree to max degree + 1, so
-    compositions are checkable at the ends; missing degrees have empty
-    bases.  Entries are exact (ints; Fractions over Q).
+    Matrices are stored for every occupied degree d and for d + 1, so
+    compositions are checkable at the ends; other degrees have empty bases
+    and zero matrices, and a gap between degrees costs nothing.  Entries
+    are exact (ints; Fractions over Q).
 
     Construction checks d^2 = 0 (raising NotAComplex), so every consumer
     may rely on it without checking again.  Do not mutate the boundaries
@@ -97,10 +98,6 @@ def linearized_differential(dga: DGA, aug: Augmentation) -> ChainComplex:
     basis: dict[int, list[str]] = {}
     for name, deg in dga.chords:
         basis.setdefault(deg, []).append(name)
-    if not basis:
-        return ChainComplex(ring=ring, basis={}, boundary={})
-    lo = min(basis)
-    hi = max(basis)
 
     row_index: dict[str, int] = {}
     for names in basis.values():
@@ -108,7 +105,7 @@ def linearized_differential(dga: DGA, aug: Augmentation) -> ChainComplex:
             row_index[name] = i
 
     boundary: dict[int, list[list[int]]] = {}
-    for d in range(lo, hi + 2):
+    for d in sorted({*basis, *(d + 1 for d in basis)}):
         rows = basis.get(d - 1, [])
         cols = basis.get(d, [])
         M = [[0] * len(cols) for _ in rows]

@@ -110,6 +110,34 @@ def test_cap_message_for_a_grid_too_large_to_print(tmp_path, capsys):
     assert out == "" and f"{2**61 - 1}^600 assignments exceeds cap" in err
 
 
+def test_degree_gap_costs_nothing(tmp_path):
+    # Only occupied degrees and each one plus 1 are visited, so two chords
+    # 10^9 degrees apart are as cheap as two adjacent ones.
+    doc = tmp_path / "gap.dga"
+    doc.write_text(f'dga "gap"\ngen a 0\ngen b {10**9}\n')
+    for ring in ("Z", "Q"):
+        proc = _lch_process("homology", str(doc), "--aug", "", "--ring", ring)
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines() == [f"H_{10**9} = {ring}", f"H_0 = {ring}"]
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this interpreter converts integers of any length",
+)
+def test_overlong_json_integer_is_an_error(capsys):
+    # Each order fits sys.get_int_max_str_digits() (4300 by default, giving
+    # 10^2200 + 1 and 10^2200 + 3), but their lcm does not, so json.dumps
+    # cannot write it; the text form still works.
+    k = sys.get_int_max_str_digits() // 2 + 50
+    orders = f"{10**k + 1},{10**k + 3}"
+    code, out, err = invoke(capsys, "geography", "--grading", "2", "--torsion", orders, "--json")
+    assert code == 2
+    assert out == "" and err.startswith("error: cannot write the JSON report")
+    code, out, _ = invoke(capsys, "geography", "--grading", "2", "--torsion", orders)
+    assert code == 0 and out.startswith("H_2 = Z/")
+
+
 @pytest.mark.skipif(
     not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
     reason="this interpreter converts integers of any length",

@@ -94,27 +94,37 @@ def test_negative_coefficients_and_t_inverse():
 
 
 def test_parse_errors():
+    # (document, line, col, message): every location is pinned.
     cases = [
-        "",  # empty
-        "gen a 1\n",  # missing header
-        'dga "x"\ndga "y"\n',  # duplicate header
-        'dga "x"\ngen a\n',  # missing degree
-        'dga "x"\ngen a 1\nd a = a *\n',  # dangling operator
-        'dga "x"\ngen a 1\nd a = + \n',  # missing term
-        'dga "x"\ngen a 1\nd a a\n',  # missing =
-        'dga "x"\ngen t 0\n',  # reserved name
-        'dga "x\n',  # unterminated string
-        'dga "x"\nfoo bar\n',  # unknown directive
-        'dga "x"\ngen a 1\nd a = 2*3\n',  # integer as factor
-        'dga "x"\ngen a 1\ntb 1\ntb 2\n',  # duplicate tb
-        'dga "x"\ngen a 1\nd a = 1\nd a = t\n',  # duplicate differential
-        'dga "x"\nbasepoint s\n',  # wrong basepoint
-        'dga "x"\ngen a 1\nd a = a ~ a\n',  # stray character
-        'dga "x"\ngen a 1\nd a = \u00b2*a\n',  # a digit to isdigit(), not to int()
+        ("", 1, 1, "empty document"),
+        ("gen a 1\n", 1, 1, 'document must start with: dga "<name>"'),
+        ('dga "x"\ndga "y"\n', 2, 1, "duplicate dga header"),
+        ('dga "x"\ngen a\n', 2, 5, "unexpected end of line"),  # missing degree
+        ('dga "x"\ngen a 1\nd a = a *\n', 3, 9, "unexpected end of line"),  # dangling *
+        ('dga "x"\ngen a 1\nd a = + \n', 3, 7, "unexpected end of line"),  # missing term
+        ('dga "x"\ngen a 1\nd a a\n', 3, 5, "expected '=', got 'a'"),
+        ('dga "x"\ngen t 0\n', 2, 5, "bad chord name 't'"),  # reserved name
+        ('dga "x\n', 1, 5, "unterminated string"),
+        # a '#' after whitespace starts a comment even inside quotes
+        ('dga "a #b"\n', 1, 5, "unterminated string"),
+        ('dga "x"\nfoo bar\n', 2, 1, "unknown directive 'foo'"),
+        ('dga "x"\ngen a 1\nd a = 2*3\n', 3, 9, "expected a factor, got '3'"),
+        ('dga "x"\ngen a 1\ntb 1\ntb 2\n', 4, 1, "duplicate tb line"),
+        ('dga "x"\ngen a 1\nd a = 1\nd a = t\n', 4, 1, "duplicate differential for 'a'"),
+        ('dga "x"\nbasepoint s\n', 2, 11, "the basepoint must be t"),
+        ('dga "x"\ngen a 1\nd a = a ~ a\n', 3, 9, "unexpected character '~'"),
+        # a digit to isdigit(), not to int()
+        ('dga "x"\ngen a 1\nd a = \u00b2*a\n', 3, 7, "unexpected character '\u00b2'"),
+        # t^-1 is one token, so the chord after it needs an operator
+        ('dga "x"\ngen a 1\nd a = t^-1a\n', 3, 11, "expected '+' or '-', got 'a'"),
     ]
-    for doc in cases:
-        with pytest.raises(ParseError):
+    for doc, line, col, message in cases:
+        with pytest.raises(ParseError) as info:
             parse(doc)
+        assert (info.value.line, info.value.col) == (line, col), doc
+        assert str(info.value) == f"{message} (line {line}, col {col})"
+    # trailing blanks are not stray characters
+    assert parse('dga "x"\ngen a 1   \n').chords == (("a", 1),)
 
 
 @pytest.mark.skipif(
