@@ -6,6 +6,10 @@ t*t^-1 = t^-1*t = 1.  A polynomial is a finite sum of monomials; a monomial
 is an integer coefficient times an ordered word of symbols.  Symbols are
 plain strings; "t" and "t^-1" are reserved for the basepoint.
 
+The private `_collect` is the one normalizer: it cancels t*t^-1 in words,
+adds equal words and drops zero sums.  `Poly(mapping)`, `Poly.from_terms`
+and all arithmetic build each polynomial by one call to it.
+
 Besides ring arithmetic the module provides the two evaluation maps of
 linearization: `evaluate` (apply a scalar value to every symbol) and
 `s_linear_part` (the coefficient of the first-order term after substituting
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Mapping
 
 from .errors import NotAUnit, UnknownGenerator
@@ -56,7 +61,10 @@ def word_sort_key(word: tuple[str, ...]):
 
 
 def _normalize_word(word: Iterable[str]) -> tuple[str, ...]:
-    # Cancel adjacent t / t^-1 pairs; a single stack pass suffices.
+    # Cancel adjacent t / t^-1 pairs in one stack pass; most words have no t^-1.
+    word = tuple(word)
+    if T_INV_SYMBOL not in word:
+        return word
     out: list[str] = []
     for x in word:
         if out and (
@@ -69,6 +77,23 @@ def _normalize_word(word: Iterable[str]) -> tuple[str, ...]:
     return tuple(out)
 
 
+def _collect(pairs: Iterable[tuple[Iterable[str], int]]) -> dict[tuple[str, ...], int]:
+    """Sum (word, coeff) pairs into normalized terms, in order of first occurrence.
+
+    A word whose sum reaches 0 is dropped and counts as new if it returns, so
+    one call gives the order that adding the pairs one Poly at a time gives.
+    """
+    out: dict[tuple[str, ...], int] = {}
+    for word, coeff in pairs:
+        w = _normalize_word(word)
+        c = out.get(w, 0) + coeff
+        if c:
+            out[w] = c
+        else:
+            out.pop(w, None)
+    return out
+
+
 class Poly:
     """Immutable integer-coefficient noncommutative polynomial.
 
@@ -79,20 +104,22 @@ class Poly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[tuple[str, ...], int] | None = None):
-        normalized: dict[tuple[str, ...], int] = {}
-        if terms:
-            for word, coeff in terms.items():
-                if coeff == 0:
-                    continue
-                w = _normalize_word(word)
-                c = normalized.get(w, 0) + coeff
-                if c:
-                    normalized[w] = c
-                elif w in normalized:
-                    del normalized[w]
-        self._terms = normalized
+        self._terms = _collect(terms.items()) if terms else {}
 
     # -- constructors --------------------------------------------------
+
+    @staticmethod
+    def from_terms(pairs: Iterable[tuple[Iterable[str], int]]) -> "Poly":
+        """The polynomial summing (word, coeff) pairs, built once.
+
+        Repeated words add, and t*t^-1 cancels inside a word:
+
+        >>> Poly.from_terms([(("a1",), 2), (("b",), 1), (("t", "t^-1", "a1"), 1), (("b",), -1)])
+        Poly<3*a1>
+        """
+        result = Poly.__new__(Poly)
+        result._terms = _collect(pairs)
+        return result
 
     @staticmethod
     def zero() -> "Poly":
@@ -140,23 +167,12 @@ class Poly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self._terms)
-        for word, coeff in other._terms.items():
-            c = out.get(word, 0) + coeff
-            if c:
-                out[word] = c
-            elif word in out:
-                del out[word]
-        result = Poly.zero()
-        result._terms = out
-        return result
+        return Poly.from_terms(chain(self._terms.items(), other._terms.items()))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        result = Poly.zero()
-        result._terms = {w: -c for w, c in self._terms.items()}
-        return result
+        return Poly.from_terms((w, -c) for w, c in self._terms.items())
 
     def __sub__(self, other) -> "Poly":
         other = _coerce(other)
@@ -174,18 +190,11 @@ class Poly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[tuple[str, ...], int] = {}
-        for w1, c1 in self._terms.items():
-            for w2, c2 in other._terms.items():
-                w = _normalize_word(w1 + w2)
-                c = out.get(w, 0) + c1 * c2
-                if c:
-                    out[w] = c
-                elif w in out:
-                    del out[w]
-        result = Poly.zero()
-        result._terms = out
-        return result
+        return Poly.from_terms(
+            (w1 + w2, c1 * c2)
+            for w1, c1 in self._terms.items()
+            for w2, c2 in other._terms.items()
+        )
 
     def __rmul__(self, other) -> "Poly":
         # Coefficients are central, so scalar multiplication commutes.
@@ -301,7 +310,7 @@ def substitute(p: Poly, images: Mapping[str, Poly | int]) -> Poly:
     t_image = image_polys.get(T_SYMBOL, t_gen)
     t_inv_image: Poly | None = None
 
-    out = Poly.zero()
+    pairs: list[tuple[tuple[str, ...], int]] = []
     for word, coeff in p._terms.items():
         factor = Poly.constant(coeff)
         for x in word:
@@ -315,8 +324,8 @@ def substitute(p: Poly, images: Mapping[str, Poly | int]) -> Poly:
                 if x not in image_polys:
                     raise UnknownGenerator(f"no substitution image for {x!r}")
                 factor = factor * image_polys[x]
-        out = out + factor
-    return out
+        pairs.extend(factor._terms.items())
+    return Poly.from_terms(pairs)
 
 
 def _scalar_for(symbol: str, eps: Mapping[str, object]):

@@ -31,11 +31,11 @@ from .rings import ZZ, RingDesc, Zmod
 DEFAULT_SEARCH_CAP = 10**8
 
 
-def search_cap_from_env(default: int = DEFAULT_SEARCH_CAP) -> int:
+def search_cap_from_env() -> int:
     """Enumeration cap, overridable via the LCH_SEARCH_CAP variable."""
     raw = os.environ.get("LCH_SEARCH_CAP")
     if raw is None:
-        return default
+        return DEFAULT_SEARCH_CAP
     try:
         return int(raw)
     except ValueError:

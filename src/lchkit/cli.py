@@ -19,7 +19,6 @@ from .augment import (
     enumerate_augmentations,
     enumerate_augmentations_bounded,
     parse_augmentation_literal,
-    search_cap_from_env,
 )
 from .dga import DGA, geography_dga, lambda0, lambda_k, unknot, validate
 from .errors import LchError
@@ -108,13 +107,12 @@ def cmd_builtin(args) -> int:
 def cmd_augs(args) -> int:
     dga = load_dga(args.dga)
     ring = RingDesc.parse(args.ring)
-    cap = search_cap_from_env()
     if ring == ZZ:
         if args.bound is None:
             raise LchError("enumeration over Z needs --bound")
-        augs = enumerate_augmentations_bounded(dga, args.bound, cap=cap)
+        augs = enumerate_augmentations_bounded(dga, args.bound)
     elif ring.is_finite:
-        augs = enumerate_augmentations(dga, ring, cap=cap)
+        augs = enumerate_augmentations(dga, ring)
     else:
         raise LchError(f"cannot enumerate over {ring}")
     obj = {"dga": dga.name, "count": len(augs), "augmentations": [a.to_json_obj() for a in augs]}
@@ -167,7 +165,7 @@ def cmd_duality(args) -> int:
 
 def cmd_scan(args) -> int:
     dga = load_dga(args.dga)
-    report = torsion_scan(dga, args.primes, bound=args.bound, cap=search_cap_from_env())
+    report = torsion_scan(dga, args.primes, bound=args.bound)
     _emit(args, report.to_json_obj(), report.format_report())
     return 0
 

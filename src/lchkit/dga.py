@@ -152,18 +152,17 @@ class ValidationReport:
 def differentiate(dga: DGA, p: Poly) -> Poly:
     """Extend the differential to a polynomial by the signed Leibniz rule."""
     grading = dga.grading
-    out = Poly.zero()
+    pairs: list[tuple[tuple[str, ...], int]] = []
     for word, coeff in p.terms.items():
         prefix_degree = 0
         for j, x in enumerate(word):
             if not algebra.is_basepoint(x):
                 dx = dga.diff.get(x)
                 if dx is not None:
-                    sign = -1 if prefix_degree % 2 else 1
-                    term = Poly({word[:j]: coeff * sign}) * dx * Poly({word[j + 1 :]: 1})
-                    out = out + term
+                    c = -coeff if prefix_degree % 2 else coeff
+                    pairs.extend((word[:j] + w + word[j + 1 :], c * e) for w, e in dx.terms.items())
                 prefix_degree += grading[x]
-    return out
+    return Poly.from_terms(pairs)
 
 
 def validate(dga: DGA) -> ValidationReport:
@@ -176,14 +175,12 @@ def validate(dga: DGA) -> ValidationReport:
         p = dga.diff.get(chord)
         if p is None:
             continue
-        bad_terms = {
-            word: coeff
-            for word, coeff in p.terms.items()
-            if degree_of_word(word, grading) != deg - 1
-        }
-        if bad_terms:
+        bad = Poly.from_terms(
+            (w, c) for w, c in p.terms.items() if degree_of_word(w, grading) != deg - 1
+        )
+        if bad:
             grading_ok = False
-            failures.append((chord, Poly(bad_terms)))
+            failures.append((chord, bad))
         dd = differentiate(dga, p)
         if not dd.is_zero():
             d_squared_ok = False

@@ -117,18 +117,17 @@ def _parse_term(toks: _LineTokens) -> tuple[int, list[str]]:
 
 
 def _parse_poly(toks: _LineTokens) -> Poly:
-    """Sum of the line's terms; equal words are summed before one Poly is built."""
-    terms: dict[tuple[str, ...], int] = {}
+    """Sum of the line's terms, built once from all of them."""
+    pairs: list[tuple[list[str], int]] = []
     sign = 1
     if toks.peek() in ("+", "-"):
         sign = -1 if toks.next()[1] == "-" else 1
     while True:
         coeff, word = _parse_term(toks)
-        key = tuple(word)
-        terms[key] = terms.get(key, 0) + sign * coeff
+        pairs.append((word, sign * coeff))
         nxt = toks.peek()
         if nxt is None:
-            return Poly(terms)
+            return Poly.from_terms(pairs)
         if nxt in ("+", "-"):
             toks.next()
             sign = -1 if nxt == "-" else 1

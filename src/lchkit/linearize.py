@@ -60,7 +60,7 @@ class ChainComplex:
             n_mid = len(self.basis_of(d))
             if not B or not A or n_mid == 0:
                 continue
-            prod = matmul(B, A, inner=n_mid)
+            prod = matmul(B, A)
             if any(self.ring.reduce(x) for row in prod for x in row):
                 raise NotAComplex(f"boundary squared is nonzero from degree {d + 1}")
 

@@ -21,16 +21,14 @@ def identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def matmul(A, B, inner: int | None = None) -> list[list[int]]:
-    """A @ B with explicit inner dimension for empty-shape safety."""
-    if inner is None:
-        inner = len(B)
+def matmul(A, B) -> list[list[int]]:
+    """A @ B; the inner dimension is len(B)."""
     rows = len(A)
     cols = len(B[0]) if B else 0
     out = [[0] * cols for _ in range(rows)]
     for i in range(rows):
         Ai = A[i]
-        for k in range(inner):
+        for k in range(len(B)):
             a = Ai[k]
             if a:
                 Bk = B[k]

@@ -47,7 +47,7 @@ class DualityReport:
 
     field_name: str
     dims: dict[int, int]
-    pairs: tuple[tuple[int, int, int], ...]  # (i, dim_i, dim_{-i}) for i >= 0
+    pairs: tuple[tuple[int, int, int], ...]  # (i, dim_i, dim_{-i}) for i = 0, 1 and each |degree|
     duality_ok: bool
     degree1_excess: int
 
@@ -73,11 +73,9 @@ class DualityReport:
 def sabloff_check(dga: DGA, aug: Augmentation) -> DualityReport:
     """Dimension symmetry dim_i = dim_{-i} (i != 1), dim_1 = dim_{-1} + 1."""
     dims = _field_dims(dga, aug)
-    top = max((abs(d) for d in dims), default=1)
-    top = max(top, 1)
     pairs = []
     ok = True
-    for i in range(top + 1):
+    for i in sorted({0, 1, *(abs(d) for d in dims)}):
         a = dims.get(i, 0)
         b = dims.get(-i, 0)
         pairs.append((i, a, b))

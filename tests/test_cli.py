@@ -121,6 +121,30 @@ def test_degree_gap_costs_nothing(tmp_path):
         assert proc.stdout.splitlines() == [f"H_{10**9} = {ring}", f"H_0 = {ring}"]
 
 
+def test_duality_visits_only_occupied_degrees(tmp_path):
+    # Duality pairs i = 0, 1 and each |degree| that occurs, not every i up
+    # to the largest |degree|.
+    doc = tmp_path / "gap.dga"
+    doc.write_text(f'dga "gap"\ngen a 0\ngen b {10**9}\n')
+    proc = _lch_process("duality", str(doc), "--aug", "", "--field", "Q")
+    assert proc.returncode == 1
+    assert proc.stdout.splitlines() == [
+        "field Q",
+        "dim_0 = 1   dim_0 = 1",
+        "dim_1 = 0   dim_-1 = 0  <-- mismatch",
+        f"dim_{10**9} = 1   dim_-{10**9} = 0  <-- mismatch",
+        "duality FAILS",
+    ]
+    proc = _lch_process("duality", str(doc), "--aug", "", "--field", "Q", "--json")
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout) == {
+        "field": "Q",
+        "dims": {str(10**9): 1, "0": 1},
+        "duality_ok": False,
+        "degree1_excess": 0,
+    }
+
+
 @pytest.mark.skipif(
     not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
     reason="this interpreter converts integers of any length",

@@ -168,6 +168,41 @@ def test_long_differential_line_parses_in_linear_time():
     assert elapsed < 3.0, elapsed
 
 
+def _long_line_doc(n, term, head):
+    return (
+        'dga "long"\n' + head
+        + "".join(f"gen b{i} 0\n" for i in range(n))
+        + "d z = " + " + ".join(term.format(i) for i in range(n)) + "\n"
+    )
+
+
+def test_long_differential_line_validates_in_linear_time():
+    # d(c*b_i) = b0*b_i - b1*b_i: the Leibniz rule yields 65536 terms.  Adding
+    # them one Poly at a time copied the growing sum at every step.
+    dga = parse(_long_line_doc(32768, "c*b{}", "gen c 1\ngen z 2\nd c = b0 - b1\n"))
+    start = time.perf_counter()
+    report = validate(dga)
+    elapsed = time.perf_counter() - start
+    assert report.grading_ok and not report.d_squared_ok
+    (chord, dd), = report.failures
+    assert chord == "z" and len(dd.terms) == 65536
+    assert list(dd.terms.items())[:3] == [(("b0", "b0"), 1), (("b1", "b0"), -1), (("b0", "b1"), 1)]
+    assert elapsed < 3.0, elapsed
+
+
+def test_long_differential_line_substitutes_in_linear_time():
+    # connected_sum substitutes t -> c into all 32768 terms t*b_i of d z.
+    dga = parse(_long_line_doc(32768, "t*b{}", "gen z 1\n"))
+    start = time.perf_counter()
+    summed = connected_sum(dga, unknot())
+    elapsed = time.perf_counter() - start
+    terms = summed.diff["z"].terms
+    assert len(terms) == 32768
+    assert list(terms.items())[:2] == [(("c", "b0"), 1), (("c", "b1"), 1)]
+    assert summed.diff["a"] == 1 - t_gen * gen("c")
+    assert elapsed < 3.0, elapsed
+
+
 def test_duplicate_and_unknown_generators():
     with pytest.raises(DuplicateGenerator):
         parse('dga "x"\ngen a 1\ngen a 0\n')
