@@ -25,7 +25,7 @@ from .errors import (
     SearchTooLarge,
     UnknownGenerator,
 )
-from .matrices import rank_mod_p, rank_rationals
+from .matrices import rank_of_rows
 from .rings import ZZ, RingDesc, Zmod
 
 DEFAULT_SEARCH_CAP = 10**8
@@ -240,9 +240,5 @@ def tangent_space_dim(dga: DGA, aug: Augmentation) -> int:
         raise FieldRequired(f"tangent space needs a field, got {aug.ring}")
     from .linearize import linearized_differential
 
-    block = linearized_differential(dga, aug).matrix(1)
-    if aug.ring.kind == "Q":
-        rank = rank_rationals(block)
-    else:
-        rank = rank_mod_p(block, aug.ring.modulus)
-    return len(dga.chords_of_degree(0)) - rank
+    C = linearized_differential(dga, aug)
+    return len(dga.chords_of_degree(0)) - rank_of_rows(C.rows_of(1), aug.ring.modulus)

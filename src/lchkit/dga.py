@@ -85,6 +85,46 @@ class DGA:
         """
         return {chord: _compile(p, self.grading) for chord, p in self.diff.items()}
 
+    @cached_property
+    def linear_plan(self) -> tuple[dict[int, list[str]], dict[int, list]]:
+        """``(basis, columns)``: all of linearization that needs no augmentation.
+
+        ``basis`` maps each occupied degree to its chords in declaration
+        order.  ``columns`` maps every degree d that holds chords, or lies
+        one above such a degree, in increasing order, to the columns of the
+        boundary from degree d: ``(j, chord, constant, entries)`` for the
+        chord at index j, if its differential is nonzero.  ``constant`` is
+        its :attr:`compiled` constant part, and ``entries`` holds
+        ``(i, terms, misgraded)`` per row chord of its linear part: i is
+        the row chord's index within its degree, and ``misgraded`` is None,
+        or the message to raise if the entry is nonzero, since that row
+        chord does not sit in degree d - 1.
+        """
+        grading = self.grading
+        compiled = self.compiled
+        basis: dict[int, list[str]] = {}
+        for name, deg in self.chords:
+            basis.setdefault(deg, []).append(name)
+        index = {name: i for names in basis.values() for i, name in enumerate(names)}
+        columns: dict[int, list] = {}
+        for d in sorted({*basis, *(d + 1 for d in basis)}):
+            columns[d] = []
+            for j, chord in enumerate(basis.get(d, ())):
+                if chord not in compiled:
+                    continue
+                constant, linear = compiled[chord]
+                entries = []
+                for name, terms in linear:
+                    misgraded = None
+                    if grading[name] != d - 1:
+                        misgraded = (
+                            f"d {chord} has an s-linear term on {name} of degree "
+                            f"{grading[name]}, expected {d - 1}; validate the DGA"
+                        )
+                    entries.append((index[name], terms, misgraded))
+                columns[d].append((j, chord, constant, entries))
+        return basis, columns
+
     def chord_names(self) -> list[str]:
         return [name for name, _ in self.chords]
 

@@ -21,9 +21,11 @@ typed tokens: int (decimal digits), ident (a chord name
 [A-Za-z_][A-Za-z0-9_#]* or t^-1), op (= + - *) and str (a double-quoted
 name).  As the comment goes first, a '#' after whitespace ends the line
 even inside quotes: dga "a #b" is an unterminated string.  Whitespace
-between tokens is insignificant, and errors report line and column.  The
-serializer emits canonical term order (length-lex) with LF line endings;
-parse(serialize(d)) == d.
+between tokens is insignificant, and errors report line and column.  A
+monomial has at most MAX_WORD_LETTERS factors: the Leibniz rule copies the
+whole word once per letter, so validating one n-letter word costs time and
+memory quadratic in n.  The serializer emits canonical term order
+(length-lex) with LF line endings; parse(serialize(d)) == d.
 """
 
 from __future__ import annotations
@@ -45,6 +47,10 @@ _TOKEN = re.compile(
 )
 _KINDS = (None, "int", "ident", "op", "str")
 _BAD = len(_KINDS)
+
+# The most factors in one monomial.  Built-in DGAs and their connected sums
+# have at most 4; one word of 1024 letters validates in about 0.05 s.
+MAX_WORD_LETTERS = 1024
 
 
 class _LineTokens:
@@ -98,6 +104,7 @@ def _parse_term(toks: _LineTokens) -> tuple[int, list[str]]:
     coeff = 1
     word: list[str] = []
     kind, tok, col = toks.next()
+    start = col
     if kind == "int":
         coeff = _to_int(tok, toks.lineno, col)
         if toks.peek() == "*":
@@ -108,6 +115,10 @@ def _parse_term(toks: _LineTokens) -> tuple[int, list[str]]:
     while True:
         if kind != "ident":
             raise ParseError(f"expected a factor, got {tok!r}", toks.lineno, col + 1)
+        if len(word) == MAX_WORD_LETTERS:
+            raise ParseError(
+                f"monomial of more than {MAX_WORD_LETTERS} letters", toks.lineno, start + 1
+            )
         word.append(tok)
         if toks.peek() == "*":
             toks.next()

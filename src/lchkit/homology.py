@@ -5,12 +5,13 @@ ker M_d is a direct summand of C_d (its quotient embeds in the free group
 C_{d-1}), so H_d = Z^(n_d - rk M_d - rk M_{d+1}) plus one Z/f for each
 invariant factor f > 1 of M_{d+1}; and the mod-2 Bockstein
 H_d(Z/2) -> H_{d-1}(Z/2) has rank #{invariant factors f of M_d with
-f = 2 mod 4}.  `invariant_factors` gets them with the sparse elimination
-kernel `matrices._SparseMatrix`, without transforms; the dense
+f = 2 mod 4}.  The sparse elimination kernel `matrices._SparseMatrix`
+gets them without transforms, straight from the complex's sparse rows;
+`invariant_factors` is the same route for a dense matrix, and the dense
 `smith_normal_form` keeps U and V for callers that need them.  Field
-dimensions read each boundary's rank once by the same kernel, over Q
-without Fractions (`rank_rationals`) and over Z/p with entries reduced
-mod p (`rank_mod_p`).  A universal-coefficient consistency check rounds
+dimensions read each boundary's rank once by the same kernel
+(`matrices.rank_of_rows`), over Q without Fractions and over Z/p with
+entries reduced mod p.  A universal-coefficient consistency check rounds
 out the module.
 """
 
@@ -21,8 +22,8 @@ from math import gcd
 
 from .errors import FieldRequired, NotAComplex, RingMismatch
 from .linearize import ChainComplex
-from .matrices import _SparseMatrix, _xgcd, identity, rank_mod_p, rank_rationals
-from .rings import QQ, ZZ, RingDesc
+from .matrices import _SparseMatrix, _xgcd, identity, rank_of_rows, sparse_rows
+from .rings import ZZ, RingDesc
 
 
 # ----------------------------------------------------------------------
@@ -171,7 +172,12 @@ def invariant_factors(M) -> list[int]:
     split off as one diagonal entry; the diagonal is then put into
     divisibility order.
     """
-    A = _SparseMatrix(M)
+    return _factors_of_rows(sparse_rows(M))
+
+
+def _factors_of_rows(rows: dict[int, dict[int, int]]) -> list[int]:
+    """`invariant_factors` of an integer matrix given as sparse rows."""
+    A = _SparseMatrix.from_rows(rows)
     diagonal = []
     while A.rows:
         r, c = A.pivot()
@@ -333,7 +339,7 @@ def integral_homology(C: ChainComplex) -> GradedHomology:
         raise NotAComplex(f"integral homology needs an integer complex, got {C.ring}")
     degrees = C.degrees()
     factors = {
-        d: invariant_factors(C.matrix(d)) for d in {*degrees, *(d + 1 for d in degrees)}
+        d: _factors_of_rows(C.rows_of(d)) for d in {*degrees, *(d + 1 for d in degrees)}
     }
     groups: dict[int, HomologyGroup] = {}
     for d in degrees:
@@ -353,16 +359,11 @@ def field_homology(C: ChainComplex, field_ring: RingDesc) -> dict[int, int]:
         raise FieldRequired(f"{field_ring} is not a field")
     if C.ring != ZZ and C.ring != field_ring:
         raise RingMismatch(f"complex over {C.ring} cannot be read over {field_ring}")
-
-    def rank(M) -> int:
-        if not M or not M[0]:
-            return 0
-        if field_ring == QQ:
-            return rank_rationals(M)
-        return rank_mod_p(M, field_ring.modulus)
-
     degrees = C.degrees()
-    ranks = {d: rank(C.matrix(d)) for d in {*degrees, *(d + 1 for d in degrees)}}
+    ranks = {
+        d: rank_of_rows(C.rows_of(d), field_ring.modulus)
+        for d in {*degrees, *(d + 1 for d in degrees)}
+    }
     dims: dict[int, int] = {}
     for d in degrees:
         dim = len(C.basis_of(d)) - ranks[d] - ranks[d + 1]
@@ -383,7 +384,7 @@ def bockstein(C: ChainComplex) -> dict[int, int]:
         raise RingMismatch("the Bockstein lift needs an integer complex")
     ranks: dict[int, int] = {}
     for d in C.degrees():
-        rank = sum(1 for f in invariant_factors(C.matrix(d)) if f % 4 == 2)
+        rank = sum(1 for f in _factors_of_rows(C.rows_of(d)) if f % 4 == 2)
         if rank:
             ranks[d] = rank
     return ranks

@@ -5,40 +5,69 @@ and keeping the first-order part in s turns the free module on the chords
 into a finite chain complex (V, d^eps).  The constant part must vanish on
 every chord -- that is exactly the augmentation equation, and it is
 asserted here, so a non-augmentation cannot slip through.
+
+Everything that depends on the DGA alone (the bases, the row and column
+of each entry, the compiled terms and the grading checks) comes from
+:attr:`DGA.linear_plan`, built once per DGA; linearizing at one more
+augmentation only evaluates terms.  The boundaries are built and stored as
+sparse rows, which the d^2 check and the elimination kernel read
+directly; the dense matrices are views for printing and for callers that
+want them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 
 from .augment import Augmentation
 from .dga import DGA, evaluate_terms
 from .errors import NotAComplex, NotAnAugmentation, ValidationFailed
-from .matrices import matmul
+from .matrices import sparse_rows
 from .rings import RingDesc
 
 
-@dataclass
 class ChainComplex:
-    """Per-degree chord bases and boundary matrices over `ring`.
+    """Per-degree chord bases and boundaries over `ring`, stored as sparse rows.
 
-    ``boundary[d]`` maps degree d to degree d-1: shape
-    len(basis[d-1]) x len(basis[d]), columns indexed by degree-d chords.
-    Matrices are stored for every occupied degree d and for d + 1, so
-    compositions are checkable at the ends; other degrees have empty bases
-    and zero matrices, and a gap between degrees costs nothing.  Entries
-    are exact (ints; Fractions over Q).
+    ``rows[d]`` is the boundary from degree d to degree d-1 as
+    ``{i: {j: x}}`` with nonzero entries only: i indexes ``basis[d-1]`` and
+    j indexes ``basis[d]``.  Boundaries are stored for every occupied
+    degree d and for d + 1, so compositions are checkable at the ends;
+    other degrees have empty bases and zero boundaries, and a gap between
+    degrees costs nothing.  Entries are exact (ints; Fractions over Q).
 
-    Construction checks d^2 = 0 (raising NotAComplex), so every consumer
-    may rely on it without checking again.  Do not mutate the boundaries
-    afterwards: the check is not repeated.
+    ``ChainComplex(ring, basis, boundary)`` builds a complex by hand from
+    dense matrices, ``boundary[d]`` of shape len(basis[d-1]) x
+    len(basis[d]); `linearized_differential` passes ``rows=`` instead.
+    ``boundary`` and ``matrix(d)`` are dense views of the stored rows,
+    built on first use, and ``dump()`` prints them.
+
+    Construction checks d^2 = 0 in the ring (raising NotAComplex), so every
+    consumer may rely on it without checking again.  Do not mutate the
+    bases or the rows afterwards: the check is not repeated, and complexes
+    of one DGA share their basis.
     """
 
-    ring: RingDesc
-    basis: dict[int, list[str]]
-    boundary: dict[int, list[list[int]]]
-
-    def __post_init__(self):
+    def __init__(
+        self,
+        ring: RingDesc,
+        basis: dict[int, list[str]],
+        boundary: dict[int, list[list[int]]] | None = None,
+        *,
+        rows: dict[int, dict[int, dict[int, int]]] | None = None,
+    ):
+        if (boundary is None) == (rows is None):
+            raise TypeError("give either dense boundary matrices or sparse rows")
+        self.ring = ring
+        self.basis = basis
+        if rows is None:
+            rows = {}
+            for d, M in boundary.items():
+                n_rows, n_cols = len(self.basis_of(d - 1)), len(self.basis_of(d))
+                if len(M) != n_rows or any(len(row) != n_cols for row in M):
+                    raise NotAComplex(f"boundary from degree {d} is not {n_rows}x{n_cols}")
+                rows[d] = sparse_rows(M)
+        self.rows = rows
         self.check_square_zero()
 
     def degrees(self) -> list[int]:
@@ -47,27 +76,53 @@ class ChainComplex:
     def basis_of(self, degree: int) -> list[str]:
         return self.basis.get(degree, [])
 
+    def rows_of(self, degree: int) -> dict[int, dict[int, int]]:
+        """Sparse boundary from `degree`; empty where none is stored."""
+        return self.rows.get(degree, {})
+
+    @cached_property
+    def boundary(self) -> dict[int, list[list[int]]]:
+        """Dense view: each stored boundary as a list of rows."""
+        return {d: self._dense(d) for d in self.rows}
+
     def matrix(self, degree: int) -> list[list[int]]:
-        if degree in self.boundary:
+        """Dense boundary from `degree`, len(basis[degree-1]) x len(basis[degree])."""
+        if degree in self.rows:
             return self.boundary[degree]
-        return [[0] * len(self.basis_of(degree)) for _ in self.basis_of(degree - 1)]
+        return self._dense(degree)
+
+    def _dense(self, degree: int) -> list[list[int]]:
+        n_cols = len(self.basis_of(degree))
+        M = [[0] * n_cols for _ in self.basis_of(degree - 1)]
+        for i, row in self.rows_of(degree).items():
+            for j, x in row.items():
+                M[i][j] = x
+        return M
 
     def check_square_zero(self) -> None:
-        """Raise NotAComplex unless consecutive boundaries compose to zero."""
-        for d in self.boundary:
-            A = self.matrix(d + 1)
-            B = self.matrix(d)
-            n_mid = len(self.basis_of(d))
-            if not B or not A or n_mid == 0:
+        """Raise NotAComplex unless consecutive boundaries compose to zero.
+
+        Each row of the product is summed sparsely over the shared middle
+        degree, and its entries are reduced in the ring.
+        """
+        reduce = self.ring.reduce
+        rows = self.rows
+        for d, lower in rows.items():
+            upper = rows.get(d + 1)
+            if not upper:
                 continue
-            prod = matmul(B, A)
-            if any(self.ring.reduce(x) for row in prod for x in row):
-                raise NotAComplex(f"boundary squared is nonzero from degree {d + 1}")
+            for row in lower.values():
+                product: dict[int, int] = {}
+                for k, x in row.items():
+                    for j, y in upper.get(k, {}).items():
+                        product[j] = product.get(j, 0) + x * y
+                if any(reduce(z) for z in product.values()):
+                    raise NotAComplex(f"boundary squared is nonzero from degree {d + 1}")
 
     def dump(self) -> str:
         """Human-readable matrix dump with chord labels, for goldens."""
         lines = []
-        for d in sorted(self.boundary, reverse=True):
+        for d in sorted(self.rows, reverse=True):
             rows = self.basis_of(d - 1)
             cols = self.basis_of(d)
             if not cols:
@@ -85,49 +140,38 @@ class ChainComplex:
 def linearized_differential(dga: DGA, aug: Augmentation) -> ChainComplex:
     """Build (V, d^eps) for a valid DGA and an augmentation of it.
 
-    The column of chord a in boundary[|a|] is the s-linear part of d(a)
-    restricted to chords of degree |a| - 1.  The s^0 part of every
-    conjugated differential is checked to vanish in the ring; a failure
-    raises NotAnAugmentation.
+    The column of chord a in the boundary from |a| is the s-linear part of
+    d(a) restricted to chords of degree |a| - 1, evaluated by the DGA's
+    :attr:`~DGA.linear_plan`.  The s^0 part of every conjugated
+    differential is checked to vanish in the ring; a failure raises
+    NotAnAugmentation.  A nonzero entry on a chord of another degree
+    raises ValidationFailed.  Degrees are visited in increasing order and
+    columns in basis order, so the first failure met is the one raised.
     """
-    grading = dga.grading
-    compiled = dga.compiled
+    basis, columns = dga.linear_plan
     eps = aug.eps_map(dga)
     ring = aug.ring
+    reduce = ring.reduce
 
-    basis: dict[int, list[str]] = {}
-    for name, deg in dga.chords:
-        basis.setdefault(deg, []).append(name)
-
-    row_index: dict[str, int] = {}
-    for names in basis.values():
-        for i, name in enumerate(names):
-            row_index[name] = i
-
-    boundary: dict[int, list[list[int]]] = {}
-    for d in sorted({*basis, *(d + 1 for d in basis)}):
-        rows = basis.get(d - 1, [])
-        cols = basis.get(d, [])
-        M = [[0] * len(cols) for _ in rows]
-        for j, chord in enumerate(cols):
-            if chord not in compiled:
-                continue
-            constant_terms, linear = compiled[chord]
+    rows: dict[int, dict[int, dict[int, int]]] = {}
+    for d, plan in columns.items():
+        rows[d] = boundary = {}
+        for j, chord, constant_terms, entries in plan:
             constant = evaluate_terms(constant_terms, eps)
             if not ring.is_zero(constant):
                 raise NotAnAugmentation(
                     f"eps(d {chord}) = {constant} != 0: not an augmentation"
                 )
-            for name, terms in linear:
-                value = ring.reduce(evaluate_terms(terms, eps))
-                if ring.is_zero(value):
+            for i, terms, misgraded in entries:
+                value = reduce(evaluate_terms(terms, eps))
+                if not value:
                     continue
-                if grading[name] != d - 1:
-                    raise ValidationFailed(
-                        f"d {chord} has an s-linear term on {name} of degree "
-                        f"{grading[name]}, expected {d - 1}; validate the DGA"
-                    )
-                M[row_index[name]][j] = value
-        boundary[d] = M
+                if misgraded:
+                    raise ValidationFailed(misgraded)
+                row = boundary.get(i)
+                if row is None:
+                    boundary[i] = {j: value}
+                else:
+                    row[j] = value
 
-    return ChainComplex(ring=ring, basis=basis, boundary=boundary)
+    return ChainComplex(ring, basis, rows=rows)

@@ -1,15 +1,18 @@
 """Exact matrix helpers shared across the package.
 
-Matrices are lists of rows (lists).  Entries are Python ints (or Fractions
-where stated); nothing here ever rounds.  Shapes are not always small:
-connected sums reach hundreds of chords.  The dense routines serve products
-only; there are no kernels over Z/p, since every integral invariant, the
-Bockstein included, is read from invariant factors.  `_SparseMatrix` is the
-one sparse elimination kernel, over Z or over Z/p:
-`homology.invariant_factors` runs it for integral invariant factors,
-`rank_rationals` counts its pivots after clearing each row's denominators,
-so rank over Q needs no Fraction arithmetic, and `rank_mod_p` counts its
-pivots with entries reduced mod p.
+Dense matrices are lists of rows (lists); sparse ones are dicts
+``{row: {col: value}}`` of nonzero entries, the form in which
+`linearize.ChainComplex` stores its boundaries.  Entries are Python ints
+(or Fractions where stated); nothing here ever rounds.  Shapes are not
+always small: connected sums reach hundreds of chords.  Dense `matmul` and
+`identity` serve only `homology.smith_normal_form` and the tests.
+`_SparseMatrix` is the one elimination kernel, over Z or over Z/p;
+`_SparseMatrix.from_rows` loads it straight from sparse rows, which is
+how `homology` reads a complex's boundaries.  `rank_of_rows` counts its
+pivots over Z/p with entries reduced mod p, or over Q after clearing each
+row's denominators, so rank over Q needs no Fraction arithmetic.  The
+dense `rank_rationals` and `rank_mod_p` convert with `sparse_rows` and
+take the same route.
 """
 
 from __future__ import annotations
@@ -38,6 +41,16 @@ def matmul(A, B) -> list[list[int]]:
     return out
 
 
+def sparse_rows(M) -> dict[int, dict[int, int]]:
+    """The nonzero entries of a dense matrix as ``{row: {col: value}}``."""
+    rows = {}
+    for i, row in enumerate(M):
+        entries = {j: x for j, x in enumerate(row) if x}
+        if entries:
+            rows[i] = entries
+    return rows
+
+
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, s, t) with s*a + t*b = g = gcd(a, b) >= 0."""
     s0, s1, t0, t1 = 1, 0, 0, 1
@@ -63,14 +76,29 @@ class _SparseMatrix:
     """
 
     def __init__(self, M, modulus: int = 0):
+        """From a dense matrix, a list of rows."""
+        self._load(sparse_rows(M).items(), modulus)
+
+    @classmethod
+    def from_rows(cls, rows: dict[int, dict[int, int]], modulus: int = 0) -> "_SparseMatrix":
+        """From sparse rows ``{i: {j: x}}``; the caller's dicts are not touched.
+
+        Rows are taken in index order, so elimination visits them as it
+        would the rows of the dense matrix.
+        """
+        A = cls.__new__(cls)
+        A._load(((i, rows[i]) for i in sorted(rows)), modulus)
+        return A
+
+    def _load(self, rows, modulus: int) -> None:
         self.modulus = modulus
         self.rows: dict[int, dict[int, int]] = {}
         self.cols: dict[int, set[int]] = {}
-        for i, row in enumerate(M):
+        for i, row in rows:
             if modulus:
-                entries = {j: y for j, x in enumerate(row) if (y := x % modulus)}
+                entries = {j: y for j, x in row.items() if (y := x % modulus)}
             else:
-                entries = {j: x for j, x in enumerate(row) if x}
+                entries = {j: x for j, x in row.items() if x}
             if entries:
                 self.rows[i] = entries
                 for j in entries:
@@ -204,26 +232,30 @@ def _pivot_count(A: _SparseMatrix) -> int:
     return rank
 
 
-def rank_rationals(M) -> int:
-    """Rank over Q of a matrix of ints and Fractions, without Fraction arithmetic.
+def rank_of_rows(rows: dict[int, dict[int, int]], modulus: int | None = None) -> int:
+    """Rank of sparse rows over Q (modulus None) or over Z/p (modulus p prime).
 
-    Each row is multiplied by the lcm of its entries' denominators, which
-    leaves the row space over Q unchanged.  The integer rows are then
-    eliminated sparsely: each pivot's column is cleared by unimodular row
-    steps and its row dropped, so the rank is the number of pivots.
+    Over Z/p the entries are reduced mod p once, and every row step keeps
+    them below p, whatever the size of the integer lift.  Over Q each row
+    is multiplied by the lcm of its entries' denominators, which leaves
+    the row space unchanged; the integer rows are then eliminated by
+    unimodular row steps.  Either way each pivot's column is cleared and
+    its row dropped, so the rank is the number of pivots.
     """
-    rows = []
-    for row in M:
-        scale = lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (scale // x.denominator) for x in row])
-    return _pivot_count(_SparseMatrix(rows))
+    if modulus:
+        return _pivot_count(_SparseMatrix.from_rows(rows, modulus))
+    cleared = {}
+    for i, row in rows.items():
+        scale = lcm(*(x.denominator for x in row.values()))
+        cleared[i] = {j: x.numerator * (scale // x.denominator) for j, x in row.items()}
+    return _pivot_count(_SparseMatrix.from_rows(cleared))
+
+
+def rank_rationals(M) -> int:
+    """Rank over Q of a dense matrix of ints and Fractions; see `rank_of_rows`."""
+    return rank_of_rows(sparse_rows(M))
 
 
 def rank_mod_p(M, p: int) -> int:
-    """Rank over the field Z/p (p prime) of an integer matrix.
-
-    The entries are reduced mod p once and eliminated sparsely, as in
-    `rank_rationals`; every row step keeps them below p, whatever the size
-    of the integer lift.
-    """
-    return _pivot_count(_SparseMatrix(M, p))
+    """Rank over the field Z/p (p prime) of a dense integer matrix; see `rank_of_rows`."""
+    return rank_of_rows(sparse_rows(M), p)

@@ -7,7 +7,7 @@ import pytest
 
 import lchkit
 from lchkit.cli import run
-from lchkit.dgafile import parse
+from lchkit.dgafile import MAX_WORD_LETTERS, parse
 from lchkit.homology import GradedHomology
 
 
@@ -173,6 +173,19 @@ def test_overlong_coefficient_is_a_parse_error(tmp_path, capsys):
     code, out, err = invoke(capsys, "validate", str(doc))
     assert code == 2
     assert out == "" and "line 4, col 7" in err
+
+
+def test_overlong_word_is_a_parse_error(tmp_path):
+    # Validating one n-letter word is quadratic, as the Leibniz rule copies
+    # the word once per letter: 4000 letters (an 8 kB line) took 0.84 s and
+    # 163 MB.  Past MAX_WORD_LETTERS the parser stops at the word instead.
+    doc = tmp_path / "word.dga"
+    word = "*".join(["a"] * 4000)
+    doc.write_text(f'dga "word"\ngen a 0\ngen b -1\ngen z 1\nd a = b\nd z = 1 + 2*{word}\n')
+    proc = _lch_process("validate", str(doc))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"monomial of more than {MAX_WORD_LETTERS} letters (line 6, col 11)" in proc.stderr
 
 
 def test_validate_builtin_and_bad_file(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 
 from lchkit.algebra import Poly, gen, t_gen
 from lchkit.dga import DGA, connected_sum, lambda0, lambda_k, unknot, validate
-from lchkit.dgafile import parse, serialize
+from lchkit.dgafile import MAX_WORD_LETTERS, parse, serialize
 from lchkit.errors import DuplicateGenerator, LchError, ParseError, UnknownGenerator
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "lchkit" / "data"
@@ -146,6 +146,20 @@ def test_overlong_integers_are_parse_errors():
             parse(doc)
         assert (info.value.line, info.value.col) == (line, col)
         assert "too long" in str(info.value)
+
+
+def test_word_length_cap():
+    # A monomial of MAX_WORD_LETTERS factors parses; one more letter is a
+    # ParseError at the start of its term.  Every built-in has words of at
+    # most 4 letters.
+    head = 'dga "x"\ngen a 0\ngen b 1\nd b = a + '
+    word = ["a"] * MAX_WORD_LETTERS
+    assert parse(head + "*".join(word) + "\n").diff["b"].terms[tuple(word)] == 1
+    with pytest.raises(ParseError) as info:
+        parse(head + "3*" + "*".join(word + ["t"]) + "\n")
+    assert str(info.value) == f"monomial of more than {MAX_WORD_LETTERS} letters (line 4, col 11)"
+    for dga in (unknot(), lambda0(), lambda_k(3), connected_sum(lambda0(), lambda_k(1))):
+        assert max(len(w) for p in parse(serialize(dga)).diff.values() for w in p.terms) <= 4
 
 
 def test_long_differential_line_parses_in_linear_time():

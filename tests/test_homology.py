@@ -508,6 +508,53 @@ def test_non_complex_rejected():
         )
 
 
+def _hand_built(ring, sizes, boundary):
+    """A complex with sizes[d] chords in degree d and dense boundaries."""
+    basis = {d: [f"g{d}_{i}" for i in range(n)] for d, n in sizes.items()}
+    return ChainComplex(ring=ring, basis=basis, boundary=boundary)
+
+
+def test_square_zero_is_checked_in_the_ring():
+    # Two paths of weight 1 from degree 2 to degree 0: the integer product
+    # is 2, which vanishes over Z/2 only.
+    sizes = {0: 1, 1: 2, 2: 1}
+    boundary = {1: [[1, 1]], 2: [[1], [1]]}
+    C = _hand_built(Zmod(2), sizes, boundary)
+    assert C.matrix(2) == [[1], [1]] and field_homology(C, Zmod(2)) == {}
+    for ring in (ZZ, Zmod(4), QQ):
+        with pytest.raises(NotAComplex, match="nonzero from degree 2"):
+            _hand_built(ring, sizes, boundary)
+
+
+def test_square_zero_failure_off_the_first_row_and_column():
+    sizes = {0: 3, 1: 3, 2: 3}
+    lower = [[1, 0, 0], [0, 0, 0], [0, 0, 1]]
+    upper = [[0, 0, 0], [0, 1, 0], [0, 0, 0]]
+    _hand_built(ZZ, sizes, {1: lower, 2: upper})
+    upper[2][1] = -3  # product entry (2, 1) only
+    with pytest.raises(NotAComplex, match="nonzero from degree 2"):
+        _hand_built(ZZ, sizes, {1: lower, 2: upper})
+
+
+def test_square_zero_with_fraction_entries():
+    sizes = {0: 1, 1: 2, 2: 1}
+    lower = [[Fraction(1, 2), Fraction(-1, 3)]]
+    C = _hand_built(QQ, sizes, {1: lower, 2: [[Fraction(2, 3)], [1]]})
+    assert field_homology(C, QQ) == {}
+    with pytest.raises(NotAComplex, match="nonzero from degree 2"):
+        _hand_built(QQ, sizes, {1: lower, 2: [[Fraction(2, 3)], [Fraction(1, 2)]]})
+
+
+def test_square_zero_failure_at_one_end_only():
+    sizes = {0: 1, 1: 1, 2: 1, 3: 1}
+    # d1 d2 = 0 but d2 d3 != 0: only the top pair fails ...
+    with pytest.raises(NotAComplex, match="nonzero from degree 3"):
+        _hand_built(ZZ, sizes, {1: [[0]], 2: [[1]], 3: [[1]]})
+    # ... and here only the bottom pair.
+    with pytest.raises(NotAComplex, match="nonzero from degree 2"):
+        _hand_built(ZZ, sizes, {1: [[1]], 2: [[1]], 3: [[0]]})
+
+
 def test_square_zero_checked_once_per_complex(monkeypatch):
     """Construction checks d^2 = 0; no consumer checks the same complex again."""
     calls = []

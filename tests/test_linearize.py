@@ -11,7 +11,7 @@ from lchkit.augment import (
     is_augmentation,
 )
 from lchkit.dga import DGA, connected_sum, connected_sum_augmented, lambda0, lambda_k, unknot
-from lchkit.errors import NotAnAugmentation
+from lchkit.errors import LchError, NotAnAugmentation, ValidationFailed
 from lchkit.linearize import linearized_differential
 from lchkit.rings import QQ, ZZ, Zmod
 
@@ -167,6 +167,71 @@ def _compiled_route_cases():
             yield tinv, Augmentation(ring, {"x": vx, "y": vy})
 
 
+def _ill_graded_dga(c_first):
+    """d e and d a have terms on chords of the wrong degree.
+
+    d e = x*z + z has misgraded entries and an augmentation constraint;
+    d a = x + 1 + w*y has a misgraded entry on w, and d c = y is a plain
+    constraint, so at different points NotAnAugmentation or
+    ValidationFailed comes first, in either degree.
+    """
+    x, y, z, w = gen("x"), gen("y"), gen("z"), gen("w")
+    chords = [("x", 0), ("y", 0), ("z", 0), ("w", -1), ("e", 0), ("a", 1), ("c", 1)]
+    if c_first:
+        chords[-2], chords[-1] = chords[-1], chords[-2]
+    return DGA(
+        name="ill",
+        chords=tuple(chords),
+        diff={"e": x * z + z, "a": x + 1 + w * y, "c": y},
+    )
+
+
+def _ill_graded_cases():
+    for ring in RINGS:
+        if ring.is_finite:
+            domain = list(ring.elements())
+        else:
+            domain = [-1, 0, 1, 2] if ring == ZZ else [-1, 0, Fraction(1, 2), 1]
+        for c_first in (False, True):
+            dga = _ill_graded_dga(c_first)
+            for vx, vy, vz in product(domain, repeat=3):
+                yield dga, Augmentation(ring, {"x": vx, "y": vy, "z": vz})
+
+
+def _first_failure(dga, aug):
+    """(type, message) linearization must raise first, by the reference route.
+
+    Degrees go up, chords go in declaration order, and each chord's
+    constant part is checked before its s-linear entries; None if nothing
+    fails.
+    """
+    ring = aug.ring
+    eps = aug.eps_map(dga)
+    for d in sorted({deg for _, deg in dga.chords}):
+        for chord in dga.chords_of_degree(d):
+            p = dga.differential(chord)
+            constant = evaluate(p, eps)
+            if not ring.is_zero(constant):
+                return NotAnAugmentation, f"eps(d {chord}) = {constant} != 0: not an augmentation"
+            for name, value in s_linear_part(p, eps).items():
+                if not ring.is_zero(value) and dga.grading[name] != d - 1:
+                    return ValidationFailed, (
+                        f"d {chord} has an s-linear term on {name} of degree "
+                        f"{dga.grading[name]}, expected {d - 1}; validate the DGA"
+                    )
+    return None
+
+
+def _assert_reference_columns(C, dga, eps):
+    for chord in dga.chord_names():
+        reference = s_linear_part(dga.differential(chord), eps)
+        assert column(C, chord) == {
+            name: C.ring.reduce(value)
+            for name, value in reference.items()
+            if not C.ring.is_zero(value)
+        }
+
+
 def test_compiled_route_matches_reference_route():
     """Compiled evaluation equals algebra.evaluate and algebra.s_linear_part."""
     complexes = rejected = 0
@@ -181,12 +246,19 @@ def test_compiled_route_matches_reference_route():
                 linearized_differential(dga, aug)
             continue
         complexes += 1
-        C = linearized_differential(dga, aug)
-        for chord in dga.chord_names():
-            reference = s_linear_part(dga.differential(chord), eps)
-            assert column(C, chord) == {
-                name: ring.reduce(value)
-                for name, value in reference.items()
-                if not ring.is_zero(value)
-            }
+        _assert_reference_columns(linearized_differential(dga, aug), dga, eps)
     assert complexes > 400 and rejected > 100
+
+    # Ill-graded DGAs: the first failure, its type and its message are pinned.
+    seen = {None: 0, NotAnAugmentation: 0, ValidationFailed: 0}
+    for dga, aug in _ill_graded_cases():
+        expected = _first_failure(dga, aug)
+        if expected is None:
+            seen[None] += 1
+            _assert_reference_columns(linearized_differential(dga, aug), dga, aug.eps_map(dga))
+            continue
+        seen[expected[0]] += 1
+        with pytest.raises(LchError) as info:
+            linearized_differential(dga, aug)
+        assert (type(info.value), str(info.value)) == expected
+    assert min(seen.values()) > 10
