@@ -14,7 +14,6 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import algebra
 from .algebra import symbol_sort_key
 from .dga import DGA, evaluate_terms
 from .errors import (
@@ -61,6 +60,17 @@ class Augmentation:
                 cleaned[name] = v
         object.__setattr__(self, "values", cleaned)
 
+    @classmethod
+    def _canonical(cls, ring: RingDesc, values: dict[str, object]) -> "Augmentation":
+        """An augmentation from values already canonical in `ring`, zeros dropped.
+
+        Skips `__post_init__`; the enumerator builds its points this way.
+        """
+        aug = object.__new__(cls)
+        object.__setattr__(aug, "ring", ring)
+        object.__setattr__(aug, "values", values)
+        return aug
+
     @property
     def t_value(self):
         return self.ring.coerce(-1)
@@ -71,20 +81,22 @@ class Augmentation:
     def eps_map(self, dga: DGA) -> dict[str, object]:
         """Full symbol->value map for evaluation against a specific DGA.
 
-        Checks that assigned names are declared degree-0 chords.
+        A copy of :attr:`DGA.eps_template` with the values written over it.
+        Unless every assigned name is a degree-0 chord, each name is checked
+        in turn first, so the first bad one raises UnknownGenerator or
+        InvalidValue.
         """
-        grading = dga.grading
-        for name, value in self.values.items():
-            if name not in grading:
-                raise UnknownGenerator(f"augmentation assigns unknown chord {name!r}")
-            if grading[name] != 0 and not self.ring.is_zero(value):
-                raise InvalidValue(
-                    f"chord {name!r} has degree {grading[name]}; augmentations vanish there"
-                )
-        eps = {name: self.values.get(name, 0) if deg == 0 else 0 for name, deg in dga.chords}
-        # t evaluates to -1 as a plain integer: exact in Z, congruent to the
-        # canonical representative mod m, and Fraction-compatible over Q.
-        eps[algebra.T_SYMBOL] = -1
+        if not self.values.keys() <= dga.degree_zero_chords:
+            grading = dga.grading
+            for name, value in self.values.items():
+                if name not in grading:
+                    raise UnknownGenerator(f"augmentation assigns unknown chord {name!r}")
+                if grading[name] != 0 and not self.ring.is_zero(value):
+                    raise InvalidValue(
+                        f"chord {name!r} has degree {grading[name]}; augmentations vanish there"
+                    )
+        eps = dga.eps_template.copy()
+        eps.update(self.values)
         return eps
 
     def reduction(self, m: int) -> "Augmentation":
@@ -162,6 +174,14 @@ def is_augmentation(dga: DGA, aug: Augmentation) -> bool:
 
 
 def _enumerate(dga: DGA, ring: RingDesc, domain: range, cap: int) -> list[Augmentation]:
+    """Depth-first walk of the grid `domain` ^ (degree-0 chords), in order.
+
+    Each degree-1 constraint is checked in the loop over the values of its
+    last variable, before the walk goes deeper, so a pruned value costs no
+    call; its compiled constant terms are summed in place and reduced
+    mod m (over Z, tested against 0).  The values come from `domain`, so
+    they are canonical already, and each point is built without coercion.
+    """
     variables = dga.chords_of_degree(0)
     # The domain stays a range until the cap check passes; its length is
     # read from its ends, since len() fails on ranges beyond sys.maxsize.
@@ -178,22 +198,37 @@ def _enumerate(dga: DGA, ring: RingDesc, domain: range, cap: int) -> list[Augmen
         depth = max((depth_of[x] for _, names in constant for x in names), default=-1)
         by_depth.setdefault(depth, []).append(constant)
 
+    m = ring.modulus or 0
+    for terms in by_depth.get(-1, ()):
+        total = sum(c for c, _ in terms)
+        if total % m if m else total:
+            return []
+    canonical = Augmentation._canonical
+    if not variables:
+        return [canonical(ring, {})]
+
     assignment = dict.fromkeys(variables, 0)
     results: list[Augmentation] = []
-    n = len(variables)
+    last = len(variables) - 1
 
     def walk(depth: int):
-        # Check the constraints that fire once variables[depth - 1] is set.
-        for terms in by_depth.get(depth - 1, ()):
-            if not ring.is_zero(evaluate_terms(terms, assignment)):
-                return
-        if depth == n:
-            results.append(Augmentation(ring=ring, values=dict(assignment)))
-            return
         name = variables[depth]
+        checks = by_depth.get(depth, ())
         for value in domain:
             assignment[name] = value
-            walk(depth + 1)
+            for terms in checks:
+                total = 0
+                for c, names in terms:
+                    for x in names:
+                        c *= assignment[x]
+                    total += c
+                if total % m if m else total:
+                    break
+            else:
+                if depth == last:
+                    results.append(canonical(ring, {k: v for k, v in assignment.items() if v}))
+                else:
+                    walk(depth + 1)
 
     walk(0)
     return results

@@ -125,6 +125,22 @@ class DGA:
                 columns[d].append((j, chord, constant, entries))
         return basis, columns
 
+    @cached_property
+    def degree_zero_chords(self) -> frozenset[str]:
+        return frozenset(self.chords_of_degree(0))
+
+    @cached_property
+    def eps_template(self) -> dict[str, int]:
+        """The augmentation map before any values: every chord to 0, t to -1.
+
+        t evaluates to -1 as a plain integer: exact in Z, congruent to the
+        canonical representative mod m, and Fraction-compatible over Q.
+        `Augmentation.eps_map` copies it; do not mutate it.
+        """
+        eps = dict.fromkeys(self.chord_names(), 0)
+        eps[algebra.T_SYMBOL] = -1
+        return eps
+
     def chord_names(self) -> list[str]:
         return [name for name, _ in self.chords]
 

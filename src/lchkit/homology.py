@@ -176,7 +176,14 @@ def invariant_factors(M) -> list[int]:
 
 
 def _factors_of_rows(rows: dict[int, dict[int, int]]) -> list[int]:
-    """`invariant_factors` of an integer matrix given as sparse rows."""
+    """`invariant_factors` of an integer matrix given as sparse rows.
+
+    No rows give no factors, and one row gives the gcd of its entries
+    alone; only larger boundaries load the elimination kernel.
+    """
+    if len(rows) < 2:
+        g = gcd(*(x for row in rows.values() for x in row.values()))
+        return [g] if g else []
     A = _SparseMatrix.from_rows(rows)
     diagonal = []
     while A.rows:

@@ -9,7 +9,7 @@ asserted here, so a non-augmentation cannot slip through.
 Everything that depends on the DGA alone (the bases, the row and column
 of each entry, the compiled terms and the grading checks) comes from
 :attr:`DGA.linear_plan`, built once per DGA; linearizing at one more
-augmentation only evaluates terms.  The boundaries are built and stored as
+augmentation only sums terms.  The boundaries are built and stored as
 sparse rows, which the d^2 check and the elimination kernel read
 directly; the dense matrices are views for printing and for callers that
 want them.
@@ -20,7 +20,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .augment import Augmentation
-from .dga import DGA, evaluate_terms
+from .dga import DGA
 from .errors import NotAComplex, NotAnAugmentation, ValidationFailed
 from .matrices import sparse_rows
 from .rings import RingDesc
@@ -142,28 +142,40 @@ def linearized_differential(dga: DGA, aug: Augmentation) -> ChainComplex:
 
     The column of chord a in the boundary from |a| is the s-linear part of
     d(a) restricted to chords of degree |a| - 1, evaluated by the DGA's
-    :attr:`~DGA.linear_plan`.  The s^0 part of every conjugated
+    :attr:`~DGA.linear_plan` at :meth:`Augmentation.eps_map`, which checks
+    the augmentation's names first.  Each entry's terms are summed here
+    and reduced mod m over Z/m.  The s^0 part of every conjugated
     differential is checked to vanish in the ring; a failure raises
-    NotAnAugmentation.  A nonzero entry on a chord of another degree
-    raises ValidationFailed.  Degrees are visited in increasing order and
-    columns in basis order, so the first failure met is the one raised.
+    NotAnAugmentation, quoting the unreduced constant.  A nonzero entry on
+    a chord of another degree raises ValidationFailed.  Degrees are visited
+    in increasing order and columns in basis order, so the first failure
+    met is the one raised.
     """
     basis, columns = dga.linear_plan
     eps = aug.eps_map(dga)
-    ring = aug.ring
-    reduce = ring.reduce
+    m = aug.ring.modulus or 0
 
     rows: dict[int, dict[int, dict[int, int]]] = {}
     for d, plan in columns.items():
         rows[d] = boundary = {}
         for j, chord, constant_terms, entries in plan:
-            constant = evaluate_terms(constant_terms, eps)
-            if not ring.is_zero(constant):
+            constant = 0
+            for c, names in constant_terms:
+                for x in names:
+                    c *= eps[x]
+                constant += c
+            if constant % m if m else constant:
                 raise NotAnAugmentation(
                     f"eps(d {chord}) = {constant} != 0: not an augmentation"
                 )
             for i, terms, misgraded in entries:
-                value = reduce(evaluate_terms(terms, eps))
+                value = 0
+                for c, names in terms:
+                    for x in names:
+                        c *= eps[x]
+                    value += c
+                if m:
+                    value %= m
                 if not value:
                     continue
                 if misgraded:
@@ -174,4 +186,4 @@ def linearized_differential(dga: DGA, aug: Augmentation) -> ChainComplex:
                 else:
                     row[j] = value
 
-    return ChainComplex(ring, basis, rows=rows)
+    return ChainComplex(aug.ring, basis, rows=rows)

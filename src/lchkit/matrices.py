@@ -240,8 +240,13 @@ def rank_of_rows(rows: dict[int, dict[int, int]], modulus: int | None = None) ->
     is multiplied by the lcm of its entries' denominators, which leaves
     the row space unchanged; the integer rows are then eliminated by
     unimodular row steps.  Either way each pivot's column is cleared and
-    its row dropped, so the rank is the number of pivots.
+    its row dropped, so the rank is the number of pivots.  No rows, or one
+    row, need no elimination: the rank is 1 exactly when some entry is
+    nonzero in the field.
     """
+    if len(rows) < 2:
+        entries = [x for row in rows.values() for x in row.values()]
+        return int(any(x % modulus for x in entries) if modulus else any(entries))
     if modulus:
         return _pivot_count(_SparseMatrix.from_rows(rows, modulus))
     cleared = {}

@@ -266,12 +266,19 @@ def torsion_scan(
     bound: int | None = None,
     cap: int | None = None,
 ) -> TorsionScanReport:
+    """Dimension classes over each Z/p, plus integral torsion at |values| <= bound.
+
+    Each prime is scanned once, in order of first occurrence, and every one
+    is checked to be prime before any enumeration starts.
+    """
+    rings = [Zmod(p) for p in dict.fromkeys(primes)]
+    for ring in rings:
+        if not ring.is_field:
+            raise FieldRequired(f"{ring.modulus} is not prime")
     prime_classes: dict[int, tuple[DimClass, ...]] = {}
     flagged = []
-    for p in primes:
-        ring = Zmod(p)
-        if not ring.is_field:
-            raise FieldRequired(f"{p} is not prime")
+    for ring in rings:
+        p = ring.modulus
         groups: dict[tuple, list[Augmentation]] = {}
         for aug in enumerate_augmentations(dga, ring, cap=cap):
             dims = _field_dims(dga, aug)

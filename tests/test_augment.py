@@ -162,6 +162,30 @@ def test_enumeration_order_is_lexicographic():
     assert tuples == sorted(tuples)
 
 
+@pytest.mark.parametrize(
+    "dga, ring, bound",
+    [
+        (lambda0(), Zmod(2), None),
+        (lambda0(), Zmod(3), None),
+        (lambda0(), ZZ, 1),
+        (connected_sum(lambda_k(1), lambda0()), Zmod(2), None),
+    ],
+    ids=["lambda0-Z/2", "lambda0-Z/3", "lambda0-bound1", "lambda1#lambda0-Z/2"],
+)
+def test_enumerated_points_are_canonical_and_match_the_grid(dga, ring, bound):
+    """Points built without coercion equal coerced ones; the list is the grid filter."""
+    if bound is None:
+        augs, domain = enumerate_augmentations(dga, ring), ring.elements()
+    else:
+        augs, domain = enumerate_augmentations_bounded(dga, bound), range(-bound, bound + 1)
+    for aug in augs:
+        assert aug == Augmentation(ring, dict(aug.values))
+        assert all(type(v) is int and not ring.is_zero(v) for v in aug.values.values())
+    deg0 = dga.chords_of_degree(0)
+    grid = (Augmentation(ring, dict(zip(deg0, combo))) for combo in product(domain, repeat=len(deg0)))
+    assert augs == [aug for aug in grid if is_augmentation(dga, aug)]
+
+
 def test_search_cap():
     d = lambda0()
     with pytest.raises(SearchTooLarge):

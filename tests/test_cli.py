@@ -283,6 +283,33 @@ def test_scan(capsys):
     assert "dimension jump" in out
 
 
+def test_scan_duplicate_primes_scanned_once(capsys):
+    code, out, _ = invoke(capsys, "scan", "builtin:lambda0", "--primes", "3,3", "--json")
+    assert code == 0
+    obj = json.loads(out)
+    assert list(obj["primes"]) == ["3"]
+    assert obj["flagged_primes"] == [3]
+    assert invoke(capsys, "scan", "builtin:lambda0", "--primes", "3", "--json") == (code, out, "")
+    code, out, _ = invoke(capsys, "scan", "builtin:lambda0", "--primes", "3,2,3,2")
+    assert code == 0
+    assert invoke(capsys, "scan", "builtin:lambda0", "--primes", "3,2") == (code, out, "")
+
+
+def test_scan_rejects_a_composite_before_enumerating(capsys, monkeypatch):
+    import lchkit.verify
+
+    scanned = []
+    monkeypatch.setattr(
+        lchkit.verify, "enumerate_augmentations",
+        lambda dga, ring, cap=None: scanned.append(ring) or [],
+    )
+    code, out, err = invoke(capsys, "scan", "builtin:lambda0", "--primes", "7,4", "--json")
+    assert code == 2
+    assert out == ""
+    assert err == "error: 4 is not prime\n"
+    assert scanned == []
+
+
 def test_bockstein(capsys):
     code, out, _ = invoke(
         capsys, "bockstein", "builtin:lambda0", "--aug", "a1=2,a2=-1,a3=1,a6=1"

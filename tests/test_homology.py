@@ -22,6 +22,7 @@ from lchkit.errors import FieldRequired, NotAComplex, RingMismatch
 from lchkit.homology import (
     GradedHomology,
     HomologyGroup,
+    _factors_of_rows,
     bockstein,
     field_homology,
     from_orders,
@@ -31,7 +32,15 @@ from lchkit.homology import (
     uct_check,
 )
 from lchkit.linearize import ChainComplex, linearized_differential
-from lchkit.matrices import _SparseMatrix, identity, matmul, rank_mod_p, rank_rationals
+from lchkit.matrices import (
+    _SparseMatrix,
+    identity,
+    matmul,
+    rank_mod_p,
+    rank_of_rows,
+    rank_rationals,
+    sparse_rows,
+)
 from lchkit.rings import QQ, ZZ, Zmod
 
 
@@ -322,6 +331,52 @@ def test_rank_mod_p_matches_dense_elimination():
                 for _ in range(m)
             ]
             assert rank_mod_p(M, p) == dense_rank_mod_p(M, p)
+
+
+def test_empty_and_one_row_boundaries_skip_the_kernel(monkeypatch):
+    """No rows or one row: factors and ranks agree with the dense references.
+
+    The kernel is made to fail on load, so the answers come from the short
+    cuts alone.
+    """
+
+    def no_load(*args, **kwargs):
+        raise AssertionError("kernel loaded")
+
+    monkeypatch.setattr(_SparseMatrix, "from_rows", no_load)
+    assert _factors_of_rows({}) == []
+    assert rank_of_rows({}) == 0
+    for p in RANK_PRIMES:
+        assert rank_of_rows({}, p) == 0
+
+    rng = random.Random(1729)
+
+    def one_row(kind, p):
+        n = rng.randint(1, 8)
+        if kind == "fractions":
+            return [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(n)]
+        scale = {"mixed": 1, "common gcd": rng.randint(2, 12), "zero mod p": p}[kind]
+        return [scale * _huge_lift(rng, rng.randint(-9, 9), p) for _ in range(n)]
+
+    rows = [[-4, 0, 6, -10], [0, -7, 0], [3, -6, 9], [0, 0], [Fraction(-1, 2), 0, 3]]
+    for _ in range(300):
+        kind = rng.choice(("mixed", "common gcd", "zero mod p", "fractions"))
+        rows.append(one_row(kind, rng.choice(RANK_PRIMES)))
+    seen = {"negative": 0, "gcd > 1": 0, "zero mod p": 0, "fractions": 0}
+    for row in rows:
+        M = [row]
+        assert rank_of_rows(sparse_rows(M)) == fraction_rank(M), row
+        if any(isinstance(x, Fraction) for x in row):
+            seen["fractions"] += 1
+            continue
+        D = smith_normal_form(M)[1]
+        assert _factors_of_rows(sparse_rows(M)) == ([D[0][0]] if D[0][0] else []), row
+        seen["negative"] += any(x < 0 for x in row)
+        seen["gcd > 1"] += D[0][0] > 1
+        for p in RANK_PRIMES:
+            assert rank_of_rows(sparse_rows(M), p) == dense_rank_mod_p(M, p), (row, p)
+            seen["zero mod p"] += any(row) and not any(x % p for x in row)
+    assert min(seen.values()) > 20, seen
 
 
 def test_sparse_kernel_mod_p_keeps_entries_reduced():

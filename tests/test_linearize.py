@@ -11,7 +11,13 @@ from lchkit.augment import (
     is_augmentation,
 )
 from lchkit.dga import DGA, connected_sum, connected_sum_augmented, lambda0, lambda_k, unknot
-from lchkit.errors import LchError, NotAnAugmentation, ValidationFailed
+from lchkit.errors import (
+    InvalidValue,
+    LchError,
+    NotAnAugmentation,
+    UnknownGenerator,
+    ValidationFailed,
+)
 from lchkit.linearize import linearized_differential
 from lchkit.rings import QQ, ZZ, Zmod
 
@@ -66,6 +72,32 @@ def test_not_an_augmentation_raises():
     d = lambda0()
     with pytest.raises(NotAnAugmentation):
         linearized_differential(d, Augmentation(ZZ, {"a1": 1, "a3": 1, "a6": 1}))
+
+
+def test_error_messages_through_linearized_differential():
+    """Each rejection, its type and its exact message, raised by linearization."""
+    d = lambda0()
+    x, w = gen("x"), gen("w")
+    misgraded = DGA(name="mis", chords=(("x", 0), ("w", -1), ("a", 1)), diff={"a": x * w})
+    cases = [
+        # The constant is quoted unreduced: -4 is 1 mod 5.
+        (d, Augmentation(ZZ, {"a1": 1, "a2": -1, "a3": 1, "a4": 1, "a6": 1}),
+         NotAnAugmentation, "eps(d a7) = -1 != 0: not an augmentation"),
+        (d, Augmentation(Zmod(5), {"a1": 9, "a2": -1, "a3": 1, "a4": 1, "a6": 3}),
+         NotAnAugmentation, "eps(d a7) = -4 != 0: not an augmentation"),
+        (misgraded, Augmentation(Zmod(3), {"x": 2}), ValidationFailed,
+         "d a has an s-linear term on w of degree -1, expected 0; validate the DGA"),
+        (d, Augmentation(ZZ, {"a1": 2, "zz": 1}), UnknownGenerator,
+         "augmentation assigns unknown chord 'zz'"),
+        (d, Augmentation(Zmod(3), {"a1": 2, "a7": 1}), InvalidValue,
+         "chord 'a7' has degree 1; augmentations vanish there"),
+    ]
+    for dga, aug, error, message in cases:
+        with pytest.raises(error) as info:
+            linearized_differential(dga, aug)
+        assert str(info.value) == message
+    # A zero value on the degree-1 chord is dropped, so nothing is assigned there.
+    assert linearized_differential(d, Augmentation(Zmod(3), {"a3": 1, "a6": 1, "a7": 3})).ring == Zmod(3)
 
 
 def test_square_zero_over_enumerated_augmentations():
