@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import symbol_sort_key
-from .dga import DGA, evaluate_terms
+from .dga import DGA
 from .errors import (
     FieldRequired,
     InvalidParameter,
@@ -163,9 +163,15 @@ def is_augmentation(dga: DGA, aug: Augmentation) -> bool:
     on a validly graded DGA.
     """
     eps = aug.eps_map(dga)
-    return all(
-        aug.ring.is_zero(evaluate_terms(constant, eps)) for constant, _ in dga.compiled.values()
-    )
+    for constant, _ in dga.compiled.values():
+        total = 0
+        for c, names in constant:
+            for name in names:
+                c = c * eps[name]
+            total += c
+        if not aug.ring.is_zero(total):
+            return False
+    return True
 
 
 # ----------------------------------------------------------------------

@@ -43,8 +43,7 @@ def load_dga(source: str) -> DGA:
             return unknot()
         k = int(m.group(2))
         return lambda0() if k == 0 else lambda_k(k)
-    with open(source, "r", encoding="utf-8") as handle:
-        return dgafile.parse(handle.read())
+    return dgafile.parse(dgafile.read_document(source))
 
 
 def _int_list(text: str) -> list[int]:

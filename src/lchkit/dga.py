@@ -78,9 +78,9 @@ class DGA:
     def compiled(self) -> dict[str, tuple[list, list]]:
         """Chord -> ``(constant, linear)`` for each nonzero differential.
 
-        Both hold term lists of ``(c, degree-0 names)`` to sum with
-        :func:`evaluate_terms`: ``constant`` sums to eps(d chord), and
-        ``linear`` pairs each row chord, in order of first occurrence,
+        Both hold term lists of ``(c, degree-0 names)``, each term standing
+        for c * eps(x_1) * ... * eps(x_k): ``constant`` sums to eps(d chord),
+        and ``linear`` pairs each row chord, in order of first occurrence,
         with the terms that sum to its s-linear coefficient.
         """
         return {chord: _compile(p, self.grading) for chord, p in self.diff.items()}
@@ -182,16 +182,6 @@ def _compile(p: Poly, grading: dict[str, int]) -> tuple[list, list]:
             for j in graded or range(len(letters)):
                 linear[letters[j]].append((c, tuple(letters[:j] + letters[j + 1 :])))
     return constant, [(row, row_terms) for row, row_terms in linear.items() if row_terms]
-
-
-def evaluate_terms(terms, values):
-    """Sum of c * values[x_1] * ... * values[x_k] over compiled (c, names) terms."""
-    total = 0
-    for c, names in terms:
-        for name in names:
-            c = c * values[name]
-        total += c
-    return total
 
 
 @dataclass(frozen=True)

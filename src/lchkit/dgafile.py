@@ -16,23 +16,36 @@ or t^-1; a bare integer is a constant term and 1 is the unit monomial:
 
     d a10 = 1 - a4 - a6 - a6*a5*a4 - a6*a11*a7
 
-Each line loses its comment first; one regex then splits the rest into
-typed tokens: int (decimal digits), ident (a chord name
-[A-Za-z_][A-Za-z0-9_#]* or t^-1), op (= + - *) and str (a double-quoted
-name).  As the comment goes first, a '#' after whitespace ends the line
-even inside quotes: dga "a #b" is an unterminated string.  Whitespace
-between tokens is insignificant, and errors report line and column.  A
-monomial has at most MAX_WORD_LETTERS factors: the Leibniz rule copies the
-whole word once per letter, so validating one n-letter word costs time and
-memory quadratic in n.  The serializer emits canonical term order
-(length-lex) with LF line endings; parse(serialize(d)) == d.
+Lines are numbered as str.splitlines breaks them: besides LF, CR and
+CRLF, at \v, \f, \x1c-\x1e, \x85, U+2028 and U+2029.  Columns count
+characters from 1.
+
+A gen or d line in the serializer's form (single spaces, no '*' padding,
+no comment, ints of at most 18 digits, words of at most MAX_WORD_LETTERS
+letters) is taken whole by one regex match.  Every other line, and every
+line before the header, goes to the tokenizer: the line loses its
+comment first, then one regex splits the rest into typed tokens: int
+(decimal digits), ident (a chord name [A-Za-z_][A-Za-z0-9_#]* or t^-1),
+op (= + - *) and str (a double-quoted name).  Both routes give the same
+DGA with the same term order, and a line the fast route takes raises
+nothing, so every error comes from the tokenizer.
+
+As the comment goes first, a '#' after whitespace ends the line even
+inside quotes: dga "a #b" is an unterminated string.  Whitespace between
+tokens is insignificant, and errors report line and column.  A monomial
+has at most MAX_WORD_LETTERS factors: the Leibniz rule copies the whole
+word once per letter, so validating one n-letter word costs time and
+memory quadratic in n.  read_document reads a file of at most
+MAX_DOCUMENT_BYTES (16 MiB) as UTF-8; a larger file or a bad byte is a
+ParseError.  The serializer emits canonical term order (length-lex) with
+LF line endings; parse(serialize(d)) == d.
 """
 
 from __future__ import annotations
 
 import re
 
-from .algebra import Poly, format_poly
+from .algebra import T_INV_SYMBOL, T_SYMBOL, Poly, format_poly
 from .dga import DGA
 from .errors import DuplicateGenerator, ParseError, UnknownGenerator
 
@@ -51,6 +64,23 @@ _BAD = len(_KINDS)
 # The most factors in one monomial.  Built-in DGAs and their connected sums
 # have at most 4; one word of 1024 letters validates in about 0.05 s.
 MAX_WORD_LETTERS = 1024
+
+# The most bytes read from a .dga file, about 50 times the largest document
+# in the tests (one 32768-term line of about 0.3 MB).
+MAX_DOCUMENT_BYTES = 16 * 1024 * 1024
+
+# The fast route takes a whole gen or d line in the serializer's form: one
+# space between tokens, none around '*', no comment.  \d is the tokenizer's
+# digit class, and an identifier always ends at '*', ' ' or the end of the
+# line, so a match splits the line exactly as the tokens do.  A match can
+# raise nothing: its ints have at most 18 digits, which int() converts under
+# any digit limit, and its words at most MAX_WORD_LETTERS letters.
+_IDENT = r"[A-Za-z_][A-Za-z0-9_#]*"
+_FACTOR = rf"(?:t\^-1|{_IDENT})"
+_INT = r"\d{1,18}"
+_TERM = rf"(?:(?:{_INT}\*)?{_FACTOR}(?:\*{_FACTOR}){{0,{MAX_WORD_LETTERS - 1}}}|{_INT})"
+_GEN_LINE = re.compile(rf"gen ({_IDENT}) (-?{_INT})")
+_D_LINE = re.compile(rf"d ({_IDENT}) = ([+-]?{_TERM}(?: [+-] {_TERM})*)")
 
 
 class _LineTokens:
@@ -127,8 +157,8 @@ def _parse_term(toks: _LineTokens) -> tuple[int, list[str]]:
             return coeff, word
 
 
-def _parse_poly(toks: _LineTokens) -> Poly:
-    """Sum of the line's terms, built once from all of them."""
+def _parse_terms(toks: _LineTokens) -> list[tuple[list[str], int]]:
+    """The line's (word, signed coeff) pairs, in order."""
     pairs: list[tuple[list[str], int]] = []
     sign = 1
     if toks.peek() in ("+", "-"):
@@ -138,12 +168,29 @@ def _parse_poly(toks: _LineTokens) -> Poly:
         pairs.append((word, sign * coeff))
         nxt = toks.peek()
         if nxt is None:
-            return Poly.from_terms(pairs)
+            return pairs
         if nxt in ("+", "-"):
             toks.next()
             sign = -1 if nxt == "-" else 1
         else:
             toks.error(f"expected '+' or '-', got {nxt!r}")
+
+
+def _canonical_terms(poly: str) -> list[tuple[list[str], int]]:
+    """The (word, signed coeff) pairs of a poly matched by _D_LINE, in order."""
+    if poly[0] in "+-":
+        parts = [poly[0], *poly[1:].split(" ")]
+    else:
+        parts = ["+", *poly.split(" ")]
+    pairs: list[tuple[list[str], int]] = []
+    for i in range(0, len(parts), 2):
+        factors = parts[i + 1].split("*")
+        if factors[0][0].isdecimal():
+            coeff = int(factors.pop(0))
+        else:
+            coeff = 1
+        pairs.append((factors, -coeff if parts[i] == "-" else coeff))
+    return pairs
 
 
 def _parse_int(toks: _LineTokens) -> int:
@@ -157,6 +204,22 @@ def _parse_int(toks: _LineTokens) -> int:
     return sign * _to_int(tok, toks.lineno, col)
 
 
+def read_document(path: str) -> str:
+    """The text of a .dga file, read as at most MAX_DOCUMENT_BYTES of UTF-8."""
+    with open(path, "rb") as handle:
+        data = handle.read(MAX_DOCUMENT_BYTES + 1)
+    if len(data) > MAX_DOCUMENT_BYTES:
+        raise ParseError(f"document of more than {MAX_DOCUMENT_BYTES} bytes")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The bad byte's line and column as parse counts them.
+        lines = (data[: exc.start].decode("utf-8") + "?").splitlines()
+        raise ParseError(
+            f"invalid UTF-8 byte {data[exc.start]:#04x}", len(lines), len(lines[-1])
+        ) from None
+
+
 def parse(text: str) -> DGA:
     """Parse a .dga document into a (structurally valid) DGA.
 
@@ -166,9 +229,21 @@ def parse(text: str) -> DGA:
     tb: int | None = None
     chords: list[tuple[str, int]] = []
     declared: set[str] = set()
-    diff_lines: list[tuple[str, _LineTokens]] = []
+    # (chord, lineno, pairs from the fast route or the line's tokens); the
+    # tokens are parsed after every gen line is read.
+    diff_lines: list[tuple[str, int, list | _LineTokens]] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        if name is not None:
+            m = _GEN_LINE.fullmatch(raw)
+            if m and m[1] != "t" and m[1] not in declared:
+                declared.add(m[1])
+                chords.append((m[1], int(m[2])))
+                continue
+            m = _D_LINE.fullmatch(raw)
+            if m:
+                diff_lines.append((m[1], lineno, _canonical_terms(m[2])))
+                continue
         toks = _LineTokens(raw, lineno)
         if not toks.tokens:
             continue
@@ -211,27 +286,33 @@ def parse(text: str) -> DGA:
             _, eq, col = toks.next()
             if eq != "=":
                 raise ParseError(f"expected '=', got {eq!r}", lineno, col + 1)
-            diff_lines.append((tok, toks))
+            diff_lines.append((tok, lineno, toks))
         else:
             raise ParseError(f"unknown directive {keyword!r}", lineno, col + 1)
 
     if name is None:
         raise ParseError("empty document", 1, 1)
 
+    known = declared | {T_SYMBOL, T_INV_SYMBOL}
     diff: dict[str, Poly] = {}
-    for chord, toks in diff_lines:
+    for chord, lineno, pairs in diff_lines:
         if chord not in declared:
             raise UnknownGenerator(
-                f"differential for undeclared chord {chord!r} (line {toks.lineno})"
+                f"differential for undeclared chord {chord!r} (line {lineno})"
             )
         if chord in diff:
-            raise ParseError(f"duplicate differential for {chord!r}", toks.lineno, 1)
-        poly = _parse_poly(toks)
-        for symbol in poly.chord_symbols():
-            if symbol not in declared:
-                raise UnknownGenerator(
-                    f"undeclared symbol {symbol!r} in d {chord} (line {toks.lineno})"
-                )
+            raise ParseError(f"duplicate differential for {chord!r}", lineno, 1)
+        if isinstance(pairs, _LineTokens):
+            pairs = _parse_terms(pairs)
+        poly = Poly.from_terms(pairs)
+        # If every written symbol is known, so is every one left in the sum;
+        # if not, only those left count, as a term may have cancelled.
+        if not known.issuperset([x for word, _ in pairs for x in word]):
+            for symbol in poly.chord_symbols():
+                if symbol not in declared:
+                    raise UnknownGenerator(
+                        f"undeclared symbol {symbol!r} in d {chord} (line {lineno})"
+                    )
         diff[chord] = poly
 
     return DGA(name=name, chords=tuple(chords), diff=diff, tb=tb)

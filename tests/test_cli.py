@@ -7,7 +7,7 @@ import pytest
 
 import lchkit
 from lchkit.cli import run
-from lchkit.dgafile import MAX_WORD_LETTERS, parse
+from lchkit.dgafile import MAX_DOCUMENT_BYTES, MAX_WORD_LETTERS, parse
 from lchkit.homology import GradedHomology
 
 
@@ -186,6 +186,36 @@ def test_overlong_word_is_a_parse_error(tmp_path):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert f"monomial of more than {MAX_WORD_LETTERS} letters (line 6, col 11)" in proc.stderr
+
+
+def test_non_utf8_file_is_a_parse_error(tmp_path, capsys):
+    # The bad byte's line and column count as parse counts them: characters,
+    # with lines broken where str.splitlines breaks them.
+    cases = [
+        (b'dga "x"\ngen a \xff 1\n', "0xff (line 2, col 7)"),
+        (b'dga "\xc3\xa9"\r\ngen \xc3\xa9\xff 1\r\n', "0xff (line 2, col 6)"),
+        (b'dga "x"\xe2\x80\xa8\x80', "0x80 (line 2, col 1)"),
+        (b'dga "\xc3', "0xc3 (line 1, col 6)"),
+    ]
+    doc = tmp_path / "bad.dga"
+    for data, where in cases:
+        doc.write_bytes(data)
+        code, out, err = invoke(capsys, "validate", str(doc))
+        assert code == 2
+        assert out == "" and err == f"error: invalid UTF-8 byte {where}\n"
+
+
+def test_document_size_cap(tmp_path):
+    # At most MAX_DOCUMENT_BYTES + 1 bytes are read: one byte over the cap is
+    # a parse error, and a document of exactly the cap still parses.
+    doc = tmp_path / "huge.dga"
+    head = b'dga "huge"\n# '
+    for size, code in ((MAX_DOCUMENT_BYTES, 0), (MAX_DOCUMENT_BYTES + 1, 2)):
+        doc.write_bytes(head + b"x" * (size - len(head)))
+        proc = _lch_process("validate", str(doc))
+        assert proc.returncode == code
+    assert proc.stdout == ""
+    assert f"document of more than {MAX_DOCUMENT_BYTES} bytes" in proc.stderr
 
 
 def test_validate_builtin_and_bad_file(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 import time
 from pathlib import Path
@@ -6,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from lchkit.algebra import Poly, gen, t_gen
-from lchkit.dga import DGA, connected_sum, lambda0, lambda_k, unknot, validate
+from lchkit import dgafile
+from lchkit.dga import DGA, connected_sum, geography_dga, lambda0, lambda_k, unknot, validate
 from lchkit.dgafile import MAX_WORD_LETTERS, parse, serialize
 from lchkit.errors import DuplicateGenerator, LchError, ParseError, UnknownGenerator
 
@@ -226,6 +228,21 @@ def test_duplicate_and_unknown_generators():
         parse('dga "x"\ngen a 1\nd zz = a\n')
 
 
+def test_unknown_generator_messages():
+    cases = [
+        ('dga "x"\ngen a 1\nd a = 2*t*zz - 1\n', "undeclared symbol 'zz' in d a (line 3)"),
+        ('dga "x"\ngen a 1\nd a = t^-1 + zz\n', "undeclared symbol 'zz' in d a (line 3)"),
+        ('dga "x"\ngen a 1\nd zz = a\n', "differential for undeclared chord 'zz' (line 3)"),
+        ('dga "x"\nd t = 1\ngen a 1\n', "differential for undeclared chord 't' (line 2)"),
+    ]
+    for doc, message in cases:
+        with pytest.raises(UnknownGenerator) as info:
+            parse(doc)
+        assert str(info.value) == message
+    # Only symbols left in the sum count: terms that cancel name nothing.
+    assert parse('dga "x"\ngen a 1\nd a = zz - zz\n').diff == {}
+
+
 def test_parse_error_carries_location():
     try:
         parse('dga "x"\ngen a 1\nd a = a *\n')
@@ -235,8 +252,16 @@ def test_parse_error_carries_location():
         raise AssertionError("expected ParseError")
 
 
-def test_fuzz_never_crashes():
-    rng = random.Random(20240818)
+def _outcome(text):
+    """What parse makes of text: the DGA with its term order, or the error."""
+    try:
+        dga = parse(text)
+    except LchError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "col", None)
+    return dga, [(chord, list(p.terms.items())) for chord, p in dga.diff.items()]
+
+
+def _random_documents(rng):
     alphabet = 'dga gen t^-1 basepoint tb "x" a1 # = + - * 0123456789\n \t'
     pieces = [
         'dga "f"',
@@ -247,19 +272,54 @@ def test_fuzz_never_crashes():
         "tb 2",
         "basepoint t",
     ]
-    ok = 0
     for i in range(10_000):
         if i % 3 == 0:
-            text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(80)))
+            yield "".join(rng.choice(alphabet) for _ in range(rng.randrange(80)))
         else:
             lines = [rng.choice(pieces) for _ in range(rng.randrange(6))]
             text = "\n".join(lines)
             if rng.random() < 0.7:
                 pos = rng.randrange(len(text) + 1)
                 text = text[:pos] + rng.choice(alphabet) + text[pos:]
-        try:
-            parse(text)
-            ok += 1
-        except LchError:
-            pass
-    assert ok > 0  # some mutations still parse
+            yield text
+
+
+# Insertions into canonical documents: operators, digits that \d and int()
+# accept or refuse, quotes, Unicode blanks, characters that str.splitlines
+# takes as line breaks, and whole lines that reuse a name.
+_INSERTS = list("#*+-0123456789\" \t") + [
+    "\u00b2", "\u0663", "\u00a0", "\u2009", "\u3000", "\x0c", "\x0b", "\x1c", "\x85", "\u2028",
+    "t^-1", "a1", "10*", " + a1", " - 2*t", "\ngen t 0\n", "\ngen a1 1\n", "\nd a1 = t\n",
+]
+
+
+def _mutated_documents(rng, per_document):
+    summed = connected_sum(lambda0(), lambda_k(1))
+    geography, _ = geography_dga(2, 1, [4])
+    for dga in (lambda0(), lambda_k(1), lambda_k(2), lambda_k(3), summed, geography):
+        text = serialize(dga)
+        yield text
+        for _ in range(per_document):
+            mutated = text
+            for _ in range(rng.randrange(1, 4)):
+                pos = rng.randrange(len(mutated) + 1)
+                if rng.random() < 0.3:
+                    mutated = mutated[:pos] + mutated[pos + 1 :]
+                else:
+                    mutated = mutated[:pos] + rng.choice(_INSERTS) + mutated[pos:]
+            yield mutated
+
+
+def test_fuzz_fast_route_matches_token_route(monkeypatch):
+    # Whole canonical lines skip the tokenizer.  With the fast-route regexes
+    # made to never match, every line goes through the tokens; both routes
+    # must give equal DGAs with equal term order, or equal errors.
+    rng = random.Random(20240818)
+    docs = [*_random_documents(rng), *_mutated_documents(rng, 400)]
+    fast = [_outcome(text) for text in docs]
+    never = re.compile(r"(?!)")
+    monkeypatch.setattr(dgafile, "_GEN_LINE", never)
+    monkeypatch.setattr(dgafile, "_D_LINE", never)
+    for text, expected in zip(docs, fast):
+        assert _outcome(text) == expected, text
+    assert sum(not isinstance(o[0], type) for o in fast) > 250  # some still parse
