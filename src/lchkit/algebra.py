@@ -15,8 +15,11 @@ linearization: `evaluate` (apply a scalar value to every symbol) and
 `s_linear_part` (the coefficient of the first-order term after substituting
 x -> s*x + eps(x) on chords, computed positionally so the bookkeeping
 variable s never needs to exist).  They are the reference route: the
-pipeline evaluates the compiled form `DGA.compiled`, and the tests compare
-the two.
+pipeline evaluates the compiled terms of `DGA.linear_plan`, and the tests
+compare the two.
+
+`first_unknown_symbol` is the one rule for which undeclared symbol an
+error names, in the DGA constructor and in the .dga parser alike.
 """
 
 from __future__ import annotations
@@ -221,6 +224,20 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly<{format_poly(self)}>"
+
+
+def first_unknown_symbol(p: Poly, known: set[str] | frozenset[str]) -> str | None:
+    """The first letter of p, in term order, that is not in `known`, or None.
+
+    Basepoint letters count only if `known` holds them.  A poly whose letters
+    are all known costs one `issuperset` pass:
+
+    >>> first_unknown_symbol(Poly.from_terms([(("a", "zz"), 1), (("yy",), 1)]), {"a"})
+    'zz'
+    """
+    if known.issuperset(chain.from_iterable(p._terms)):
+        return None
+    return next(x for word in p._terms for x in word if x not in known)
 
 
 def _coerce(value) -> "Poly":

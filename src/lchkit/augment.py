@@ -5,7 +5,9 @@ that vanishes on chords of nonzero degree, sends t to -1, and annihilates
 the differential.  It is determined by its values on degree-0 chords, so
 enumeration is a finite search over those coordinates; only the degree-1
 differentials impose constraints (every monomial in d(a) for |a| != 1
-contains a chord of nonzero degree and dies under evaluation).
+contains a chord of nonzero degree and dies under evaluation).  Both the
+check and the enumeration sum the constant terms of `DGA.linear_plan`, the
+DGA's one compiled form.
 """
 
 from __future__ import annotations
@@ -159,18 +161,20 @@ def parse_augmentation_literal(text: str, default_ring: RingDesc | None = None) 
 def is_augmentation(dga: DGA, aug: Augmentation) -> bool:
     """True iff evaluating every differential under aug gives 0 in the ring.
 
-    All chords are checked, although only degree-1 differentials can fail
+    All chords are checked, by the constant terms of
+    :attr:`DGA.linear_plan`, although only degree-1 differentials can fail
     on a validly graded DGA.
     """
     eps = aug.eps_map(dga)
-    for constant, _ in dga.compiled.values():
-        total = 0
-        for c, names in constant:
-            for name in names:
-                c = c * eps[name]
-            total += c
-        if not aug.ring.is_zero(total):
-            return False
+    for plan in dga.linear_plan[1].values():
+        for _, _, constant, _ in plan:
+            total = 0
+            for c, names in constant:
+                for name in names:
+                    c = c * eps[name]
+                total += c
+            if not aug.ring.is_zero(total):
+                return False
     return True
 
 
@@ -184,8 +188,9 @@ def _enumerate(dga: DGA, ring: RingDesc, domain: range, cap: int) -> list[Augmen
 
     Each degree-1 constraint is checked in the loop over the values of its
     last variable, before the walk goes deeper, so a pruned value costs no
-    call; its compiled constant terms are summed in place and reduced
-    mod m (over Z, tested against 0).  The values come from `domain`, so
+    call; its constant terms, from the degree-1 columns of
+    :attr:`DGA.linear_plan`, are summed in place and reduced mod m (over Z,
+    tested against 0).  The values come from `domain`, so
     they are canonical already, and each point is built without coercion.
     """
     variables = dga.chords_of_degree(0)
@@ -199,8 +204,7 @@ def _enumerate(dga: DGA, ring: RingDesc, domain: range, cap: int) -> list[Augmen
     # constant constraints (depth -1) are checked before any variable.
     depth_of = {name: i for i, name in enumerate(variables)}
     by_depth: dict[int, list] = {}
-    for chord in dga.chords_of_degree(1):
-        constant = dga.compiled.get(chord, ([], []))[0]
+    for _, _, constant, _ in dga.linear_plan[1].get(1, ()):
         depth = max((depth_of[x] for _, names in constant for x in names), default=-1)
         by_depth.setdefault(depth, []).append(constant)
 

@@ -21,12 +21,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import algebra
-from .algebra import Poly, degree_of_word, gen, substitute, t_gen
-from .errors import (
-    InvalidParameter,
-    UnknownGenerator,
-    ValidationFailed,
-)
+from .algebra import Poly, degree_of_word, first_unknown_symbol, gen, substitute, t_gen
+from .errors import InvalidParameter, RingMismatch, UnknownGenerator, ValidationFailed
+from .rings import ZZ
 
 _RESERVED = (algebra.T_SYMBOL, algebra.T_INV_SYMBOL)
 
@@ -55,15 +52,14 @@ class DGA:
             if chord in seen:
                 raise InvalidParameter(f"duplicate chord {chord!r}")
             seen.add(chord)
+        known = seen.union(_RESERVED)
         cleaned = {}
         for chord, p in self.diff.items():
             if chord not in seen:
                 raise UnknownGenerator(f"differential given for undeclared chord {chord!r}")
-            for x in p.chord_symbols():
-                if x not in seen:
-                    raise UnknownGenerator(
-                        f"differential of {chord!r} uses undeclared symbol {x!r}"
-                    )
+            x = first_unknown_symbol(p, known)
+            if x is not None:
+                raise UnknownGenerator(f"differential of {chord!r} uses undeclared symbol {x!r}")
             if not p.is_zero():
                 cleaned[chord] = p
         object.__setattr__(self, "diff", cleaned)
@@ -75,17 +71,6 @@ class DGA:
         return dict(self.chords)
 
     @cached_property
-    def compiled(self) -> dict[str, tuple[list, list]]:
-        """Chord -> ``(constant, linear)`` for each nonzero differential.
-
-        Both hold term lists of ``(c, degree-0 names)``, each term standing
-        for c * eps(x_1) * ... * eps(x_k): ``constant`` sums to eps(d chord),
-        and ``linear`` pairs each row chord, in order of first occurrence,
-        with the terms that sum to its s-linear coefficient.
-        """
-        return {chord: _compile(p, self.grading) for chord, p in self.diff.items()}
-
-    @cached_property
     def linear_plan(self) -> tuple[dict[int, list[str]], dict[int, list]]:
         """``(basis, columns)``: all of linearization that needs no augmentation.
 
@@ -93,15 +78,14 @@ class DGA:
         order.  ``columns`` maps every degree d that holds chords, or lies
         one above such a degree, in increasing order, to the columns of the
         boundary from degree d: ``(j, chord, constant, entries)`` for the
-        chord at index j, if its differential is nonzero.  ``constant`` is
-        its :attr:`compiled` constant part, and ``entries`` holds
-        ``(i, terms, misgraded)`` per row chord of its linear part: i is
-        the row chord's index within its degree, and ``misgraded`` is None,
-        or the message to raise if the entry is nonzero, since that row
-        chord does not sit in degree d - 1.
+        chord at index j, if its differential is nonzero.  ``constant``
+        holds the terms of eps(d chord), and ``entries`` holds ``(i, terms,
+        misgraded)`` per row chord of its linear part: i is the row chord's
+        index within its degree, and ``misgraded`` is None, or the message
+        to raise if the entry is nonzero, since that row chord does not sit
+        in degree d - 1.  Terms are as :func:`_compile` makes them.
         """
         grading = self.grading
-        compiled = self.compiled
         basis: dict[int, list[str]] = {}
         for name, deg in self.chords:
             basis.setdefault(deg, []).append(name)
@@ -110,9 +94,10 @@ class DGA:
         for d in sorted({*basis, *(d + 1 for d in basis)}):
             columns[d] = []
             for j, chord in enumerate(basis.get(d, ())):
-                if chord not in compiled:
+                p = self.diff.get(chord)
+                if p is None:
                     continue
-                constant, linear = compiled[chord]
+                constant, linear = _compile(p, grading)
                 entries = []
                 for name, terms in linear:
                     misgraded = None
@@ -162,7 +147,11 @@ class DGA:
 
 
 def _compile(p: Poly, grading: dict[str, int]) -> tuple[list, list]:
-    """The compiled form of one differential; see :attr:`DGA.compiled`.
+    """``(constant, linear)``: the terms of eps(p) and of its s-linear part.
+
+    A term ``(c, degree-0 names)`` stands for c * eps(x_1) * ... * eps(x_k).
+    ``linear`` pairs each row chord, in order of first occurrence, with the
+    terms that sum to its coefficient; :attr:`DGA.linear_plan` places them.
 
     eps sends t and t^-1 to -1, so each basepoint letter flips the sign of
     the coefficient.  eps vanishes on chords of nonzero degree, so a
@@ -332,16 +321,19 @@ def _fresh_c_name(taken: set[str]) -> str:
     return f"c#{j}"
 
 
-def _connected_sum_parts(summands: list[DGA]) -> tuple[DGA, list[dict[str, str]], list[str]]:
+def _connected_sum_parts(
+    summands: list[DGA], name: str | None = None
+) -> tuple[DGA, list[dict[str, str]], list[str]]:
     """The iterated sum (((d1 # d2) # d3) # ...) built in one pass.
 
     Returns the sum, each summand's chord rename map and the new c chords
     in order.  Names and chord order are those of folding
-    :func:`connected_sum` from the left.  Composing the basepoint
-    substitutions of the fold, summand 1 gets t -> c_1, summand j gets
-    t -> -c_j*c_{j-1}, and the last gets t -> -t*c_{n-1}.
+    :func:`connected_sum` from the left; the sum is called `name` if given.
+    Composing the basepoint substitutions of the fold, summand 1 gets
+    t -> c_1, summand j gets t -> -c_j*c_{j-1}, and the last gets
+    t -> -t*c_{n-1}.  Each distinct summand object is validated once.
     """
-    for d in summands:
+    for d in {id(d): d for d in summands}.values():
         if not validate(d).ok:
             raise ValidationFailed(f"connected_sum needs valid inputs; {d.name} fails")
 
@@ -369,20 +361,20 @@ def _connected_sum_parts(summands: list[DGA]) -> tuple[DGA, list[dict[str, str]]
         for chord, p in d.diff.items():
             diff[rename[chord]] = substitute(p, images)
 
-    name = "#".join(d.name for d in summands)
+    if name is None:
+        name = "#".join(d.name for d in summands)
     return DGA(name=name, chords=tuple(chords), diff=diff), renames, c_names
 
 
-def _connected_sum_augmented(summands: list[DGA], augs: list):
+def _connected_sum_augmented(summands: list[DGA], augs: list, name: str | None = None):
     """Iterated connected sum with the combined augmentation (c_j -> -1)."""
     from .augment import Augmentation
-    from .errors import RingMismatch
 
     ring = augs[0].ring
     for aug in augs[1:]:
         if aug.ring != ring:
             raise RingMismatch(f"augmentation rings differ: {ring} vs {aug.ring}")
-    summed, renames, c_names = _connected_sum_parts(summands)
+    summed, renames, c_names = _connected_sum_parts(summands, name)
     values: dict[str, object] = {}
     for j, (aug, rename) in enumerate(zip(augs, renames)):
         values.update((rename.get(k, k), v) for k, v in aug.values.items())
@@ -446,7 +438,6 @@ def geography_dga(i: int, m: int, torsions: list[int]):
     Gradings 0 and 1 are excluded (duality pins them down).
     """
     from .augment import Augmentation
-    from .rings import ZZ
 
     if i in (0, 1):
         raise InvalidParameter("grading 0 and 1 are excluded (duality constraints)")
@@ -461,6 +452,4 @@ def geography_dga(i: int, m: int, torsions: list[int]):
     base, _ = _family_member_for_grading(i)
     ns = [0] * m + list(torsions)
     augs = [Augmentation(ring=ZZ, values=_eps_n_values(base, n)) for n in ns]
-    result, aug = _connected_sum_augmented([base] * len(ns), augs)
-    result = DGA(name=f"geography[{i}]", chords=result.chords, diff=result.diff, tb=result.tb)
-    return result, aug
+    return _connected_sum_augmented([base] * len(ns), augs, f"geography[{i}]")

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import re
 
-from .algebra import T_INV_SYMBOL, T_SYMBOL, Poly, format_poly
+from .algebra import T_INV_SYMBOL, T_SYMBOL, Poly, first_unknown_symbol, format_poly
 from .dga import DGA
 from .errors import DuplicateGenerator, ParseError, UnknownGenerator
 
@@ -305,14 +305,10 @@ def parse(text: str) -> DGA:
         if isinstance(pairs, _LineTokens):
             pairs = _parse_terms(pairs)
         poly = Poly.from_terms(pairs)
-        # If every written symbol is known, so is every one left in the sum;
-        # if not, only those left count, as a term may have cancelled.
-        if not known.issuperset([x for word, _ in pairs for x in word]):
-            for symbol in poly.chord_symbols():
-                if symbol not in declared:
-                    raise UnknownGenerator(
-                        f"undeclared symbol {symbol!r} in d {chord} (line {lineno})"
-                    )
+        # Only symbols left in the sum count: a written term may have cancelled.
+        symbol = first_unknown_symbol(poly, known)
+        if symbol is not None:
+            raise UnknownGenerator(f"undeclared symbol {symbol!r} in d {chord} (line {lineno})")
         diff[chord] = poly
 
     return DGA(name=name, chords=tuple(chords), diff=diff, tb=tb)

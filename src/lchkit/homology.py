@@ -184,7 +184,7 @@ def _factors_of_rows(rows: dict[int, dict[int, int]]) -> list[int]:
     if len(rows) < 2:
         g = gcd(*(x for row in rows.values() for x in row.values()))
         return [g] if g else []
-    A = _SparseMatrix.from_rows(rows)
+    A = _SparseMatrix(rows)
     diagonal = []
     while A.rows:
         r, c = A.pivot()

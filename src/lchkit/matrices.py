@@ -6,13 +6,12 @@ Dense matrices are lists of rows (lists); sparse ones are dicts
 (or Fractions where stated); nothing here ever rounds.  Shapes are not
 always small: connected sums reach hundreds of chords.  Dense `matmul` and
 `identity` serve only `homology.smith_normal_form` and the tests.
-`_SparseMatrix` is the one elimination kernel, over Z or over Z/p;
-`_SparseMatrix.from_rows` loads it straight from sparse rows, which is
-how `homology` reads a complex's boundaries.  `rank_of_rows` counts its
-pivots over Z/p with entries reduced mod p, or over Q after clearing each
-row's denominators, so rank over Q needs no Fraction arithmetic.  The
-dense `rank_rationals` and `rank_mod_p` convert with `sparse_rows` and
-take the same route.
+`_SparseMatrix` is the one elimination kernel, over Z or over Z/p, and
+it is built from sparse rows only, which is how `homology` reads a
+complex's boundaries.  `rank_of_rows` counts its pivots over Z/p with
+entries reduced mod p, or over Q after clearing each row's denominators,
+so rank over Q needs no Fraction arithmetic.  The dense `rank_rationals`
+and `rank_mod_p` convert with `sparse_rows` and take the same route.
 """
 
 from __future__ import annotations
@@ -75,20 +74,13 @@ class _SparseMatrix:
     mix steps serve the integer case alone.
     """
 
-    def __init__(self, M, modulus: int = 0):
-        """From a dense matrix, a list of rows."""
-        self._load(sparse_rows(M).items(), modulus)
-
-    @classmethod
-    def from_rows(cls, rows: dict[int, dict[int, int]], modulus: int = 0) -> "_SparseMatrix":
+    def __init__(self, rows: dict[int, dict[int, int]], modulus: int = 0):
         """From sparse rows ``{i: {j: x}}``; the caller's dicts are not touched.
 
         Rows are taken in index order, so elimination visits them as it
         would the rows of the dense matrix.
         """
-        A = cls.__new__(cls)
-        A._load(((i, rows[i]) for i in sorted(rows)), modulus)
-        return A
+        self._load(((i, rows[i]) for i in sorted(rows)), modulus)
 
     def _load(self, rows, modulus: int) -> None:
         self.modulus = modulus
@@ -248,12 +240,12 @@ def rank_of_rows(rows: dict[int, dict[int, int]], modulus: int | None = None) ->
         entries = [x for row in rows.values() for x in row.values()]
         return int(any(x % modulus for x in entries) if modulus else any(entries))
     if modulus:
-        return _pivot_count(_SparseMatrix.from_rows(rows, modulus))
+        return _pivot_count(_SparseMatrix(rows, modulus))
     cleared = {}
     for i, row in rows.items():
         scale = lcm(*(x.denominator for x in row.values()))
         cleared[i] = {j: x.numerator * (scale // x.denominator) for j, x in row.items()}
-    return _pivot_count(_SparseMatrix.from_rows(cleared))
+    return _pivot_count(_SparseMatrix(cleared))
 
 
 def rank_rationals(M) -> int:

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from lchkit.algebra import evaluate
+from lchkit.algebra import evaluate, gen
 from lchkit.augment import (
     Augmentation,
     enumerate_augmentations,
@@ -12,7 +12,7 @@ from lchkit.augment import (
     parse_augmentation_literal,
     tangent_space_dim,
 )
-from lchkit.dga import DGA, connected_sum, lambda0, lambda_k, unknot
+from lchkit.dga import DGA, connected_sum, lambda0, lambda_k, unknot, validate
 from lchkit.errors import (
     FieldRequired,
     InvalidParameter,
@@ -34,17 +34,20 @@ def eps_n_k(k, n):
     return Augmentation(ZZ, values)
 
 
-def brute_force_augmentations(dga, ring):
+def evaluates_to_zero(dga, ring, values):
+    """Reference route: every differential under `evaluate` is 0 in the ring."""
+    eps = {name: 0 for name, _ in dga.chords}
+    eps.update(values)
+    eps["t"] = -1
+    return all(ring.is_zero(evaluate(dga.differential(c), eps)) for c, _ in dga.chords)
+
+
+def brute_force_augmentations(dga, ring, domain=None):
     """Independent oracle: filter the whole value grid by full evaluation."""
     deg0 = dga.chords_of_degree(0)
     found = []
-    for combo in product(ring.elements(), repeat=len(deg0)):
-        eps = {name: 0 for name, _ in dga.chords}
-        eps.update(dict(zip(deg0, combo)))
-        eps["t"] = -1
-        if all(
-            ring.is_zero(evaluate(dga.differential(c), eps)) for c, _ in dga.chords
-        ):
+    for combo in product(ring.elements() if domain is None else domain, repeat=len(deg0)):
+        if evaluates_to_zero(dga, ring, dict(zip(deg0, combo))):
             found.append(dict(zip(deg0, combo)))
     return found
 
@@ -162,6 +165,14 @@ def test_enumeration_order_is_lexicographic():
     assert tuples == sorted(tuples)
 
 
+# d b = x*y - 1 constrains the grid; c is a closed degree-1 chord.
+CLOSED_DEGREE_ONE = DGA(
+    name="closed-c",
+    chords=(("x", 0), ("y", 0), ("b", 1), ("c", 1)),
+    diff={"b": gen("x") * gen("y") - 1},
+)
+
+
 @pytest.mark.parametrize(
     "dga, ring, bound",
     [
@@ -169,11 +180,18 @@ def test_enumeration_order_is_lexicographic():
         (lambda0(), Zmod(3), None),
         (lambda0(), ZZ, 1),
         (connected_sum(lambda_k(1), lambda0()), Zmod(2), None),
+        (CLOSED_DEGREE_ONE, Zmod(5), None),
+        (CLOSED_DEGREE_ONE, ZZ, 2),
     ],
-    ids=["lambda0-Z/2", "lambda0-Z/3", "lambda0-bound1", "lambda1#lambda0-Z/2"],
+    ids=["lambda0-Z/2", "lambda0-Z/3", "lambda0-bound1", "lambda1#lambda0-Z/2",
+         "closed-c-Z/5", "closed-c-bound2"],
 )
 def test_enumerated_points_are_canonical_and_match_the_grid(dga, ring, bound):
-    """Points built without coercion equal coerced ones; the list is the grid filter."""
+    """Points built without coercion equal coerced ones; the list is the grid filter.
+
+    The filter by `is_augmentation` is also checked against the reference
+    route, which shares no compiled form with the enumerator.
+    """
     if bound is None:
         augs, domain = enumerate_augmentations(dga, ring), ring.elements()
     else:
@@ -183,7 +201,29 @@ def test_enumerated_points_are_canonical_and_match_the_grid(dga, ring, bound):
         assert all(type(v) is int and not ring.is_zero(v) for v in aug.values.values())
     deg0 = dga.chords_of_degree(0)
     grid = (Augmentation(ring, dict(zip(deg0, combo))) for combo in product(domain, repeat=len(deg0)))
-    assert augs == [aug for aug in grid if is_augmentation(dga, aug)]
+    filtered = [aug for aug in grid if is_augmentation(dga, aug)]
+    assert augs == filtered
+    oracle = brute_force_augmentations(dga, ring, domain)
+    assert [dict(aug.values) for aug in filtered] == [
+        {k: v for k, v in sol.items() if v} for sol in oracle
+    ]
+
+
+def test_constant_term_on_a_degree_two_chord_is_checked():
+    """An ill-graded constant on a degree-2 chord fails both routes at every point,
+    also where the degree-1 constraint x^2 = 1 holds."""
+    x = gen("x")
+    d = DGA(
+        name="ill-graded",
+        chords=(("x", 0), ("b", 1), ("e", 2)),
+        diff={"b": x * x - 1, "e": 1 + x * gen("b")},
+    )
+    assert not validate(d).grading_ok
+    for ring in (Zmod(2), Zmod(3), Zmod(5)):
+        assert any(ring.is_zero(v * v - 1) for v in ring.elements())
+        for v in ring.elements():
+            assert not is_augmentation(d, Augmentation(ring, {"x": v}))
+            assert not evaluates_to_zero(d, ring, {"x": v})
 
 
 def test_search_cap():

@@ -1,11 +1,14 @@
+import os
 import random
 import re
+import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import lchkit
 from lchkit.algebra import Poly, gen, t_gen
 from lchkit import dgafile
 from lchkit.dga import DGA, connected_sum, geography_dga, lambda0, lambda_k, unknot, validate
@@ -241,6 +244,37 @@ def test_unknown_generator_messages():
         assert str(info.value) == message
     # Only symbols left in the sum count: terms that cancel name nothing.
     assert parse('dga "x"\ngen a 1\nd a = zz - zz\n').diff == {}
+
+
+# Prints the messages of parse and of the DGA constructor for
+# differentials with several undeclared symbols.
+_NAMING = """
+from lchkit.algebra import gen
+from lchkit.dga import DGA
+from lchkit.dgafile import parse
+for build in (
+    lambda: parse('dga "x"\\ngen a 1\\nd a = xx + yy + zz\\n'),
+    lambda: DGA("x", (("a", 1),), {"a": gen("xx") + gen("yy")}),
+):
+    try:
+        build()
+    except Exception as exc:
+        print(exc)
+"""
+
+
+def test_undeclared_symbol_named_is_the_first_whatever_the_hash_seed():
+    """The first undeclared symbol in term order is named, in every process."""
+    src = os.path.dirname(os.path.dirname(lchkit.__file__))
+    for seed in range(1, 6):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed))
+        proc = subprocess.run(
+            [sys.executable, "-c", _NAMING], capture_output=True, text=True, timeout=30, env=env
+        )
+        assert proc.stdout.splitlines() == [
+            "undeclared symbol 'xx' in d a (line 3)",
+            "differential of 'a' uses undeclared symbol 'xx'",
+        ], (seed, proc.stderr)
 
 
 def test_parse_error_carries_location():

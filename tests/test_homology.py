@@ -343,7 +343,7 @@ def test_empty_and_one_row_boundaries_skip_the_kernel(monkeypatch):
     def no_load(*args, **kwargs):
         raise AssertionError("kernel loaded")
 
-    monkeypatch.setattr(_SparseMatrix, "from_rows", no_load)
+    monkeypatch.setattr(_SparseMatrix, "_load", no_load)
     assert _factors_of_rows({}) == []
     assert rank_of_rows({}) == 0
     for p in RANK_PRIMES:
@@ -391,7 +391,7 @@ def test_sparse_kernel_mod_p_keeps_entries_reduced():
             n = rng.randint(1, 25)
             M = [[_huge_lift(rng, rng.randint(-9, 9), p) if rng.random() < 0.2 else 0
                   for _ in range(n)] for _ in range(m)]
-            A = _SparseMatrix(M, p)
+            A = _SparseMatrix(sparse_rows(M), p)
             rank = 0
             while A.rows:
                 assert all(0 < x < p for row in A.rows.values() for x in row.values())

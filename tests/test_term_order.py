@@ -1,6 +1,6 @@
 """Term order of polynomials built in one pass, against the old folds.
 
-`DGA.compiled` takes its row order from `p.terms`, and that order decides
+`DGA.linear_plan` takes its row order from `p.terms`, and that order decides
 which error fires first, so these tests compare `list(p.terms.items())`,
 not just equal polynomials.  The references below are the arithmetic that
 built each polynomial term by term: dict-level `+` and `*` that drop a
