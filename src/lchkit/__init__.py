@@ -22,7 +22,6 @@ from .algebra import (
     gen,
     mul,
     s_linear_part,
-    substitute,
 )
 from .augment import (
     Augmentation,

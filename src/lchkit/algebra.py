@@ -301,50 +301,6 @@ def mul(p: Poly, q: Poly) -> Poly:
     return p * q
 
 
-def unit_inverse(p: Poly) -> Poly:
-    """Inverse of a unit.  Units of the free ring are +-(t^k), k in Z."""
-    terms = list(p._terms.items())
-    if len(terms) != 1:
-        raise NotAUnit(f"{p} is not a unit")
-    word, coeff = terms[0]
-    if coeff not in (1, -1) or any(not is_basepoint(x) for x in word):
-        raise NotAUnit(f"{p} is not a unit")
-    inv_word = tuple(
-        T_SYMBOL if x == T_INV_SYMBOL else T_INV_SYMBOL for x in reversed(word)
-    )
-    return Poly({inv_word: coeff})
-
-
-def substitute(p: Poly, images: Mapping[str, Poly | int]) -> Poly:
-    """Apply the unital ring homomorphism sending generators to `images`.
-
-    Every chord symbol occurring in p needs an image; t defaults to itself.
-    If t^-1 occurs, the image of t must be a unit.
-    """
-    image_polys: dict[str, Poly] = {}
-    for name, value in images.items():
-        image_polys[name] = value if isinstance(value, Poly) else Poly.constant(value)
-    t_image = image_polys.get(T_SYMBOL, t_gen)
-    t_inv_image: Poly | None = None
-
-    pairs: list[tuple[tuple[str, ...], int]] = []
-    for word, coeff in p._terms.items():
-        factor = Poly.constant(coeff)
-        for x in word:
-            if x == T_SYMBOL:
-                factor = factor * t_image
-            elif x == T_INV_SYMBOL:
-                if t_inv_image is None:
-                    t_inv_image = unit_inverse(t_image)
-                factor = factor * t_inv_image
-            else:
-                if x not in image_polys:
-                    raise UnknownGenerator(f"no substitution image for {x!r}")
-                factor = factor * image_polys[x]
-        pairs.extend(factor._terms.items())
-    return Poly.from_terms(pairs)
-
-
 def _scalar_for(symbol: str, eps: Mapping[str, object]):
     """Value of a symbol under eps; t^-1 maps to the inverse of eps[t]."""
     if symbol == T_SYMBOL or symbol == T_INV_SYMBOL:

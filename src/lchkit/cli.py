@@ -22,13 +22,7 @@ from .augment import (
 )
 from .dga import DGA, geography_dga, lambda0, lambda_k, unknot, validate
 from .errors import LchError
-from .homology import (
-    GradedHomology,
-    bockstein,
-    field_homology,
-    from_orders,
-    integral_homology,
-)
+from .homology import bockstein, field_homology, from_orders, integral_homology
 from .linearize import linearized_differential
 from .rings import QQ, ZZ, RingDesc
 from .verify import filling_obstruction, sabloff_check, torsion_scan
@@ -120,13 +114,10 @@ def cmd_augs(args) -> int:
     return 0
 
 
-def _homology_text(dims_or_groups, ring: RingDesc) -> str:
-    if isinstance(dims_or_groups, GradedHomology):
-        report = dims_or_groups.format_report()
-        return report if report else "LCH = 0"
+def _field_homology_text(dims: dict[int, int], ring: RingDesc) -> str:
     lines = []
-    for d in sorted(dims_or_groups, reverse=True):
-        dim = dims_or_groups[d]
+    for d in sorted(dims, reverse=True):
+        dim = dims[d]
         base = "Q" if ring == QQ else f"({ring})"
         power = "" if dim == 1 else f"^{dim}"
         lines.append(f"H_{d} = {base}{power}")
@@ -141,7 +132,7 @@ def cmd_homology(args) -> int:
     if aug.ring == ZZ:
         homology = integral_homology(complex_)
         obj = {"dga": dga.name, "ring": "Z", "homology": homology.to_json_obj()}
-        _emit(args, obj, _homology_text(homology, ZZ))
+        _emit(args, obj, homology.format_report() or "LCH = 0")
     else:
         dims = field_homology(complex_, aug.ring)
         obj = {
@@ -149,7 +140,7 @@ def cmd_homology(args) -> int:
             "ring": str(aug.ring),
             "dims": {str(d): v for d, v in sorted(dims.items(), reverse=True)},
         }
-        _emit(args, obj, _homology_text(dims, aug.ring))
+        _emit(args, obj, _field_homology_text(dims, aug.ring))
     return 0
 
 

@@ -21,8 +21,14 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import algebra
-from .algebra import Poly, degree_of_word, first_unknown_symbol, gen, substitute, t_gen
-from .errors import InvalidParameter, RingMismatch, UnknownGenerator, ValidationFailed
+from .algebra import Poly, degree_of_word, first_unknown_symbol, format_monomial, gen, t_gen
+from .errors import (
+    InvalidParameter,
+    NotAUnit,
+    RingMismatch,
+    UnknownGenerator,
+    ValidationFailed,
+)
 from .rings import ZZ
 
 _RESERVED = (algebra.T_SYMBOL, algebra.T_INV_SYMBOL)
@@ -331,7 +337,13 @@ def _connected_sum_parts(
     :func:`connected_sum` from the left; the sum is called `name` if given.
     Composing the basepoint substitutions of the fold, summand 1 gets
     t -> c_1, summand j gets t -> -c_j*c_{j-1}, and the last gets
-    t -> -t*c_{n-1}.  Each distinct summand object is validated once.
+    t -> -t*c_{n-1}.  So every letter's image is one signed word, and each
+    differential is rebuilt by renaming its words: the map is injective
+    and makes no t^-1, so term j of the summand's differential becomes
+    term j of the sum's.  A t^-1 raises NotAUnit: with two or more
+    summands no image of t is a unit, and the one caller that may pass a
+    single summand, geography_dga, sums family members without t^-1.
+    Each distinct summand object is validated once.
     """
     for d in {id(d): d for d in summands}.values():
         if not validate(d).ok:
@@ -352,14 +364,26 @@ def _connected_sum_parts(
         renames.append(rename)
         c_names.append(c_name)
 
-    cs = [gen(name) for name in c_names]
+    heads = c_names + [algebra.T_SYMBOL]
     diff: dict[str, Poly] = {}
     for j, (d, rename) in enumerate(zip(summands, renames)):
-        head = cs[j] if j < len(cs) else t_gen
-        images: dict[str, Poly] = {name: gen(rename[name]) for name in d.chord_names()}
-        images[algebra.T_SYMBOL] = head if j == 0 else -(head * cs[j - 1])
-        for chord, p in d.diff.items():
-            diff[rename[chord]] = substitute(p, images)
+        t_image = ((heads[j], c_names[j - 1]), -1) if j else ((heads[j],), 1)
+        images = {x: ((new,), 1) for x, new in rename.items()}
+        images[algebra.T_SYMBOL] = t_image
+        try:
+            for chord, p in d.diff.items():
+                pairs = []
+                for word, coeff in p.terms.items():
+                    new_word: list[str] = []
+                    for x in word:
+                        letters, sign = images[x]
+                        new_word += letters
+                        coeff *= sign
+                    pairs.append((new_word, coeff))
+                diff[rename[chord]] = Poly.from_terms(pairs)
+        except KeyError:
+            # Every chord has an image, so the letter is a t^-1.
+            raise NotAUnit(f"{format_monomial(*t_image)} is not a unit") from None
 
     if name is None:
         name = "#".join(d.name for d in summands)
@@ -408,13 +432,13 @@ def connected_sum_augmented(d1: DGA, aug1, d2: DGA, aug2):
 # ----------------------------------------------------------------------
 
 
-def _family_member_for_grading(i: int) -> tuple[DGA, int]:
+def _family_member_for_grading(i: int) -> DGA:
     """Family member whose eps_n torsion slot sits in grading i (i != 0, 1)."""
     if i > 1:
-        return lambda_k(i), i
+        return lambda_k(i)
     if i == -1:
-        return lambda0(), -1
-    return lambda_k(-i - 1), i
+        return lambda0()
+    return lambda_k(-i - 1)
 
 
 def _eps_n_values(base: DGA, n: int) -> dict[str, int]:
@@ -449,7 +473,7 @@ def geography_dga(i: int, m: int, torsions: list[int]):
     if m + len(torsions) < 1:
         raise InvalidParameter("need at least one summand")
 
-    base, _ = _family_member_for_grading(i)
+    base = _family_member_for_grading(i)
     ns = [0] * m + list(torsions)
     augs = [Augmentation(ring=ZZ, values=_eps_n_values(base, n)) for n in ns]
     return _connected_sum_augmented([base] * len(ns), augs, f"geography[{i}]")

@@ -269,18 +269,22 @@ def torsion_scan(
     """Dimension classes over each Z/p, plus integral torsion at |values| <= bound.
 
     Each prime is scanned once, in order of first occurrence, and every one
-    is checked to be prime before any enumeration starts.
+    is checked to be prime before any enumeration starts.  Every grid (each
+    prime's, then the bounded one) is enumerated before any point is
+    linearized, so a bad bound or an oversized grid fails before any homology.
     """
     rings = [Zmod(p) for p in dict.fromkeys(primes)]
     for ring in rings:
         if not ring.is_field:
             raise FieldRequired(f"{ring.modulus} is not prime")
+    grids = [enumerate_augmentations(dga, ring, cap=cap) for ring in rings]
+    bounded = [] if bound is None else enumerate_augmentations_bounded(dga, bound, cap=cap)
     prime_classes: dict[int, tuple[DimClass, ...]] = {}
     flagged = []
-    for ring in rings:
+    for ring, grid in zip(rings, grids):
         p = ring.modulus
         groups: dict[tuple, list[Augmentation]] = {}
-        for aug in enumerate_augmentations(dga, ring, cap=cap):
+        for aug in grid:
             dims = _field_dims(dga, aug)
             key = tuple(sorted(dims.items()))
             groups.setdefault(key, []).append(aug)
@@ -294,18 +298,17 @@ def torsion_scan(
 
     integral: list[tuple[str, tuple]] = []
     torsion_free = 0
-    if bound is not None:
-        for aug in enumerate_augmentations_bounded(dga, bound, cap=cap):
-            homology = integral_homology(linearized_differential(dga, aug))
-            torsion = tuple(
-                (d, homology.group(d).torsion)
-                for d in homology.degrees()
-                if homology.group(d).torsion
-            )
-            if torsion:
-                integral.append((aug.literal(), torsion))
-            else:
-                torsion_free += 1
+    for aug in bounded:
+        homology = integral_homology(linearized_differential(dga, aug))
+        torsion = tuple(
+            (d, homology.group(d).torsion)
+            for d in homology.degrees()
+            if homology.group(d).torsion
+        )
+        if torsion:
+            integral.append((aug.literal(), torsion))
+        else:
+            torsion_free += 1
     return TorsionScanReport(
         dga_name=dga.name,
         prime_classes=prime_classes,

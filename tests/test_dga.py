@@ -1,9 +1,10 @@
 import pytest
 
-from lchkit.algebra import Poly, gen, t_gen
+from lchkit.algebra import Poly, gen, t_gen, t_inv_gen
 from lchkit.augment import Augmentation
 from lchkit.dga import (
     DGA,
+    _connected_sum_parts,
     connected_sum,
     connected_sum_augmented,
     differentiate,
@@ -14,7 +15,7 @@ from lchkit.dga import (
     unknot,
     validate,
 )
-from lchkit.errors import InvalidParameter, UnknownGenerator, ValidationFailed
+from lchkit.errors import InvalidParameter, NotAUnit, UnknownGenerator, ValidationFailed
 from lchkit.homology import integral_homology
 from lchkit.linearize import linearized_differential
 from lchkit.rings import ZZ
@@ -234,6 +235,20 @@ def test_geography_equals_fold_of_pairwise_sums(monkeypatch):
             assert g.chords == folded.chords
             assert g.diff == folded.diff
             assert aug == folded_aug
+
+
+def test_sums_reject_t_inverse():
+    """The image of t is c, -c#2*c or -t*c in a sum, none of them a unit."""
+    x = DGA("tinv", (("a", 1), ("b", 0)), {"a": t_inv_gen * gen("b") + 1 + t_gen})
+    assert validate(x).ok
+    for summands, message in (
+        ([x, unknot()], "c is not a unit"),
+        ([unknot(), x, unknot()], "-c#2*c is not a unit"),
+        ([unknot(), x], "-t*c is not a unit"),
+    ):
+        with pytest.raises(NotAUnit) as err:
+            _connected_sum_parts(summands)
+        assert str(err.value) == message
 
 
 def test_geography_rejects_bad_gradings():

@@ -210,7 +210,7 @@ def test_long_differential_line_validates_in_linear_time():
 
 
 def test_long_differential_line_substitutes_in_linear_time():
-    # connected_sum substitutes t -> c into all 32768 terms t*b_i of d z.
+    # connected_sum rewrites t -> c in all 32768 terms t*b_i of d z.
     dga = parse(_long_line_doc(32768, "t*b{}", "gen z 1\n"))
     start = time.perf_counter()
     summed = connected_sum(dga, unknot())

@@ -4,18 +4,18 @@
 which error fires first, so these tests compare `list(p.terms.items())`,
 not just equal polynomials.  The references below are the arithmetic that
 built each polynomial term by term: dict-level `+` and `*` that drop a
-word when its sum reaches 0, the folding `substitute`, and the
-product-and-fold Leibniz rule.
+word when its sum reaches 0, the folding ring map `ref_substitute`, and the
+product-and-fold Leibniz rule.  Connected sums are built by renaming
+words; `ref_substitute` is kept here only as their reference.
 """
 
 import random
 
-import pytest
-
 import lchkit.dga as dga_module
-from lchkit.algebra import Poly, substitute, t_gen, t_inv_gen
+from lchkit.algebra import Poly
 from lchkit.augment import Augmentation
 from lchkit.dga import (
+    _connected_sum_parts,
     connected_sum,
     connected_sum_augmented,
     differentiate,
@@ -137,53 +137,40 @@ def test_arithmetic_keeps_the_term_order_of_the_folds():
         assert items(p * q) == items(ref_mul(p.terms, q.terms))
 
 
-def test_substitute_keeps_the_term_order_of_the_fold():
-    rng = random.Random(71)
-    chords = ["a1", "a2", "a3"]
-    for _ in range(400):
-        p = Poly.from_terms(random_terms(rng, chords + ["t", "t^-1"]))
-        images = {x: Poly.from_terms(random_terms(rng, chords + ["t"], 3, 3)) for x in chords}
-        units = [t_gen, -t_gen, Poly.constant(-1), t_inv_gen]
-        non_units = [] if "t^-1" in p.symbols() else [-(t_gen * images["a1"]), images["a2"]]
-        images["t"] = rng.choice(units + non_units)
-        assert items(substitute(p, images)) == items(ref_substitute(p.terms, images))
-
-
 def _eps(dga, n):
     return Augmentation(ZZ, dga_module._eps_n_values(dga, n))
 
 
 def _dgas():
+    """Each DGA with the summands it was summed from (none for a family member)."""
     base = [lambda0(), lambda_k(1), lambda_k(2), lambda_k(3)]
-    yield from base
+    for d in base:
+        yield d, []
     for d1 in base:
         for d2 in base:
-            yield connected_sum(d1, d2)
-    yield connected_sum_augmented(base[0], _eps(base[0], 2), base[2], _eps(base[2], 3))[0]
+            yield connected_sum(d1, d2), [d1, d2]
+    summed = connected_sum_augmented(base[0], _eps(base[0], 2), base[2], _eps(base[2], 3))[0]
+    yield summed, [base[0], base[2]]
     for i, m, orders in ((-1, 1, [2, 6]), (2, 0, [3, 4]), (3, 2, [5]), (-4, 1, [2])):
-        yield geography_dga(i, m, orders)[0]
+        summands = [dga_module._family_member_for_grading(i)] * (m + len(orders))
+        yield geography_dga(i, m, orders)[0], summands
 
 
-@pytest.fixture
-def checked_substitute(monkeypatch):
-    """Make every substitute inside lchkit.dga check itself against the fold."""
-    real = dga_module.substitute
-    seen = []
-
-    def checked(p, images):
-        out = real(p, images)
-        assert items(out) == items(ref_substitute(p.terms, images))
-        seen.append(p)
-        return out
-
-    monkeypatch.setattr(dga_module, "substitute", checked)
-    return seen
-
-
-def test_sums_and_differentials_keep_the_term_order_of_the_folds(checked_substitute):
+def test_sums_and_differentials_keep_the_term_order_of_the_folds():
     rng = random.Random(5)
     count = 0
-    for dga in _dgas():
+    sum_diffs = 0
+    for dga, summands in _dgas():
+        if summands:
+            # The fold's ring map: renamed chords, t -> c_1, -c_j*c_{j-1} or -t*c_{n-1}.
+            _, renames, c_names = _connected_sum_parts(summands)
+            heads = [Poly.gen(c) for c in c_names] + [Poly.gen("t")]
+            for j, (d, rename) in enumerate(zip(summands, renames)):
+                images = {x: Poly.gen(new) for x, new in rename.items()}
+                images["t"] = -(heads[j] * heads[j - 1]) if j else heads[0]
+                for chord, p in d.diff.items():
+                    assert items(dga.diff[rename[chord]]) == items(ref_substitute(p.terms, images))
+                    sum_diffs += 1
         names = dga.chord_names()
         for chord, p in dga.diff.items():
             assert items(differentiate(dga, p)) == []
@@ -196,4 +183,4 @@ def test_sums_and_differentials_keep_the_term_order_of_the_folds(checked_substit
             assert items(dq) == items(ref_differentiate(dga, q.terms))
             count += bool(dq)
     assert count > 200
-    assert len(checked_substitute) > 100
+    assert sum_diffs > 100

@@ -3,7 +3,7 @@ import pytest
 from lchkit.algebra import Poly, t_gen
 from lchkit.augment import Augmentation, enumerate_augmentations
 from lchkit.dga import DGA, connected_sum, lambda0, lambda_k, unknot
-from lchkit.errors import FieldRequired, RingMismatch
+from lchkit.errors import FieldRequired, InvalidParameter, RingMismatch, SearchTooLarge
 from lchkit.rings import QQ, ZZ, Zmod
 from lchkit.verify import (
     Positivity,
@@ -158,6 +158,24 @@ def test_torsion_scan_lambda2_case_split():
 def test_torsion_scan_rejects_composite():
     with pytest.raises(FieldRequired):
         torsion_scan(lambda0(), [4])
+
+
+def test_torsion_scan_checks_every_grid_before_any_homology(monkeypatch):
+    import lchkit.verify as verify_module
+
+    calls = []
+    real = verify_module.linearized_differential
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(verify_module, "linearized_differential", counting)
+    with pytest.raises(InvalidParameter, match="bound must be >= 0"):
+        torsion_scan(lambda0(), [2, 3, 5], bound=-1)
+    with pytest.raises(SearchTooLarge, match=r"5\^6 assignments exceeds cap 1000"):
+        torsion_scan(lambda0(), [2, 3, 5], bound=1, cap=1000)
+    assert calls == []
 
 
 def test_additivity_examples():
