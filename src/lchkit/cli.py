@@ -21,7 +21,7 @@ from .augment import (
     parse_augmentation_literal,
 )
 from .dga import DGA, geography_dga, lambda0, lambda_k, unknot, validate
-from .errors import LchError
+from .errors import InvalidParameter, LchError
 from .homology import bockstein, field_homology, from_orders, integral_homology
 from .linearize import linearized_differential
 from .rings import QQ, ZZ, RingDesc
@@ -35,7 +35,12 @@ def load_dga(source: str) -> DGA:
     if m:
         if m.group(1) == "unknot":
             return unknot()
-        k = int(m.group(2))
+        try:
+            k = int(m.group(2))
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise InvalidParameter(
+                f"builtin:lambda<k> index of {len(m.group(2))} digits is too long"
+            ) from None
         return lambda0() if k == 0 else lambda_k(k)
     return dgafile.parse(dgafile.read_document(source))
 

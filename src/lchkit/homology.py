@@ -3,10 +3,11 @@
 Every integral invariant here is read off from invariant factors alone.
 ker M_d is a direct summand of C_d (its quotient embeds in the free group
 C_{d-1}), so H_d = Z^(n_d - rk M_d - rk M_{d+1}) plus one Z/f for each
-invariant factor f > 1 of M_{d+1}; and the mod-2 Bockstein
-H_d(Z/2) -> H_{d-1}(Z/2) has rank #{invariant factors f of M_d with
-f = 2 mod 4}.  The sparse elimination kernel `matrices._SparseMatrix`
-gets them without transforms, straight from the complex's sparse rows;
+invariant factor f > 1 of M_{d+1}.  The mod-2 Bockstein
+H_d(Z/2) -> H_{d-1}(Z/2) is read from that integral homology: its rank
+is #{orders f of H_{d-1}(Z) with f = 2 mod 4}.  The sparse elimination
+kernel `matrices._SparseMatrix` gets the invariant factors without
+transforms, straight from the complex's sparse rows;
 `invariant_factors` is the same route for a dense matrix, and the dense
 `smith_normal_form` keeps U and V for callers that need them.  Field
 dimensions read each boundary's rank once by the same kernel
@@ -385,16 +386,13 @@ def bockstein(C: ChainComplex) -> dict[int, int]:
     beta is the connecting map onto the elements of order at most 2 in
     H_{d-1}(Z), followed by reduction mod 2; a summand Z/f of H_{d-1}(Z)
     contributes rank one exactly when f = 2 mod 4 (Hatcher, Algebraic
-    Topology, 3.E).  H_{d-1}(Z) has one Z/f per invariant factor f > 1 of M_d.
+    Topology, 3.E).  So the ranks are read from `integral_homology`.
     """
     if C.ring != ZZ:
         raise RingMismatch("the Bockstein lift needs an integer complex")
-    ranks: dict[int, int] = {}
-    for d in C.degrees():
-        rank = sum(1 for f in _factors_of_rows(C.rows_of(d)) if f % 4 == 2)
-        if rank:
-            ranks[d] = rank
-    return ranks
+    groups = sorted(integral_homology(C).groups.items())
+    ranks = {d + 1: sum(1 for f in g.torsion if f % 4 == 2) for d, g in groups}
+    return {d: r for d, r in ranks.items() if r}
 
 
 def uct_check(H: GradedHomology, p: int, dims: dict[int, int]) -> bool:

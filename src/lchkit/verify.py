@@ -5,7 +5,11 @@ homology can look like: Sabloff duality over fields, the rigidity of
 knots with all chords in nonnegative degree, the dimension obstruction to
 a filling inducing an augmentation, torsion evidence scans over several
 primes, and additivity of homology under connected sums away from
-degrees 0 and 1.
+degrees 0 and 1.  Each report keeps what was measured and reads its
+verdict from one rule.  The filling group (Z in degree 1, Z^{tb+1} in
+degree 0) is one helper: positivity compares LCH with it, and the
+obstruction, which fires outright on even tb and on odd tb < -1, needs
+the total dimension to be its rank tb + 2.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from .augment import (
 )
 from .dga import DGA, connected_sum_augmented
 from .errors import FieldRequired, RingMismatch
-from .homology import HomologyGroup, field_homology, integral_homology
+from .homology import GradedHomology, HomologyGroup, field_homology, integral_homology
 from .linearize import linearized_differential
 from .rings import ZZ, Zmod
 
@@ -32,9 +36,24 @@ def _field_dims(dga: DGA, aug: Augmentation) -> dict[int, int]:
     return field_homology(complex_, aug.ring)
 
 
+def _filling_homology(tb: int) -> GradedHomology:
+    """The LCH a filling forces: Z in degree 1, plus Z^{tb+1} in degree 0 when tb + 1 > 0."""
+    return GradedHomology(
+        {1: HomologyGroup(free_rank=1), 0: HomologyGroup(free_rank=max(tb + 1, 0))}
+    )
+
+
 # ----------------------------------------------------------------------
 # Sabloff duality
 # ----------------------------------------------------------------------
+
+
+def _duality_rows(dims: dict[int, int]):
+    """(i, dim_i, dim_{-i}, holds) for i = 0, 1 and each |degree| that occurs;
+    duality wants dim_i - dim_{-i} to be 1 at i = 1 and 0 at every other i."""
+    for i in sorted({0, 1, *(abs(d) for d in dims)}):
+        a, b = dims.get(i, 0), dims.get(-i, 0)
+        yield i, a, b, a - b == (1 if i == 1 else 0)
 
 
 @dataclass(frozen=True)
@@ -47,18 +66,25 @@ class DualityReport:
 
     field_name: str
     dims: dict[int, int]
-    pairs: tuple[tuple[int, int, int], ...]  # (i, dim_i, dim_{-i}) for i = 0, 1 and each |degree|
-    duality_ok: bool
-    degree1_excess: int
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int, int], ...]:
+        return tuple((i, a, b) for i, a, b, _ in _duality_rows(self.dims))
+
+    @property
+    def duality_ok(self) -> bool:
+        return all(holds for *_, holds in _duality_rows(self.dims))
+
+    @property
+    def degree1_excess(self) -> int:
+        return self.dims.get(1, 0) - self.dims.get(-1, 0)
 
     def format_report(self) -> str:
         lines = [f"field {self.field_name}"]
-        for i, a, b in self.pairs:
-            mark = "" if (a == b if i != 1 else a == b + 1) else "  <-- mismatch"
+        for i, a, b, holds in _duality_rows(self.dims):
+            mark = "" if holds else "  <-- mismatch"
             lines.append(f"dim_{i} = {a}   dim_{-i} = {b}{mark}")
-        lines.append(
-            "duality holds" if self.duality_ok else "duality FAILS"
-        )
+        lines.append("duality holds" if self.duality_ok else "duality FAILS")
         return "\n".join(lines)
 
     def to_json_obj(self) -> dict:
@@ -72,24 +98,7 @@ class DualityReport:
 
 def sabloff_check(dga: DGA, aug: Augmentation) -> DualityReport:
     """Dimension symmetry dim_i = dim_{-i} (i != 1), dim_1 = dim_{-1} + 1."""
-    dims = _field_dims(dga, aug)
-    pairs = []
-    ok = True
-    for i in sorted({0, 1, *(abs(d) for d in dims)}):
-        a = dims.get(i, 0)
-        b = dims.get(-i, 0)
-        pairs.append((i, a, b))
-        if i == 1:
-            ok = ok and a == b + 1
-        else:
-            ok = ok and a == b
-    return DualityReport(
-        field_name=str(aug.ring),
-        dims=dims,
-        pairs=tuple(pairs),
-        duality_ok=ok,
-        degree1_excess=dims.get(1, 0) - dims.get(-1, 0),
-    )
+    return DualityReport(field_name=str(aug.ring), dims=_field_dims(dga, aug))
 
 
 # ----------------------------------------------------------------------
@@ -104,8 +113,8 @@ class Positivity(enum.Enum):
 
 
 def positivity_check(dga: DGA, aug: Augmentation) -> Positivity:
-    """For all-nonnegative gradings, LCH must be Z in degree 1 and
-    Z^{tb+1} in degree 0, nothing else.
+    """For all-nonnegative gradings, LCH must be the filling group:
+    Z in degree 1 and Z^{tb+1} in degree 0, nothing else.
 
     Returns NOT_APPLICABLE when some chord has negative grading.  The
     augmentation must be integer-valued (the statement is integral).
@@ -115,11 +124,7 @@ def positivity_check(dga: DGA, aug: Augmentation) -> Positivity:
     if any(deg < 0 for _, deg in dga.chords):
         return Positivity.NOT_APPLICABLE
     homology = integral_homology(linearized_differential(dga, aug))
-    tb = dga.tb_value()
-    expected = {1: HomologyGroup(free_rank=1)}
-    if tb + 1 > 0:
-        expected[0] = HomologyGroup(free_rank=tb + 1)
-    matches = homology.groups == expected
+    matches = homology == _filling_homology(dga.tb_value())
     return Positivity.HOLDS if matches else Positivity.FAILS
 
 
@@ -132,11 +137,12 @@ def positivity_check(dga: DGA, aug: Augmentation) -> Positivity:
 class ObstructionVerdict:
     """Total field dimension of LCH vs. what a filling would force.
 
-    A filling of a knot with odd tb is a once-punctured genus-(tb+1)/2
-    surface, so relative homology has total dimension tb + 2 and the
-    Seidel isomorphism forces the LCH dimensions to add up to exactly
-    that.  `geometric_possible` False is conclusive; True only means this
-    obstruction is silent.  Even tb admits no orientable filling at all.
+    A filling of a knot with odd tb >= -1 is a once-punctured
+    genus-(tb+1)/2 surface, so the Seidel isomorphism forces the filling
+    group, and the dimensions must add up to its rank tb + 2.  Even tb (no
+    orientable filling) and odd tb < -1 (negative genus) leave
+    `expected_filling_dim` None.  `geometric_possible` False is
+    conclusive; True only means this obstruction is silent.
     """
 
     field_name: str
@@ -165,30 +171,28 @@ class ObstructionVerdict:
 
 
 def filling_obstruction(dga: DGA, aug: Augmentation) -> ObstructionVerdict:
-    dims = _field_dims(dga, aug)
-    total = sum(dims.values())
+    total = sum(_field_dims(dga, aug).values())
     tb = dga.tb_value()
+    genus, expected = (tb + 1) // 2, None
     if tb % 2 == 0:
-        return ObstructionVerdict(
-            field_name=str(aug.ring),
-            total_dim=total,
-            expected_filling_dim=None,
-            geometric_possible=False,
-            reason=f"tb = {tb} is even: 2g - 1 = tb has no integer solution, "
-            "so no orientable exact filling exists",
+        reason = (
+            f"tb = {tb} is even: 2g - 1 = tb has no integer solution, "
+            "so no orientable exact filling exists"
         )
-    expected = tb + 2
-    possible = total == expected
-    reason = (
-        "dimension matches a once-punctured genus-%d filling" % ((tb + 1) // 2)
-        if possible
-        else f"total dimension {total} != {expected} forced by the Seidel isomorphism"
-    )
+    elif genus < 0:
+        reason = f"tb = {tb}: the genus (tb+1)/2 = {genus} is negative, so no exact filling exists"
+    else:
+        expected = sum(g.free_rank for g in _filling_homology(tb).groups.values())
+        reason = (
+            f"dimension matches a once-punctured genus-{genus} filling"
+            if total == expected
+            else f"total dimension {total} != {expected} forced by the Seidel isomorphism"
+        )
     return ObstructionVerdict(
         field_name=str(aug.ring),
         total_dim=total,
         expected_filling_dim=expected,
-        geometric_possible=possible,
+        geometric_possible=total == expected,
         reason=reason,
     )
 
@@ -216,10 +220,13 @@ class TorsionScanReport:
 
     dga_name: str
     prime_classes: dict[int, tuple[DimClass, ...]]
-    flagged_primes: tuple[int, ...]
     bound: int | None
     integral_torsion: tuple[tuple[str, tuple[tuple[int, tuple[int, ...]], ...]], ...]
     torsion_free_count: int
+
+    @property
+    def flagged_primes(self) -> tuple[int, ...]:
+        return tuple(p for p, classes in self.prime_classes.items() if len(classes) > 1)
 
     def format_report(self) -> str:
         lines = [f"torsion scan: {self.dga_name}"]
@@ -280,21 +287,16 @@ def torsion_scan(
     grids = [enumerate_augmentations(dga, ring, cap=cap) for ring in rings]
     bounded = [] if bound is None else enumerate_augmentations_bounded(dga, bound, cap=cap)
     prime_classes: dict[int, tuple[DimClass, ...]] = {}
-    flagged = []
     for ring, grid in zip(rings, grids):
-        p = ring.modulus
         groups: dict[tuple, list[Augmentation]] = {}
         for aug in grid:
             dims = _field_dims(dga, aug)
             key = tuple(sorted(dims.items()))
             groups.setdefault(key, []).append(aug)
-        classes = tuple(
+        prime_classes[ring.modulus] = tuple(
             DimClass(dims=key, count=len(augs), example=augs[0].literal())
             for key, augs in sorted(groups.items())
         )
-        prime_classes[p] = classes
-        if len(classes) > 1:
-            flagged.append(p)
 
     integral: list[tuple[str, tuple]] = []
     torsion_free = 0
@@ -312,7 +314,6 @@ def torsion_scan(
     return TorsionScanReport(
         dga_name=dga.name,
         prime_classes=prime_classes,
-        flagged_primes=tuple(flagged),
         bound=bound,
         integral_torsion=tuple(integral),
         torsion_free_count=torsion_free,

@@ -6,7 +6,8 @@ import sys
 import pytest
 
 import lchkit
-from lchkit.cli import run
+from lchkit.cli import load_dga, run
+from lchkit.dga import lambda_k
 from lchkit.dgafile import MAX_DOCUMENT_BYTES, MAX_WORD_LETTERS, parse
 from lchkit.homology import GradedHomology
 
@@ -228,6 +229,23 @@ def test_validate_builtin_and_bad_file(tmp_path, capsys):
     assert "INVALID" in out and "a" in out
 
 
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this interpreter converts integers of any length",
+)
+def test_overlong_builtin_index_is_an_error(capsys):
+    digits = "9" * (sys.get_int_max_str_digits() + 700)
+    code, out, err = invoke(capsys, "validate", f"builtin:lambda{digits}")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: builtin:lambda<k> index of {len(digits)} digits is too long\n"
+
+
+def test_builtin_index_digits():
+    assert load_dga("builtin:lambda007") == lambda_k(7)
+    assert load_dga("builtin:lambda\u0663") == lambda_k(3)  # ARABIC-INDIC DIGIT THREE
+
+
 def test_validate_parse_error_exits_2(tmp_path, capsys):
     bad = tmp_path / "syntax.dga"
     bad.write_text('dga "x"\ngen a 1\nd a = a *\n', encoding="utf-8")
@@ -272,8 +290,6 @@ def test_builtin_emission_round_trips(tmp_path, capsys):
     out_file = tmp_path / "l2.dga"
     code, _, _ = invoke(capsys, "builtin", "lambda_k", "--k", "2", "--out", str(out_file))
     assert code == 0
-    from lchkit.dga import lambda_k
-
     assert parse(out_file.read_text(encoding="utf-8")) == lambda_k(2)
     code, out, _ = invoke(capsys, "builtin", "unknot")
     assert code == 0
@@ -297,12 +313,43 @@ def test_augs_json_parses_back(capsys):
     assert obj["augmentations"][0]["ring"] == "Z/3"
 
 
+EPS_2 = "a1=2,a2=-1,a3=1,a6=1"
+
+
+def assert_pinned(capsys, argv, code, lines, obj):
+    """`lch argv` prints exactly `lines`, and with --json exactly `obj`."""
+    assert invoke(capsys, *argv) == (code, "\n".join(lines) + "\n", "")
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    assert invoke(capsys, *argv, "--json") == (code, text, "")
+
+
 def test_duality_exit_codes(capsys):
-    code, out, _ = invoke(
-        capsys, "duality", "builtin:lambda0", "--aug", "a1=2,a2=-1,a3=1,a6=1", "--field", "Z/2"
-    )
-    assert code == 0
-    assert "duality holds" in out
+    table = [
+        (
+            ["builtin:lambda0", "--aug", EPS_2, "--field", "Z/2"],
+            0,
+            ["field Z/2", "dim_0 = 4   dim_0 = 4", "dim_1 = 2   dim_-1 = 1", "duality holds"],
+            {"degree1_excess": 1, "dims": {"1": 2, "0": 4, "-1": 1}, "duality_ok": True, "field": "Z/2"},
+        ),
+        (
+            ["builtin:lambda0", "--aug", EPS_2, "--field", "Q"],
+            0,
+            ["field Q", "dim_0 = 2   dim_0 = 2", "dim_1 = 1   dim_-1 = 0", "duality holds"],
+            {"degree1_excess": 1, "dims": {"1": 1, "0": 2}, "duality_ok": True, "field": "Q"},
+        ),
+    ]
+    for argv, code, lines, obj in table:
+        assert_pinned(capsys, ["duality", *argv], code, lines, obj)
+
+
+def test_duality_and_obstruction_need_a_field(capsys):
+    for command in ("duality", "obstruction"):
+        for ring in ("Z", "Z/4"):
+            for json_flag in ([], ["--json"]):
+                argv = [command, "builtin:lambda0", "--aug", EPS_2, "--field", ring, *json_flag]
+                assert invoke(capsys, *argv) == (
+                    2, "", f"error: a field augmentation is required, got {ring}\n"
+                )
 
 
 def test_scan(capsys):
@@ -341,27 +388,80 @@ def test_scan_rejects_a_composite_before_enumerating(capsys, monkeypatch):
 
 
 def test_bockstein(capsys):
-    code, out, _ = invoke(
-        capsys, "bockstein", "builtin:lambda0", "--aug", "a1=2,a2=-1,a3=1,a6=1"
-    )
-    assert code == 0
-    assert "rank 1" in out
-    code, out, _ = invoke(
-        capsys, "bockstein", "builtin:lambda0", "--aug", "a1=3,a2=-1,a3=1,a6=1"
-    )
-    assert code == 0
-    assert "beta = 0" in out
+    table = [
+        (
+            EPS_2,
+            [
+                "beta: H_1(Z/2) -> H_0(Z/2) has rank 1",
+                "beta: H_0(Z/2) -> H_-1(Z/2) has rank 1",
+            ],
+            {"bockstein_ranks": {"1": 1, "0": 1}, "dga": "lambda0"},
+        ),
+        ("a1=3,a2=-1,a3=1,a6=1", ["beta = 0 in all degrees"], {"bockstein_ranks": {}, "dga": "lambda0"}),
+    ]
+    for aug, lines, obj in table:
+        assert_pinned(capsys, ["bockstein", "builtin:lambda0", "--aug", aug], 0, lines, obj)
 
 
-def test_obstruction_exit_codes(capsys):
-    code, out, _ = invoke(
-        capsys,
-        "obstruction", "builtin:lambda1", "--aug", "a2=2,a3=1,a10=1,a11=1", "--field", "Z/3",
-    )
-    assert code == 1
-    assert "NOT geometric" in out
-    code, out, _ = invoke(capsys, "obstruction", "builtin:unknot", "--aug", "", "--field", "Z/3")
-    assert code == 0
+def _obstruction_row(field, total, expected, possible, reason):
+    lines = [
+        f"field {field}",
+        f"total LCH dimension: {total}",
+        f"filling would give:  {expected}",
+        "no obstruction (filling not excluded)" if possible else f"NOT geometric: {reason}",
+    ]
+    obj = {
+        "expected_filling_dim": expected,
+        "field": field,
+        "geometric_possible": possible,
+        "reason": reason,
+        "total_dim": total,
+    }
+    return lines, obj
+
+
+def test_obstruction_exit_codes(tmp_path, capsys):
+    even = tmp_path / "even.dga"
+    even.write_text('dga "even"\ngen x 0\ngen y 0\n')
+    # tb = -3 from the gradings, and tb = -5 from a metadata line
+    three = tmp_path / "three.dga"
+    three.write_text('dga "three"\ngen a 1\ngen b 1\ngen c 1\nd a = t + 1\n')
+    tb5 = tmp_path / "tb5.dga"
+    tb5.write_text('dga "tb5"\ntb -5\ngen a 1\nd a = t + 1\n')
+    table = [
+        (
+            ["builtin:lambda1", "--aug", "a2=2,a3=1,a10=1,a11=1", "--field", "Z/3"],
+            1,
+            ("Z/3", 7, 3, False, "total dimension 7 != 3 forced by the Seidel isomorphism"),
+        ),
+        (
+            ["builtin:unknot", "--aug", "", "--field", "Z/3"],
+            0,
+            ("Z/3", 1, 1, True, "dimension matches a once-punctured genus-0 filling"),
+        ),
+        (
+            [str(even), "--aug", "", "--field", "Z/2"],
+            1,
+            (
+                "Z/2", 2, None, False,
+                "tb = 2 is even: 2g - 1 = tb has no integer solution, "
+                "so no orientable exact filling exists",
+            ),
+        ),
+        (
+            [str(three), "--aug", "", "--field", "Z/2"],
+            1,
+            ("Z/2", 3, None, False, "tb = -3: the genus (tb+1)/2 = -1 is negative, so no exact filling exists"),
+        ),
+        (
+            [str(tb5), "--aug", "", "--field", "Z/2"],
+            1,
+            ("Z/2", 1, None, False, "tb = -5: the genus (tb+1)/2 = -2 is negative, so no exact filling exists"),
+        ),
+    ]
+    for argv, code, row in table:
+        lines, obj = _obstruction_row(*row)
+        assert_pinned(capsys, ["obstruction", *argv], code, lines, obj)
 
 
 def test_geography_out_file_feeds_other_commands(tmp_path, capsys):

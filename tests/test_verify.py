@@ -75,6 +75,22 @@ def test_positivity_unknot_and_synthetic():
     )
     assert positivity_check(synthetic, Augmentation(ZZ, {})) is Positivity.HOLDS
     assert positivity_check(synthetic, Augmentation(ZZ, {"x": 3})) is Positivity.HOLDS
+    # even tb = 2: the filling group is still Z + Z^3, with no parity condition
+    even = DGA(
+        name="even",
+        chords=(("x", 0), ("y", 0), ("z", 0), ("b", 1)),
+        diff={"b": t_gen + Poly.one()},
+    )
+    assert even.tb_value() == 2
+    assert positivity_check(even, Augmentation(ZZ, {})) is Positivity.HOLDS
+    # tb + 1 = -1 < 0: the group has no degree-0 part, and H_1 = Z^2 is not Z
+    negative = DGA(
+        name="neg",
+        chords=(("b1", 1), ("b2", 1)),
+        diff={"b1": t_gen + Poly.one(), "b2": t_gen + Poly.one()},
+    )
+    assert negative.tb_value() == -2
+    assert positivity_check(negative, Augmentation(ZZ, {})) is Positivity.FAILS
 
 
 def test_positivity_not_applicable_for_lambda0():
