@@ -8,7 +8,9 @@ plain strings; "t" and "t^-1" are reserved for the basepoint.
 
 The private `_collect` is the one normalizer: it cancels t*t^-1 in words,
 adds equal words and drops zero sums.  `Poly(mapping)`, `Poly.from_terms`
-and all arithmetic build each polynomial by one call to it.
+and all arithmetic build each polynomial by one call to it; only
+`Poly._of_normalized` skips it, for terms a caller has built in normal form.
+`Poly.terms` is a read-only view, so reading a polynomial copies nothing.
 
 Besides ring arithmetic the module provides the two evaluation maps of
 linearization: `evaluate` (apply a scalar value to every symbol) and
@@ -27,6 +29,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import chain
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import NotAUnit, UnknownGenerator
@@ -125,6 +128,17 @@ class Poly:
         return result
 
     @staticmethod
+    def _of_normalized(terms: dict[tuple[str, ...], int]) -> "Poly":
+        """The polynomial with exactly these terms, which the caller hands over.
+
+        `terms` must already be in normalized form: nonzero coefficients and
+        words without an adjacent t, t^-1 pair.  Nothing is checked or copied.
+        """
+        result = Poly.__new__(Poly)
+        result._terms = terms
+        return result
+
+    @staticmethod
     def zero() -> "Poly":
         return Poly()
 
@@ -143,8 +157,9 @@ class Poly:
     # -- inspection -----------------------------------------------------
 
     @property
-    def terms(self) -> dict[tuple[str, ...], int]:
-        return dict(self._terms)
+    def terms(self) -> Mapping[tuple[str, ...], int]:
+        """A read-only view of the terms ``{word: coeff}``, in term order."""
+        return MappingProxyType(self._terms)
 
     def sorted_terms(self) -> list[tuple[tuple[str, ...], int]]:
         return sorted(self._terms.items(), key=lambda item: word_sort_key(item[0]))

@@ -166,16 +166,20 @@ def _compile(p: Poly, grading: dict[str, int]) -> tuple[list, list]:
     """
     terms = p.terms
     constant: list[tuple[int, tuple[str, ...]]] = []
-    linear = {x: [] for word in terms for x in word if not algebra.is_basepoint(x)}
+    linear = {x: [] for word in terms for x in word if x not in _RESERVED}
+    t, t_inv = _RESERVED
     for word, coeff in terms.items():
-        letters = [x for x in word if not algebra.is_basepoint(x)]
-        c = -coeff if (len(word) - len(letters)) % 2 else coeff
-        graded = [j for j, x in enumerate(letters) if grading[x] != 0]
+        letters = word
+        if t in word or t_inv in word:
+            letters = tuple([x for x in word if x not in _RESERVED])
+            if (len(word) - len(letters)) % 2:
+                coeff = -coeff
+        graded = [j for j, x in enumerate(letters) if grading[x]]
         if not graded:
-            constant.append((c, tuple(letters)))
+            constant.append((coeff, letters))
         if len(graded) <= 1:
             for j in graded or range(len(letters)):
-                linear[letters[j]].append((c, tuple(letters[:j] + letters[j + 1 :])))
+                linear[letters[j]].append((coeff, letters[:j] + letters[j + 1 :]))
     return constant, [(row, row_terms) for row, row_terms in linear.items() if row_terms]
 
 
@@ -193,15 +197,17 @@ class ValidationReport:
 def differentiate(dga: DGA, p: Poly) -> Poly:
     """Extend the differential to a polynomial by the signed Leibniz rule."""
     grading = dga.grading
+    diff = dga.diff
     pairs: list[tuple[tuple[str, ...], int]] = []
     for word, coeff in p.terms.items():
         prefix_degree = 0
         for j, x in enumerate(word):
-            if not algebra.is_basepoint(x):
-                dx = dga.diff.get(x)
+            if x not in _RESERVED:
+                dx = diff.get(x)
                 if dx is not None:
                     c = -coeff if prefix_degree % 2 else coeff
-                    pairs.extend((word[:j] + w + word[j + 1 :], c * e) for w, e in dx.terms.items())
+                    head, tail = word[:j], word[j + 1 :]
+                    pairs.extend((head + w + tail, c * e) for w, e in dx.terms.items())
                 prefix_degree += grading[x]
     return Poly.from_terms(pairs)
 
@@ -216,12 +222,10 @@ def validate(dga: DGA) -> ValidationReport:
         p = dga.diff.get(chord)
         if p is None:
             continue
-        bad = Poly.from_terms(
-            (w, c) for w, c in p.terms.items() if degree_of_word(w, grading) != deg - 1
-        )
+        bad = [(w, c) for w, c in p.terms.items() if degree_of_word(w, grading) != deg - 1]
         if bad:
             grading_ok = False
-            failures.append((chord, bad))
+            failures.append((chord, Poly.from_terms(bad)))
         dd = differentiate(dga, p)
         if not dd.is_zero():
             d_squared_ok = False
@@ -311,20 +315,18 @@ def lambda_k(k: int) -> DGA:
 # ----------------------------------------------------------------------
 
 
-def _fresh_suffix(taken: set[str], names: list[str]) -> str:
-    j = 2
-    while any(f"{name}#{j}" in taken for name in names):
-        j += 1
-    return f"#{j}"
+def _fresh_suffix(taken: set[str], names: list[str], j: int) -> int:
+    """The least j' >= j such that no ``name#j'`` is taken or one of `names`.
 
-
-def _fresh_c_name(taken: set[str]) -> str:
-    if "c" not in taken:
-        return "c"
-    j = 2
-    while f"c#{j}" in taken:
+    `taken` only grows, so a caller may resume at its last answer for the
+    same names: no suffix skipped before can have become free.
+    """
+    own = set(names)
+    while True:
+        renamed = [f"{name}#{j}" for name in names]
+        if taken.isdisjoint(renamed) and own.isdisjoint(renamed):
+            return j
         j += 1
-    return f"c#{j}"
 
 
 def _connected_sum_parts(
@@ -340,50 +342,62 @@ def _connected_sum_parts(
     t -> -t*c_{n-1}.  So every letter's image is one signed word, and each
     differential is rebuilt by renaming its words: the map is injective
     and makes no t^-1, so term j of the summand's differential becomes
-    term j of the sum's.  A t^-1 raises NotAUnit: with two or more
-    summands no image of t is a unit, and the one caller that may pass a
-    single summand, geography_dga, sums family members without t^-1.
-    Each distinct summand object is validated once.
+    term j of the sum's, written straight into its term dict.  A t^-1
+    raises NotAUnit: with two or more summands no image of t is a unit,
+    and the one caller that may pass a single summand, geography_dga, sums
+    family members without t^-1.  Each distinct summand object is
+    validated once, and its search for a fresh suffix resumes where its
+    last copy's search ended.
     """
-    for d in {id(d): d for d in summands}.values():
+    distinct = {id(d): d for d in summands}
+    for d in distinct.values():
         if not validate(d).ok:
             raise ValidationFailed(f"connected_sum needs valid inputs; {d.name} fails")
 
-    taken = set(summands[0].chord_names())
-    renames = [{name: name for name in taken}]
+    next_suffix = dict.fromkeys(distinct, 2)
+    next_c = 2
+    names = summands[0].chord_names()
+    taken = set(names)
+    renames = [{name: name for name in names}]
     c_names: list[str] = []
     chords = list(summands[0].chords)
     for d in summands[1:]:
         names = d.chord_names()
-        suffix = _fresh_suffix(taken | set(names), names) if taken & set(names) else ""
+        suffix = ""
+        if not taken.isdisjoint(names):
+            next_suffix[id(d)] = j = _fresh_suffix(taken, names, next_suffix[id(d)])
+            suffix = f"#{j}"
         rename = {name: name + suffix for name in names}
         taken.update(rename.values())
-        c_name = _fresh_c_name(taken)
+        c_name = "c"
+        if c_name in taken:
+            next_c = _fresh_suffix(taken, [c_name], next_c)
+            c_name = f"c#{next_c}"
         taken.add(c_name)
         chords += [(rename[name], deg) for name, deg in d.chords] + [(c_name, 0)]
         renames.append(rename)
         c_names.append(c_name)
 
-    heads = c_names + [algebra.T_SYMBOL]
+    t = algebra.T_SYMBOL
+    heads = c_names + [t]
     diff: dict[str, Poly] = {}
     for j, (d, rename) in enumerate(zip(summands, renames)):
-        t_image = ((heads[j], c_names[j - 1]), -1) if j else ((heads[j],), 1)
-        images = {x: ((new,), 1) for x, new in rename.items()}
-        images[algebra.T_SYMBOL] = t_image
+        # Only t's image past the first summand carries a sign, -1.
+        t_word = (heads[j], c_names[j - 1]) if j else (heads[j],)
+        images = {x: (new,) for x, new in rename.items()}
+        images[t] = t_word
         try:
             for chord, p in d.diff.items():
-                pairs = []
+                terms = {}
                 for word, coeff in p.terms.items():
                     new_word: list[str] = []
                     for x in word:
-                        letters, sign = images[x]
-                        new_word += letters
-                        coeff *= sign
-                    pairs.append((new_word, coeff))
-                diff[rename[chord]] = Poly.from_terms(pairs)
+                        new_word += images[x]
+                    terms[tuple(new_word)] = -coeff if j and word.count(t) % 2 else coeff
+                diff[rename[chord]] = Poly._of_normalized(terms)
         except KeyError:
             # Every chord has an image, so the letter is a t^-1.
-            raise NotAUnit(f"{format_monomial(*t_image)} is not a unit") from None
+            raise NotAUnit(f"{format_monomial(t_word, -1 if j else 1)} is not a unit") from None
 
     if name is None:
         name = "#".join(d.name for d in summands)
@@ -399,12 +413,13 @@ def _connected_sum_augmented(summands: list[DGA], augs: list, name: str | None =
         if aug.ring != ring:
             raise RingMismatch(f"augmentation rings differ: {ring} vs {aug.ring}")
     summed, renames, c_names = _connected_sum_parts(summands, name)
+    # Each summand's values are canonical already, and -1 is nonzero in every ring.
     values: dict[str, object] = {}
     for j, (aug, rename) in enumerate(zip(augs, renames)):
         values.update((rename.get(k, k), v) for k, v in aug.values.items())
         if j:
             values[c_names[j - 1]] = ring.coerce(-1)
-    return summed, Augmentation(ring=ring, values=values)
+    return summed, Augmentation._canonical(ring, values)
 
 
 def connected_sum(d1: DGA, d2: DGA) -> DGA:

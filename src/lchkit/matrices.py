@@ -8,10 +8,15 @@ always small: connected sums reach hundreds of chords.  Dense `matmul` and
 `identity` serve only `homology.smith_normal_form` and the tests.
 `_SparseMatrix` is the one elimination kernel, over Z or over Z/p, and
 it is built from sparse rows only, which is how `homology` reads a
-complex's boundaries.  `rank_of_rows` counts its pivots over Z/p with
-entries reduced mod p, or over Q after clearing each row's denominators,
-so rank over Q needs no Fraction arithmetic.  The dense `rank_rationals`
-and `rank_mod_p` convert with `sparse_rows` and take the same route.
+complex's boundaries.  Its pivot rule is Markowitz's: least |value|, then
+least fill cost (r-1)(c-1).  A worklist of columns left with one entry
+serves the cheapest case without a scan: a unit alone in its column is
+optimal, and on the block-and-link boundaries of connected sums about
+half the pivots are such units.  `rank_of_rows` counts its pivots over
+Z/p with entries reduced mod p, or over Q after clearing each row's
+denominators, so rank over Q needs no Fraction arithmetic.  The dense
+`rank_rationals` and `rank_mod_p` convert with `sparse_rows` and take the
+same route.
 """
 
 from __future__ import annotations
@@ -95,13 +100,27 @@ class _SparseMatrix:
                 self.rows[i] = entries
                 for j in entries:
                     self.cols.setdefault(j, set()).add(i)
+        # Columns that were left with one row; entries go stale as the
+        # column changes and are checked when popped.
+        self.singles = [j for j, rs in self.cols.items() if len(rs) == 1]
 
     def pivot(self) -> tuple[int, int]:
         """Entry of least |value|, ties broken by Markowitz cost (r-1)(c-1).
 
         Over Z/m every nonzero entry is a unit, so the cost alone decides.
+        A column with one entry costs 0, so if that entry is a unit (any
+        entry, under a modulus) it is optimal, and it is taken from the
+        worklist `singles` without a scan; the full scan runs only when the
+        worklist holds no such column.
         """
         cols = self.cols
+        singles = self.singles
+        while singles:
+            j = singles.pop()
+            if len(cols[j]) == 1:
+                (i,) = cols[j]
+                if self.modulus or self.rows[i][j] in (1, -1):
+                    return i, j
         best_a = best_cost = None
         best = None
         if self.modulus:
@@ -143,7 +162,10 @@ class _SparseMatrix:
                     cols[j].add(i)
             else:
                 del Ri[j]
-                cols[j].discard(i)
+                col = cols[j]
+                col.discard(i)
+                if len(col) == 1:
+                    self.singles.append(j)
         if not Ri:
             del self.rows[i]
 
@@ -157,7 +179,10 @@ class _SparseMatrix:
             row[j] = x
         elif row is not None and j in row:
             del row[j]
-            self.cols[j].discard(i)
+            col = self.cols[j]
+            col.discard(i)
+            if len(col) == 1:
+                self.singles.append(j)
             if not row:
                 del self.rows[i]
 
@@ -209,8 +234,12 @@ class _SparseMatrix:
         return p
 
     def drop_row(self, r: int) -> None:
+        cols = self.cols
         for j in self.rows.pop(r):
-            self.cols[j].discard(r)
+            col = cols[j]
+            col.discard(r)
+            if len(col) == 1:
+                self.singles.append(j)
 
 
 def _pivot_count(A: _SparseMatrix) -> int:

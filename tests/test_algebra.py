@@ -52,6 +52,17 @@ def test_normalization_idempotent():
     assert p.terms == {("a1",): 1, ("t", "a2", "t^-1"): 3}
 
 
+def test_terms_is_a_read_only_view():
+    p = Poly({("t", "t^-1", "a1"): 2, ("a1",): -1, ("t", "a2"): 3})
+    view = p.terms
+    with pytest.raises(TypeError):
+        view[("a1",)] = 5
+    with pytest.raises(TypeError):
+        del view[("t", "a2")]
+    assert Poly(p.terms) == p
+    assert list(p.terms.items()) == [(("a1",), 1), (("t", "a2"), 3)]
+
+
 def test_s_linear_part_examples():
     # all eps zero: entries present but zero
     assert s_linear_part(gen("a4") * gen("a11"), {"a4": 0, "a11": 0, "t": -1}) == {

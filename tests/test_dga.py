@@ -220,7 +220,9 @@ def test_geography_equals_fold_of_pairwise_sums(monkeypatch):
     monkeypatch.setattr(dga_module, "validate", counting_validate)
     for i in (-5, -4, -3, -2, -1, 2, 3, 4, 5):
         base = _family_member(i)
-        for m, orders in ((0, [3]), (1, []), (1, [2, 5]), (2, [4, 6])):
+        # The last list has 12 summands, so each copy's fresh suffix search
+        # resumes after many taken ones.
+        for m, orders in ((0, [3]), (1, []), (1, [2, 5]), (2, [4, 6]), (2, list(range(2, 12)))):
             calls.clear()
             g, aug = geography_dga(i, m, orders)
             # Every summand is the same base object, validated once.
@@ -235,6 +237,31 @@ def test_geography_equals_fold_of_pairwise_sums(monkeypatch):
             assert g.chords == folded.chords
             assert g.diff == folded.diff
             assert aug == folded_aug
+
+
+def test_alternating_summands_match_the_fold():
+    """[A, B, A, B, A] in one pass: names, chords and term order of the left fold.
+
+    Each summand's suffix search resumes on its own, so B takes the least
+    suffix free for B's names, not one after A's last ([A, A, A, B, B]).
+    """
+    for a, b, order in (
+        (lambda0(), lambda_k(1), "ABABA"),
+        (lambda0(), unknot(), "ABABA"),
+        (lambda0(), unknot(), "AAABB"),
+    ):
+        summands = [{"A": a, "B": b}[x] for x in order]
+        summed, _, c_names = _connected_sum_parts(summands)
+        folded = summands[0]
+        for d in summands[1:]:
+            folded = connected_sum(folded, d)
+        assert summed.name == folded.name
+        assert summed.chords == folded.chords
+        assert list(summed.diff) == list(folded.diff)
+        for chord, p in folded.diff.items():
+            assert list(summed.diff[chord].terms.items()) == list(p.terms.items())
+        assert c_names == ["c", "c#2", "c#3", "c#4"]
+    assert [name for name, _ in summed.chords if name.startswith("a#")] == ["a#2"]
 
 
 def test_sums_reject_t_inverse():

@@ -141,6 +141,58 @@ def test_snf_empty_shapes():
     assert len(U) == 2 and D == [[], []] and V == []
 
 
+def _geography_shaped(rng, linked: bool):
+    """A dense integer matrix shaped like a boundary of a connected sum.
+
+    Square-ish blocks down the diagonal, one per summand, about half full
+    and mostly +-1.  If `linked`, each pair of neighbouring blocks also
+    shares one column, with an entry in a row of each, as the c chords
+    link neighbouring summands.  Elimination inside a block empties other
+    columns of it, and dropping a block's rows leaves its link column with
+    one entry, so columns reach one entry part-way through elimination.
+    """
+    values = (1, -1) * 6 + (2, -2, 3, 4, -6, 9)
+    sizes = [(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(rng.randint(2, 6))]
+    links = len(sizes) - 1 if linked else 0
+    M = [[0] * (sum(c for _, c in sizes) + links) for _ in range(sum(r for r, _ in sizes))]
+    top = left = 0
+    for k, (r, c) in enumerate(sizes):
+        for i in range(top, top + r):
+            for j in range(left, left + c):
+                if rng.random() < 0.5:
+                    M[i][j] = rng.choice(values)
+        if k < links:
+            column = len(M[0]) - links + k
+            M[rng.randrange(top, top + r)][column] = rng.choice((1, -1))
+            M[top + r + rng.randrange(sizes[k + 1][0])][column] = rng.choice(values)
+        top, left = top + r, left + c
+    return M
+
+
+def _emptied_columns(M, modulus: int = 0) -> int:
+    """Columns that reach exactly one entry during rank elimination, without
+    having one at the start.
+
+    Every pivot is checked against the documented rule: least |value|
+    (over Z), then least Markowitz cost (r-1)(c-1), over all entries.
+    """
+    A = _SparseMatrix(sparse_rows(M), modulus)
+    start = {j for j, rows in A.cols.items() if len(rows) == 1}
+    emptied = set()
+
+    def key(i, j):
+        cost = (len(A.rows[i]) - 1) * (len(A.cols[j]) - 1)
+        return (1 if modulus else abs(A.rows[i][j]), cost)
+
+    while A.rows:
+        r, c = A.pivot()
+        assert key(r, c) == min(key(i, j) for i, row in A.rows.items() for j in row)
+        A.clear_column(r, c)
+        A.drop_row(r)
+        emptied.update(j for j, rows in A.cols.items() if len(rows) == 1 and j not in start)
+    return len(emptied)
+
+
 def test_snf_random_matrices_with_oracle():
     rng = random.Random(1234)
     for _ in range(300):
@@ -166,6 +218,15 @@ def test_snf_random_matrices_with_oracle():
         _, D, _ = smith_normal_form(M)
         diag = [D[i][i] for i in range(min(m, n)) if D[i][i]]
         assert invariant_factors(M) == diag
+    # Block-diagonal and chain-linked cases, shaped like geography boundaries.
+    emptied = 0
+    for k in range(160):
+        M = _geography_shaped(rng, linked=k % 2 == 1)
+        _, D, _ = smith_normal_form(M)
+        diag = [D[i][i] for i in range(min(len(M), len(M[0]))) if D[i][i]]
+        assert invariant_factors(M) == diag, M
+        emptied += _emptied_columns(M)
+    assert emptied > 100
 
 
 def fraction_rank(M) -> int:
@@ -331,6 +392,13 @@ def test_rank_mod_p_matches_dense_elimination():
                 for _ in range(m)
             ]
             assert rank_mod_p(M, p) == dense_rank_mod_p(M, p)
+    # Block-diagonal and chain-linked cases, shaped like geography boundaries,
+    # over the primes that divide some of their entries.
+    for k in range(120):
+        M = _geography_shaped(rng, linked=k % 2 == 1)
+        for p in (2, 3, 5, 7):
+            assert rank_mod_p(M, p) == dense_rank_mod_p(M, p), (p, M)
+        _emptied_columns(M, rng.choice((2, 3, 5, 7)))
 
 
 def test_empty_and_one_row_boundaries_skip_the_kernel(monkeypatch):
