@@ -114,9 +114,14 @@ class Augmentation:
         return f"{body} @ {self.ring}" if body else f"@ {self.ring}"
 
     def to_json_obj(self) -> dict:
+        """Ring and values as strings; values come in the dict's own order.
+
+        Every `--json` report is dumped with sorted keys (`cli._emit`), so
+        the order here never reaches the output.
+        """
         return {
             "ring": str(self.ring),
-            "values": {k: str(v) for k, v in sorted(self.values.items(), key=lambda kv: symbol_sort_key(kv[0]))},
+            "values": {k: str(v) for k, v in self.values.items()},
         }
 
 

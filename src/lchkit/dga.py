@@ -18,7 +18,7 @@ Built-ins:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 from . import algebra
 from .algebra import Poly, degree_of_word, first_unknown_symbol, format_monomial, gen, t_gen
@@ -41,8 +41,9 @@ class DGA:
     ``chords`` fixes the declaration order used everywhere downstream
     (matrix rows/columns, enumeration order, serialization).  ``diff``
     maps chord names to polynomials; omitted chords have zero
-    differential.  ``tb`` is optional metadata; when absent it can be
-    derived with :func:`euler_tb`.
+    differential.  ``tb`` is optional metadata: when given it must equal
+    :func:`euler_tb`, the signed chord count, which is what
+    :meth:`tb_value` returns either way.
     """
 
     name: str
@@ -69,6 +70,8 @@ class DGA:
             if not p.is_zero():
                 cleaned[chord] = p
         object.__setattr__(self, "diff", cleaned)
+        if self.tb is not None and self.tb != (signed := euler_tb(self)):
+            raise InvalidParameter(f"tb {self.tb} contradicts the gradings, which give tb = {signed}")
 
     # -- lookups ----------------------------------------------------------
 
@@ -149,7 +152,7 @@ class DGA:
         return self.diff.get(chord, Poly.zero())
 
     def tb_value(self) -> int:
-        return self.tb if self.tb is not None else euler_tb(self)
+        return euler_tb(self)
 
 
 def _compile(p: Poly, grading: dict[str, int]) -> tuple[list, list]:
@@ -447,8 +450,14 @@ def connected_sum_augmented(d1: DGA, aug1, d2: DGA, aug2):
 # ----------------------------------------------------------------------
 
 
+@cache
 def _family_member_for_grading(i: int) -> DGA:
-    """Family member whose eps_n torsion slot sits in grading i (i != 0, 1)."""
+    """Family member whose eps_n torsion slot sits in grading i (i != 0, 1).
+
+    Built once per process for each i.  The member never leaves
+    `geography_dga`: the sum built from it is a fresh DGA with its own
+    differential dict, so no caller can change the cached member.
+    """
     if i > 1:
         return lambda_k(i)
     if i == -1:
@@ -474,7 +483,9 @@ def geography_dga(i: int, m: int, torsions: list[int]):
     Built as an iterated connected sum of m + len(torsions) copies of the
     family member whose torsion slot is grading i: the first m copies
     carry eps_0 (contributing Z each) and the rest carry eps_{n_j}.
-    Gradings 0 and 1 are excluded (duality pins them down).
+    Gradings 0 and 1 are excluded (duality pins them down).  The member
+    is built once per process for each grading, and validated on every
+    call.
     """
     from .augment import Augmentation
 

@@ -5,7 +5,7 @@ line or follows whitespace -- '#' inside an identifier is literal, which
 is what connected-sum chord names like a1#2 use):
 
     dga "<name>"              header, required first
-    tb <int>                  optional metadata
+    tb <int>                  optional; must equal the signed chord count
     basepoint t               optional (t is reserved either way)
     gen <ident> <int>         one chord declaration per line
     d <ident> = <poly>        differential; omitted chords are closed

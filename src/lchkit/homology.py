@@ -171,7 +171,8 @@ def invariant_factors(M) -> list[int]:
     does not divide with a 2x2 unimodular extended-gcd step, which shrinks
     the pivot.  Once the pivot divides its whole row, the row and column
     split off as one diagonal entry; the diagonal is then put into
-    divisibility order.
+    divisibility order.  An entry alone in both its row and its column
+    splits off as it stands, before any pivot.
     """
     return _factors_of_rows(sparse_rows(M))
 
@@ -180,13 +181,21 @@ def _factors_of_rows(rows: dict[int, dict[int, int]]) -> list[int]:
     """`invariant_factors` of an integer matrix given as sparse rows.
 
     No rows give no factors, and one row gives the gcd of its entries
-    alone; only larger boundaries load the elimination kernel.
+    alone; only larger boundaries load the elimination kernel.  An entry
+    alone in both its row and its column is a diagonal block of its own,
+    so it splits off as |x| before any pivot: the kernel's worklist
+    `singles` already names every column with one entry.
     """
     if len(rows) < 2:
         g = gcd(*(x for row in rows.values() for x in row.values()))
         return [g] if g else []
     A = _SparseMatrix(rows)
     diagonal = []
+    for j in A.singles:
+        (i,) = A.cols[j]
+        if len(A.rows[i]) == 1:
+            diagonal.append(abs(A.rows[i][j]))
+            A.drop_row(i)
     while A.rows:
         r, c = A.pivot()
         while True:

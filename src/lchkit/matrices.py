@@ -10,13 +10,15 @@ always small: connected sums reach hundreds of chords.  Dense `matmul` and
 it is built from sparse rows only, which is how `homology` reads a
 complex's boundaries.  Its pivot rule is Markowitz's: least |value|, then
 least fill cost (r-1)(c-1).  A worklist of columns left with one entry
-serves the cheapest case without a scan: a unit alone in its column is
-optimal, and on the block-and-link boundaries of connected sums about
-half the pivots are such units.  `rank_of_rows` counts its pivots over
-Z/p with entries reduced mod p, or over Q after clearing each row's
-denominators, so rank over Q needs no Fraction arithmetic.  The dense
-`rank_rationals` and `rank_mod_p` convert with `sparse_rows` and take the
-same route.
+serves the cheapest cases without a scan.  Before any pivot, `homology`
+reads from it each entry alone in both its row and its column, as the
+torsion entries of a connected sum are, and splits it off.  After that,
+a unit alone in its column is optimal, and on the block-and-link
+boundaries of connected sums about half the pivots are such units.
+`rank_of_rows` counts its pivots over Z/p with entries reduced mod p, or
+over Q after clearing each row's denominators, so rank over Q needs no
+Fraction arithmetic.  The dense `rank_rationals` and `rank_mod_p`
+convert with `sparse_rows` and take the same route.
 """
 
 from __future__ import annotations

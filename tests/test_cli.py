@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -62,6 +63,29 @@ def test_geography_json_has_canonical_form(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["achieved"] == {"free_rank": 1, "torsion": [2, 12]}
+
+
+# sha256 of the --json stdout.  `_emit` sorts every key, so the order in
+# which a report builds its dicts must never reach these bytes.
+_PINNED_JSON = [
+    (
+        ["augs", "builtin:lambda0", "--ring", "Z/3", "--json"],
+        "ec9d88dbc94bdd41a3a7705f9c4e3d4986ac175338ca8abb7ff2781f4b55dc6d",
+    ),
+    (
+        ["geography", "--grading", "-2", "--free", "1", "--torsion", "4,6", "--json"],
+        "ec666137394dfa9033d7574a714a68743d20d39c72e7b7129691cb60fc3ab8d8",
+    ),
+]
+
+
+def test_json_bytes_are_pinned_and_repeat_in_one_process(capsys):
+    # The second run reuses the family member built by the first.
+    for argv, digest in _PINNED_JSON:
+        for _ in range(2):
+            code, out, err = invoke(capsys, *argv)
+            assert (code, err) == (0, "")
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 def _lch_process(*argv):
@@ -423,7 +447,7 @@ def _obstruction_row(field, total, expected, possible, reason):
 def test_obstruction_exit_codes(tmp_path, capsys):
     even = tmp_path / "even.dga"
     even.write_text('dga "even"\ngen x 0\ngen y 0\n')
-    # tb = -3 from the gradings, and tb = -5 from a metadata line
+    # tb = -3 from the gradings, and a tb -5 line that the gradings (tb = -1) contradict
     three = tmp_path / "three.dga"
     three.write_text('dga "three"\ngen a 1\ngen b 1\ngen c 1\nd a = t + 1\n')
     tb5 = tmp_path / "tb5.dga"
@@ -453,15 +477,15 @@ def test_obstruction_exit_codes(tmp_path, capsys):
             1,
             ("Z/2", 3, None, False, "tb = -3: the genus (tb+1)/2 = -1 is negative, so no exact filling exists"),
         ),
-        (
-            [str(tb5), "--aug", "", "--field", "Z/2"],
-            1,
-            ("Z/2", 1, None, False, "tb = -5: the genus (tb+1)/2 = -2 is negative, so no exact filling exists"),
-        ),
     ]
     for argv, code, row in table:
         lines, obj = _obstruction_row(*row)
         assert_pinned(capsys, ["obstruction", *argv], code, lines, obj)
+    # A tb line that contradicts the gradings is refused, not judged against.
+    error = "error: tb -5 contradicts the gradings, which give tb = -1\n"
+    for json_flag in ((), ("--json",)):
+        argv = ["obstruction", str(tb5), "--aug", "", "--field", "Z/2", *json_flag]
+        assert invoke(capsys, *argv) == (2, "", error)
 
 
 def test_geography_out_file_feeds_other_commands(tmp_path, capsys):

@@ -4,7 +4,9 @@ from lchkit.algebra import Poly, gen, t_gen, t_inv_gen
 from lchkit.augment import Augmentation
 from lchkit.dga import (
     DGA,
+    _connected_sum_augmented,
     _connected_sum_parts,
+    _family_member_for_grading,
     connected_sum,
     connected_sum_augmented,
     differentiate,
@@ -237,6 +239,46 @@ def test_geography_equals_fold_of_pairwise_sums(monkeypatch):
             assert g.chords == folded.chords
             assert g.diff == folded.diff
             assert aug == folded_aug
+
+
+def _term_lists(d):
+    return [(chord, list(p.terms.items())) for chord, p in d.diff.items()]
+
+
+def test_geography_member_cache_does_not_leak():
+    """The family member is built once per process, and no sum shares its state.
+
+    Emptying one sum's differential must leave a later sum equal to one
+    built from a freshly made member: names, chords, term order and
+    augmentation.
+    """
+    for i, m, orders in ((2, 1, [4, 6]), (-1, 0, [3, 5]), (-3, 2, [])):
+        assert _family_member_for_grading(i) is _family_member_for_grading(i)
+        first, _ = geography_dga(i, m, orders)
+        second, _ = geography_dga(i, m, orders)
+        assert first.diff is not second.diff
+        first.diff.clear()
+        third, aug = geography_dga(i, m, orders)
+        fresh = _family_member(i)
+        ns = [0] * m + orders
+        expected, expected_aug = _connected_sum_augmented(
+            [fresh] * len(ns), [_eps(fresh, n) for n in ns], f"geography[{i}]"
+        )
+        assert third.name == expected.name
+        assert third.chords == expected.chords
+        assert _term_lists(third) == _term_lists(expected) == _term_lists(second)
+        assert aug.ring == expected_aug.ring
+        assert list(aug.values.items()) == list(expected_aug.values.items())
+
+
+def test_tb_line_must_match_the_gradings():
+    """A given tb is the signed chord count, or the DGA is refused."""
+    chords = (("a", 1),)
+    diff = {"a": t_gen + Poly.one()}
+    assert DGA("ok", chords, diff, tb=-1).tb_value() == -1
+    with pytest.raises(InvalidParameter) as err:
+        DGA("tb5", chords, diff, tb=-5)
+    assert str(err.value) == "tb -5 contradicts the gradings, which give tb = -1"
 
 
 def test_alternating_summands_match_the_fold():

@@ -193,6 +193,16 @@ def _emptied_columns(M, modulus: int = 0) -> int:
     return len(emptied)
 
 
+def _with_lone_entries(rng, M, lone):
+    """M plus each of `lone` as a 1x1 diagonal block, rows and columns shuffled."""
+    n, k = len(M[0]), len(lone)
+    rows = [row + [0] * k for row in M]
+    rows += [[0] * n + [x if j == i else 0 for j in range(k)] for i, x in enumerate(lone)]
+    row_order = rng.sample(range(len(rows)), len(rows))
+    col_order = rng.sample(range(n + k), n + k)
+    return [[rows[i][j] for j in col_order] for i in row_order]
+
+
 def test_snf_random_matrices_with_oracle():
     rng = random.Random(1234)
     for _ in range(300):
@@ -218,15 +228,45 @@ def test_snf_random_matrices_with_oracle():
         _, D, _ = smith_normal_form(M)
         diag = [D[i][i] for i in range(min(m, n)) if D[i][i]]
         assert invariant_factors(M) == diag
-    # Block-diagonal and chain-linked cases, shaped like geography boundaries.
+    # Block-diagonal and chain-linked cases, shaped like geography boundaries,
+    # as they are and with lone non-unit entries (alone in their row and
+    # column, so they split off before any pivot) shuffled in.
     emptied = 0
+    lone_rng = random.Random(2001)
     for k in range(160):
         M = _geography_shaped(rng, linked=k % 2 == 1)
-        _, D, _ = smith_normal_form(M)
-        diag = [D[i][i] for i in range(min(len(M), len(M[0]))) if D[i][i]]
-        assert invariant_factors(M) == diag, M
+        lone = lone_rng.choices((6, 10, 4, -15), k=lone_rng.randint(1, 5))
+        for A in (M, _with_lone_entries(lone_rng, M, lone)):
+            _, D, _ = smith_normal_form(A)
+            diag = [D[i][i] for i in range(min(len(A), len(A[0]))) if D[i][i]]
+            assert invariant_factors(A) == diag, A
         emptied += _emptied_columns(M)
     assert emptied > 100
+
+
+def test_lone_torsion_entries_take_no_pivot(monkeypatch):
+    # The degree-3 boundary of a sum of 16 copies of lambda_2 at eps_6 is
+    # one entry 6 per copy, each alone in its row and column: no pivot.
+    C = linearized_differential(*geography_dga(2, 0, [6] * 16))
+    top = C.rows_of(3)
+    assert sorted(abs(x) for row in top.values() for x in row.values()) == [6] * 16
+    pivoted = []
+    load, pivot = _SparseMatrix.__init__, _SparseMatrix.pivot
+
+    def recording_load(self, rows, modulus=0):
+        load(self, rows, modulus)
+        self.source = rows
+
+    def counting_pivot(self):
+        pivoted.append(self.source)
+        return pivot(self)
+
+    monkeypatch.setattr(_SparseMatrix, "__init__", recording_load)
+    monkeypatch.setattr(_SparseMatrix, "pivot", counting_pivot)
+    H = integral_homology(C)
+    assert H.group(2) == from_orders([6] * 16)
+    assert pivoted  # the degree-1 boundary still pivots
+    assert sum(rows is top for rows in pivoted) == 0
 
 
 def fraction_rank(M) -> int:
