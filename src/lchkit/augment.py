@@ -191,12 +191,14 @@ def is_augmentation(dga: DGA, aug: Augmentation) -> bool:
 def _enumerate(dga: DGA, ring: RingDesc, domain: range, cap: int) -> list[Augmentation]:
     """Depth-first walk of the grid `domain` ^ (degree-0 chords), in order.
 
-    Each degree-1 constraint is checked in the loop over the values of its
-    last variable, before the walk goes deeper, so a pruned value costs no
-    call; its constant terms, from the degree-1 columns of
-    :attr:`DGA.linear_plan`, are summed in place and reduced mod m (over Z,
-    tested against 0).  The values come from `domain`, so
-    they are canonical already, and each point is built without coercion.
+    The walk keeps its own stack, one position per depth, so a grid of
+    any number of chords fits.  Each degree-1 constraint is checked in the
+    loop over the values of its last variable, before the walk goes
+    deeper, so a pruned value is never descended; its constant terms,
+    from the degree-1 columns of :attr:`DGA.linear_plan`, are summed in
+    place and reduced mod m (over Z, tested against 0).  The values come
+    from `domain`, so they are canonical already, and each point is built
+    without coercion.
     """
     variables = dga.chords_of_degree(0)
     # The domain stays a range until the cap check passes; its length is
@@ -225,11 +227,14 @@ def _enumerate(dga: DGA, ring: RingDesc, domain: range, cap: int) -> list[Augmen
     assignment = dict.fromkeys(variables, 0)
     results: list[Augmentation] = []
     last = len(variables) - 1
-
-    def walk(depth: int):
+    # One iterator over `domain` per assigned depth: its position is where
+    # the walk resumes at that depth when the deeper ones are exhausted.
+    levels = [iter(domain)]
+    while levels:
+        depth = len(levels) - 1
         name = variables[depth]
         checks = by_depth.get(depth, ())
-        for value in domain:
+        for value in levels[-1]:
             assignment[name] = value
             for terms in checks:
                 total = 0
@@ -240,12 +245,13 @@ def _enumerate(dga: DGA, ring: RingDesc, domain: range, cap: int) -> list[Augmen
                 if total % m if m else total:
                     break
             else:
-                if depth == last:
-                    results.append(canonical(ring, {k: v for k, v in assignment.items() if v}))
-                else:
-                    walk(depth + 1)
-
-    walk(0)
+                if depth < last:
+                    # Go one depth deeper; this depth resumes after `value`.
+                    levels.append(iter(domain))
+                    break
+                results.append(canonical(ring, {k: v for k, v in assignment.items() if v}))
+        else:
+            levels.pop()
     return results
 
 

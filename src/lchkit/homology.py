@@ -7,7 +7,8 @@ invariant factor f > 1 of M_{d+1}.  The mod-2 Bockstein
 H_d(Z/2) -> H_{d-1}(Z/2) is read from that integral homology: its rank
 is #{orders f of H_{d-1}(Z) with f = 2 mod 4}.  The sparse elimination
 kernel `matrices._SparseMatrix` gets the invariant factors without
-transforms, straight from the complex's sparse rows;
+transforms, straight from the complex's sparse rows, by row additions,
+row swaps and reductions of a pivot's row mod the pivot;
 `invariant_factors` is the same route for a dense matrix, and the dense
 `smith_normal_form` keeps U and V for callers that need them.  Field
 dimensions read each boundary's rank once by the same kernel
@@ -23,7 +24,7 @@ from math import gcd
 
 from .errors import FieldRequired, NotAComplex, RingMismatch
 from .linearize import ChainComplex
-from .matrices import _SparseMatrix, _xgcd, identity, rank_of_rows, sparse_rows
+from .matrices import _SparseMatrix, identity, rank_of_rows, sparse_rows
 from .rings import ZZ, RingDesc
 
 
@@ -167,12 +168,13 @@ def invariant_factors(M) -> list[int]:
 
     Sparse elimination that keeps no transforms.  Each step takes the
     entry of least |value| as pivot (fewest fill-ins among equals), clears
-    its column by exact-quotient row steps, and repairs an entry the pivot
-    does not divide with a 2x2 unimodular extended-gcd step, which shrinks
-    the pivot.  Once the pivot divides its whole row, the row and column
-    split off as one diagonal entry; the diagonal is then put into
-    divisibility order.  An entry alone in both its row and its column
-    splits off as it stands, before any pivot.
+    its column by Euclid with row additions and row swaps, which leaves the
+    column's gcd p as the pivot, and reduces the pivot's row mod p.  If p
+    is then all that is left of its row, it splits off as one diagonal
+    entry; otherwise the remainders, each smaller than p, wait for a later
+    pivot.  The diagonal is then put into divisibility order.  An entry
+    alone in both its row and its column splits off as it stands, before
+    any pivot.
     """
     return _factors_of_rows(sparse_rows(M))
 
@@ -184,7 +186,10 @@ def _factors_of_rows(rows: dict[int, dict[int, int]]) -> list[int]:
     alone; only larger boundaries load the elimination kernel.  An entry
     alone in both its row and its column is a diagonal block of its own,
     so it splits off as |x| before any pivot: the kernel's worklist
-    `singles` already names every column with one entry.
+    `singles` already names every column with one entry.  The loop ends:
+    a pivot from the scan is the least |value| left, and a pass that keeps
+    its row leaves there a remainder smaller than that pivot, so between
+    two passes that drop a row the least |value| strictly falls.
     """
     if len(rows) < 2:
         g = gcd(*(x for row in rows.values() for x in row.values()))
@@ -198,19 +203,11 @@ def _factors_of_rows(rows: dict[int, dict[int, int]]) -> list[int]:
             A.drop_row(i)
     while A.rows:
         r, c = A.pivot()
-        while True:
-            p = A.clear_column(r, c)
-            # Column c is now p at row r alone, so exact column steps would
-            # change row r only: once p divides that row, dropping it splits
-            # off p.
-            bad = next((j for j, y in A.rows[r].items() if y % p), None)
-            if bad is None:
-                break
-            y = A.rows[r][bad]
-            g, s, t = _xgcd(p, y)
-            A.mix_cols(c, bad, s, t, -y // g, p // g)
-        A.drop_row(r)
-        diagonal.append(abs(p))
+        p = A.clear_column(r, c)
+        A.reduce_row(r, c)
+        if len(A.rows[r]) == 1:
+            A.drop_row(r)
+            diagonal.append(abs(p))
     return _divisibility_chain(diagonal)
 
 

@@ -8,13 +8,18 @@ always small: connected sums reach hundreds of chords.  Dense `matmul` and
 `identity` serve only `homology.smith_normal_form` and the tests.
 `_SparseMatrix` is the one elimination kernel, over Z or over Z/p, and
 it is built from sparse rows only, which is how `homology` reads a
-complex's boundaries.  Its pivot rule is Markowitz's: least |value|, then
-least fill cost (r-1)(c-1).  A worklist of columns left with one entry
-serves the cheapest cases without a scan.  Before any pivot, `homology`
-reads from it each entry alone in both its row and its column, as the
-torsion entries of a connected sum are, and splits it off.  After that,
-a unit alone in its column is optimal, and on the block-and-link
-boundaries of connected sums about half the pivots are such units.
+complex's boundaries.  Over Z it takes three elementary steps: adding a
+multiple of one row to another, swapping two rows (so Euclid on a column
+leaves the gcd in the pivot row), and reducing the pivot row mod its
+pivot once the pivot is alone in its column, which stands for column
+steps.  Its pivot rule is Markowitz's: least |value| (every value counts
+as 1 under a modulus), then least fill cost (r-1)(c-1).  A worklist of
+columns left with one entry serves the cheapest cases without a scan.
+Before any pivot, `homology` reads from it each entry alone in both its
+row and its column, as the torsion entries of a connected sum are, and
+splits it off.  After that, a unit alone in its column is optimal, and on
+the block-and-link boundaries of connected sums about half the pivots are
+such units.
 `rank_of_rows` counts its pivots over Z/p with entries reduced mod p, or
 over Q after clearing each row's denominators, so rank over Q needs no
 Fraction arithmetic.  The dense `rank_rationals` and `rank_mod_p`
@@ -57,28 +62,16 @@ def sparse_rows(M) -> dict[int, dict[int, int]]:
     return rows
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, s, t) with s*a + t*b = g = gcd(a, b) >= 0."""
-    s0, s1, t0, t1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if a < 0:
-        return -a, -s0, -t0
-    return a, s0, t0
-
-
 class _SparseMatrix:
     """Matrix over Z, or over Z/m for a prime m, as rows of {col: value}
     dicts with a col -> rows index.
 
     Only nonzero entries are stored; empty rows are dropped.  Over Z the
-    row and column operations below are unimodular, so they preserve the
-    Smith form.  With a modulus m > 0 every entry is kept reduced into
-    [1, m), so entries never grow, and only `add_row` steps are taken; the
-    mix steps serve the integer case alone.
+    kernel takes three elementary steps: `add_row` and `swap_rows` are
+    unimodular row operations, and `reduce_row` stands for unimodular
+    column operations against a pivot alone in its column, so each keeps
+    the Smith form.  With a modulus m > 0 every entry is kept reduced into
+    [1, m), so entries never grow, and only `add_row` steps are taken.
     """
 
     def __init__(self, rows: dict[int, dict[int, int]], modulus: int = 0):
@@ -109,36 +102,26 @@ class _SparseMatrix:
     def pivot(self) -> tuple[int, int]:
         """Entry of least |value|, ties broken by Markowitz cost (r-1)(c-1).
 
-        Over Z/m every nonzero entry is a unit, so the cost alone decides.
-        A column with one entry costs 0, so if that entry is a unit (any
-        entry, under a modulus) it is optimal, and it is taken from the
-        worklist `singles` without a scan; the full scan runs only when the
-        worklist holds no such column.
+        Over Z/m every nonzero entry is a unit, so |value| counts as 1 and
+        the cost alone decides.  A column with one entry costs 0, so if that
+        entry is a unit (any entry, under a modulus) it is optimal, and it
+        is taken from the worklist `singles` without a scan; the full scan
+        runs only when the worklist holds no such column.
         """
         cols = self.cols
         singles = self.singles
+        m = self.modulus
         while singles:
             j = singles.pop()
             if len(cols[j]) == 1:
                 (i,) = cols[j]
-                if self.modulus or self.rows[i][j] in (1, -1):
+                if m or self.rows[i][j] in (1, -1):
                     return i, j
-        best_a = best_cost = None
-        best = None
-        if self.modulus:
-            for i, row in self.rows.items():
-                row_fill = len(row) - 1
-                for j in row:
-                    cost = row_fill * (len(cols[j]) - 1)
-                    if best_cost is None or cost < best_cost:
-                        if not cost:
-                            return i, j
-                        best_cost, best = cost, (i, j)
-            return best
+        best_a = best_cost = best = None
         for i, row in self.rows.items():
             row_fill = len(row) - 1
             for j, x in row.items():
-                a = x if x > 0 else -x
+                a = 1 if m else x if x > 0 else -x
                 if best_a is not None and a > best_a:
                     continue
                 cost = row_fill * (len(cols[j]) - 1)
@@ -171,68 +154,76 @@ class _SparseMatrix:
         if not Ri:
             del self.rows[i]
 
-    def _store(self, i: int, j: int, x: int) -> None:
-        row = self.rows.get(i)
-        if x:
-            if row is None:
-                self.rows[i] = row = {}
-            if j not in row:
-                self.cols[j].add(i)
-            row[j] = x
-        elif row is not None and j in row:
-            del row[j]
-            col = self.cols[j]
-            col.discard(i)
-            if len(col) == 1:
-                self.singles.append(j)
-            if not row:
-                del self.rows[i]
+    def swap_rows(self, r: int, i: int) -> None:
+        """Exchange rows r and i; only the columns they do not share change
+        their index, and no column changes its size."""
+        rows, cols = self.rows, self.cols
+        Rr, Ri = rows[r], rows[i]
+        rows[r], rows[i] = Ri, Rr
+        for j in Rr:
+            if j not in Ri:
+                col = cols[j]
+                col.discard(r)
+                col.add(i)
+        for j in Ri:
+            if j not in Rr:
+                col = cols[j]
+                col.discard(i)
+                col.add(r)
 
-    def mix_rows(self, r: int, i: int, a: int, b: int, c: int, d: int) -> None:
-        """(row_r, row_i) <- (a*row_r + b*row_i, c*row_r + d*row_i)."""
-        Rr, Ri = self.rows[r], self.rows[i]
-        pairs = [(j, Rr.get(j, 0), Ri.get(j, 0)) for j in Rr.keys() | Ri.keys()]
-        for j, x, y in pairs:
-            self._store(r, j, a * x + b * y)
-            self._store(i, j, c * x + d * y)
+    def reduce_row(self, r: int, c: int) -> None:
+        """Reduce row r mod its entry p at (r, c), which is alone in column c.
 
-    def mix_cols(self, k: int, j: int, a: int, b: int, c: int, d: int) -> None:
-        """(col_k, col_j) <- (a*col_k + b*col_j, c*col_k + d*col_j)."""
-        rows = self.rows
-        hit = self.cols[k] | self.cols[j]
-        pairs = [(i, rows[i].get(k, 0), rows[i].get(j, 0)) for i in hit]
-        for i, x, y in pairs:
-            self._store(i, k, a * x + b * y)
-            self._store(i, j, c * x + d * y)
+        Column c is zero outside row r, so each column step
+        col_j -= q * col_c changes (r, j) alone: every other entry of row r
+        is replaced in place by its remainder mod p.  A zero leaves the row
+        and the column index.
+        """
+        row = self.rows[r]
+        p = row[c]
+        cols = self.cols
+        for j, y in list(row.items()):
+            if j == c:
+                continue
+            y %= p
+            if y:
+                row[j] = y
+            else:
+                del row[j]
+                col = cols[j]
+                col.discard(r)
+                if len(col) == 1:
+                    self.singles.append(j)
 
     def clear_column(self, r: int, c: int) -> int:
         """Make (r, c) the only entry of column c by row steps; returns it.
 
         Under a modulus each row takes one exact step, row_i -= x/p * row_r
-        with the inverse of the pivot p mod m.  Over Z a row whose entry the
-        pivot divides takes an exact-quotient step; otherwise a 2x2
-        extended-gcd step on rows r and i leaves the gcd at (r, c), which
-        shrinks the pivot.
+        with the inverse of the pivot p mod m.  Over Z each row i runs
+        Euclid against row r: `add_row` leaves the remainder of its entry
+        mod p, and a nonzero remainder swaps rows i and r, so the gcd of the
+        column ends at (r, c) and row r stays the pivot row.
         """
-        p = self.rows[r][c]
+        rows = self.rows
+        p = rows[r][c]
         m = self.modulus
         if m:
             minus_inv = -pow(p, -1, m)
             for i in list(self.cols[c]):
                 if i != r:
-                    self.add_row(i, r, self.rows[i][c] * minus_inv % m)
+                    self.add_row(i, r, rows[i][c] * minus_inv % m)
             return p
         for i in list(self.cols[c]):
             if i == r:
                 continue
-            x = self.rows[i][c]
-            q, rem = divmod(x, p)
-            if not rem:
-                self.add_row(i, r, -q)
-            else:
-                g, s, t = _xgcd(p, x)
-                self.mix_rows(r, i, s, t, -x // g, p // g)
-                p = g
+            while True:
+                q = rows[i][c] // p
+                if q:
+                    self.add_row(i, r, -q)
+                if c not in rows.get(i, ()):
+                    break
+                self.swap_rows(r, i)
+                p = rows[r][c]
         return p
 
     def drop_row(self, r: int) -> None:

@@ -76,6 +76,16 @@ _PINNED_JSON = [
         ["geography", "--grading", "-2", "--free", "1", "--torsion", "4,6", "--json"],
         "ec666137394dfa9033d7574a714a68743d20d39c72e7b7129691cb60fc3ab8d8",
     ),
+    # These two reach integer pivots that do not divide their columns.
+    (
+        ["homology", "builtin:lambda2", "--aug", "a1=6, a2=-1, a3=1, a10=1, a11=1, a12=1",
+         "--ring", "Z", "--json"],
+        "9ca500c3d1dfc233f08f3776b702385ea96a08ee43ab0d044e5a6de383e6202e",
+    ),
+    (
+        ["geography", "--grading", "-1", "--torsion", "4,6,9", "--json"],
+        "a551ec6989718ba71cb585ae4c5c092fc83f5f3a30fa463560d9ac501b733167",
+    ),
 ]
 
 
@@ -133,6 +143,19 @@ def test_cap_message_for_a_grid_too_large_to_print(tmp_path, capsys):
     code, out, err = invoke(capsys, "augs", str(doc), "--ring", f"Z/{2**61 - 1}")
     assert code == 2
     assert out == "" and f"{2**61 - 1}^600 assignments exceeds cap" in err
+
+
+def test_deep_augmentation_walk_does_not_recurse(tmp_path):
+    # 1200 free degree-0 chords on a one-point grid pass the cap; the walk
+    # is 1200 deep, past the interpreter's default recursion limit.
+    doc = tmp_path / "flat.dga"
+    doc.write_text('dga "flat"\n' + "".join(f"gen x{k} 0\n" for k in range(1200)))
+    proc = _lch_process("augs", str(doc), "--ring", "Z", "--bound", "0", "--json")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["count"] == 1
+    proc = _lch_process("scan", str(doc), "--primes", "", "--bound", "0", "--json")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["torsion_free_count"] == 1
 
 
 def test_degree_gap_costs_nothing(tmp_path):

@@ -169,24 +169,27 @@ def _geography_shaped(rng, linked: bool):
     return M
 
 
+def _check_pivot_rule(A, r, c):
+    """(r, c) is a pivot by the documented rule: least |value| (over Z),
+    then least Markowitz cost (r-1)(c-1), over all entries."""
+
+    def key(i, j):
+        cost = (len(A.rows[i]) - 1) * (len(A.cols[j]) - 1)
+        return (1 if A.modulus else abs(A.rows[i][j]), cost)
+
+    assert key(r, c) == min(key(i, j) for i, row in A.rows.items() for j in row)
+
+
 def _emptied_columns(M, modulus: int = 0) -> int:
     """Columns that reach exactly one entry during rank elimination, without
-    having one at the start.
-
-    Every pivot is checked against the documented rule: least |value|
-    (over Z), then least Markowitz cost (r-1)(c-1), over all entries.
+    having one at the start.  Every pivot is checked against the rule.
     """
     A = _SparseMatrix(sparse_rows(M), modulus)
     start = {j for j, rows in A.cols.items() if len(rows) == 1}
     emptied = set()
-
-    def key(i, j):
-        cost = (len(A.rows[i]) - 1) * (len(A.cols[j]) - 1)
-        return (1 if modulus else abs(A.rows[i][j]), cost)
-
     while A.rows:
         r, c = A.pivot()
-        assert key(r, c) == min(key(i, j) for i, row in A.rows.items() for j in row)
+        _check_pivot_rule(A, r, c)
         A.clear_column(r, c)
         A.drop_row(r)
         emptied.update(j for j, rows in A.cols.items() if len(rows) == 1 and j not in start)
@@ -203,7 +206,7 @@ def _with_lone_entries(rng, M, lone):
     return [[rows[i][j] for j in col_order] for i in row_order]
 
 
-def test_snf_random_matrices_with_oracle():
+def test_snf_random_matrices_with_oracle(monkeypatch):
     rng = random.Random(1234)
     for _ in range(300):
         m = rng.randint(1, 6)
@@ -242,6 +245,31 @@ def test_snf_random_matrices_with_oracle():
             assert invariant_factors(A) == diag, A
         emptied += _emptied_columns(M)
     assert emptied > 100
+    # Dense square cases, where pivots rarely divide their rows: every pivot
+    # that `_factors_of_rows` takes follows the rule, and some pivot rows
+    # keep nonzero remainders after their reduction.
+    pivot, reduce_row = _SparseMatrix.pivot, _SparseMatrix.reduce_row
+    kept = []
+
+    def checked_pivot(self):
+        r, c = pivot(self)
+        _check_pivot_rule(self, r, c)
+        return r, c
+
+    def counted_reduce_row(self, r, c):
+        reduce_row(self, r, c)
+        kept.append(len(self.rows[r]) > 1)
+
+    monkeypatch.setattr(_SparseMatrix, "pivot", checked_pivot)
+    monkeypatch.setattr(_SparseMatrix, "reduce_row", counted_reduce_row)
+    dense_rng = random.Random(4321)
+    for _ in range(60):
+        n = dense_rng.randint(8, 14)
+        M = [[dense_rng.randint(-9, 9) if dense_rng.random() < 0.3 else 0 for _ in range(n)]
+             for _ in range(n)]
+        _, D, _ = smith_normal_form(M)
+        assert invariant_factors(M) == [D[i][i] for i in range(n) if D[i][i]], M
+    assert any(kept)
 
 
 def test_lone_torsion_entries_take_no_pivot(monkeypatch):
