@@ -289,10 +289,7 @@ def run(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.fn(args)
-    except LchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (LchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

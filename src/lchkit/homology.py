@@ -5,16 +5,12 @@ ker M_d is a direct summand of C_d (its quotient embeds in the free group
 C_{d-1}), so H_d = Z^(n_d - rk M_d - rk M_{d+1}) plus one Z/f for each
 invariant factor f > 1 of M_{d+1}.  The mod-2 Bockstein
 H_d(Z/2) -> H_{d-1}(Z/2) is read from that integral homology: its rank
-is #{orders f of H_{d-1}(Z) with f = 2 mod 4}.  The sparse elimination
-kernel `matrices._SparseMatrix` gets the invariant factors without
-transforms, straight from the complex's sparse rows, by row additions,
-row swaps and reductions of a pivot's row mod the pivot;
-`invariant_factors` is the same route for a dense matrix, and the dense
-`smith_normal_form` keeps U and V for callers that need them.  Field
-dimensions read each boundary's rank once by the same kernel
-(`matrices.rank_of_rows`), over Q without Fractions and over Z/p with
-entries reduced mod p.  A universal-coefficient consistency check rounds
-out the module.
+is #{orders f of H_{d-1}(Z) with f = 2 mod 4}.  Groups are built from two
+answers of `matrices`, straight from a complex's sparse rows: the Smith
+diagonal over Z (`diagonal_of_rows`) and the rank over a field
+(`rank_of_rows`).  The dense `smith_normal_form` keeps U and V for
+callers that need them.  A universal-coefficient consistency check
+rounds out the module.
 """
 
 from __future__ import annotations
@@ -24,7 +20,7 @@ from math import gcd
 
 from .errors import FieldRequired, NotAComplex, RingMismatch
 from .linearize import ChainComplex
-from .matrices import _SparseMatrix, identity, rank_of_rows, sparse_rows
+from .matrices import diagonal_of_rows, identity, rank_of_rows, sparse_rows
 from .rings import ZZ, RingDesc
 
 
@@ -164,51 +160,15 @@ def _divisibility_chain(diagonal: list[int]) -> list[int]:
 
 
 def invariant_factors(M) -> list[int]:
-    """Nonzero diagonal entries of the Smith form, in divisibility order.
-
-    Sparse elimination that keeps no transforms.  Each step takes the
-    entry of least |value| as pivot (fewest fill-ins among equals), clears
-    its column by Euclid with row additions and row swaps, which leaves the
-    column's gcd p as the pivot, and reduces the pivot's row mod p.  If p
-    is then all that is left of its row, it splits off as one diagonal
-    entry; otherwise the remainders, each smaller than p, wait for a later
-    pivot.  The diagonal is then put into divisibility order.  An entry
-    alone in both its row and its column splits off as it stands, before
-    any pivot.
-    """
+    """Nonzero diagonal entries of the Smith form, in divisibility order,
+    by the sparse elimination of `matrices.diagonal_of_rows`, which keeps no
+    transforms."""
     return _factors_of_rows(sparse_rows(M))
 
 
 def _factors_of_rows(rows: dict[int, dict[int, int]]) -> list[int]:
-    """`invariant_factors` of an integer matrix given as sparse rows.
-
-    No rows give no factors, and one row gives the gcd of its entries
-    alone; only larger boundaries load the elimination kernel.  An entry
-    alone in both its row and its column is a diagonal block of its own,
-    so it splits off as |x| before any pivot: the kernel's worklist
-    `singles` already names every column with one entry.  The loop ends:
-    a pivot from the scan is the least |value| left, and a pass that keeps
-    its row leaves there a remainder smaller than that pivot, so between
-    two passes that drop a row the least |value| strictly falls.
-    """
-    if len(rows) < 2:
-        g = gcd(*(x for row in rows.values() for x in row.values()))
-        return [g] if g else []
-    A = _SparseMatrix(rows)
-    diagonal = []
-    for j in A.singles:
-        (i,) = A.cols[j]
-        if len(A.rows[i]) == 1:
-            diagonal.append(abs(A.rows[i][j]))
-            A.drop_row(i)
-    while A.rows:
-        r, c = A.pivot()
-        p = A.clear_column(r, c)
-        A.reduce_row(r, c)
-        if len(A.rows[r]) == 1:
-            A.drop_row(r)
-            diagonal.append(abs(p))
-    return _divisibility_chain(diagonal)
+    """`invariant_factors` of an integer matrix given as sparse rows."""
+    return _divisibility_chain(diagonal_of_rows(rows))
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Exact matrix helpers shared across the package.
+"""Exact matrix helpers, and the one elimination kernel of the package.
 
 Dense matrices are lists of rows (lists); sparse ones are dicts
 ``{row: {col: value}}`` of nonzero entries, the form in which
@@ -6,29 +6,39 @@ Dense matrices are lists of rows (lists); sparse ones are dicts
 (or Fractions where stated); nothing here ever rounds.  Shapes are not
 always small: connected sums reach hundreds of chords.  Dense `matmul` and
 `identity` serve only `homology.smith_normal_form` and the tests.
-`_SparseMatrix` is the one elimination kernel, over Z or over Z/p, and
-it is built from sparse rows only, which is how `homology` reads a
-complex's boundaries.  Over Z it takes three elementary steps: adding a
-multiple of one row to another, swapping two rows (so Euclid on a column
-leaves the gcd in the pivot row), and reducing the pivot row mod its
-pivot once the pivot is alone in its column, which stands for column
-steps.  Its pivot rule is Markowitz's: least |value| (every value counts
-as 1 under a modulus), then least fill cost (r-1)(c-1).  A worklist of
-columns left with one entry serves the cheapest cases without a scan.
-Before any pivot, `homology` reads from it each entry alone in both its
-row and its column, as the torsion entries of a connected sum are, and
-splits it off.  After that, a unit alone in its column is optimal, and on
-the block-and-link boundaries of connected sums about half the pivots are
-such units.
-`rank_of_rows` counts its pivots over Z/p with entries reduced mod p, or
-over Q after clearing each row's denominators, so rank over Q needs no
-Fraction arithmetic.  The dense `rank_rationals` and `rank_mod_p`
-convert with `sparse_rows` and take the same route.
+
+`_SparseMatrix` is the one elimination kernel, over Z or over Z/p, built
+from sparse rows; two loops drive it, and both live here.  Its pivot rule
+is Markowitz's: least |value| (every value counts as 1 under a modulus),
+then least fill cost (r-1)(c-1).  A worklist of columns left with one
+entry serves the cheapest cases without a scan.  Each pivot's column is
+cleared by row steps: over Z/p one exact step per row with the pivot's
+inverse, over Z Euclid against the pivot row by row additions and row
+swaps, which leaves the column's gcd as the pivot.
+
+- `rank_of_rows` clears each pivot's column and drops its row, so the rank
+  is the number of pivots.  Over Z/p the entries are reduced mod p, over Q
+  each row's denominators are cleared first, so rank over Q needs no
+  Fraction arithmetic.  The dense `rank_rationals` and `rank_mod_p`
+  convert with `sparse_rows` and take the same route.
+- `diagonal_of_rows` gives the nonzero Smith diagonal over Z.  An entry
+  alone in both its row and its column, as the torsion entries of a
+  connected sum are, is a diagonal block of its own and splits off before
+  any pivot.  After each pivot the pivot row is reduced mod the pivot,
+  which stands for column steps against a pivot alone in its column.  If
+  the pivot is then all that is left of its row, it splits off as one
+  diagonal entry; otherwise the remainders, each smaller than it, wait for
+  a later pivot.  After the split, a unit alone in its column is optimal,
+  and on the block-and-link boundaries of connected sums about half the
+  pivots are such units.
+
+No rows, or one row, need no kernel: the rank is 1 exactly when some
+entry is nonzero in the field, and the diagonal is the gcd of the row.
 """
 
 from __future__ import annotations
 
-from math import lcm
+from math import gcd, lcm
 
 
 def identity(n: int) -> list[list[int]]:
@@ -66,12 +76,11 @@ class _SparseMatrix:
     """Matrix over Z, or over Z/m for a prime m, as rows of {col: value}
     dicts with a col -> rows index.
 
-    Only nonzero entries are stored; empty rows are dropped.  Over Z the
-    kernel takes three elementary steps: `add_row` and `swap_rows` are
-    unimodular row operations, and `reduce_row` stands for unimodular
-    column operations against a pivot alone in its column, so each keeps
-    the Smith form.  With a modulus m > 0 every entry is kept reduced into
-    [1, m), so entries never grow, and only `add_row` steps are taken.
+    Only nonzero entries are stored; empty rows are dropped.  Over Z every
+    step keeps the Smith form: `add_row` and `swap_rows` are unimodular row
+    operations, and `reduce_row` stands for unimodular column operations.
+    With a modulus m > 0 every entry is kept reduced into [1, m), so
+    entries never grow, and only `add_row` steps are taken.
     """
 
     def __init__(self, rows: dict[int, dict[int, int]], modulus: int = 0):
@@ -80,17 +89,14 @@ class _SparseMatrix:
         Rows are taken in index order, so elimination visits them as it
         would the rows of the dense matrix.
         """
-        self._load(((i, rows[i]) for i in sorted(rows)), modulus)
-
-    def _load(self, rows, modulus: int) -> None:
         self.modulus = modulus
         self.rows: dict[int, dict[int, int]] = {}
         self.cols: dict[int, set[int]] = {}
-        for i, row in rows:
+        for i in sorted(rows):
             if modulus:
-                entries = {j: y for j, x in row.items() if (y := x % modulus)}
+                entries = {j: y for j, x in rows[i].items() if (y := x % modulus)}
             else:
-                entries = {j: x for j, x in row.items() if x}
+                entries = {j: x for j, x in rows[i].items() if x}
             if entries:
                 self.rows[i] = entries
                 for j in entries:
@@ -235,8 +241,22 @@ class _SparseMatrix:
                 self.singles.append(j)
 
 
-def _pivot_count(A: _SparseMatrix) -> int:
-    """Rank of A: pick a pivot, clear its column, drop its row, until empty."""
+def rank_of_rows(rows: dict[int, dict[int, int]], modulus: int | None = None) -> int:
+    """Rank of sparse rows over Q (modulus None) or over Z/p (modulus p prime).
+
+    Over Q each row is multiplied by the lcm of its entries' denominators,
+    which leaves the row space unchanged.
+    """
+    if len(rows) < 2:
+        entries = [x for row in rows.values() for x in row.values()]
+        return int(any(x % modulus for x in entries) if modulus else any(entries))
+    if not modulus:
+        cleared = {}
+        for i, row in rows.items():
+            scale = lcm(*(x.denominator for x in row.values()))
+            cleared[i] = {j: x.numerator * (scale // x.denominator) for j, x in row.items()}
+        rows = cleared
+    A = _SparseMatrix(rows, modulus or 0)
     rank = 0
     while A.rows:
         r, c = A.pivot()
@@ -246,28 +266,33 @@ def _pivot_count(A: _SparseMatrix) -> int:
     return rank
 
 
-def rank_of_rows(rows: dict[int, dict[int, int]], modulus: int | None = None) -> int:
-    """Rank of sparse rows over Q (modulus None) or over Z/p (modulus p prime).
+def diagonal_of_rows(rows: dict[int, dict[int, int]]) -> list[int]:
+    """The nonzero Smith diagonal over Z of sparse integer rows, as |values|
+    in the order they split off, not yet in divisibility order.
 
-    Over Z/p the entries are reduced mod p once, and every row step keeps
-    them below p, whatever the size of the integer lift.  Over Q each row
-    is multiplied by the lcm of its entries' denominators, which leaves
-    the row space unchanged; the integer rows are then eliminated by
-    unimodular row steps.  Either way each pivot's column is cleared and
-    its row dropped, so the rank is the number of pivots.  No rows, or one
-    row, need no elimination: the rank is 1 exactly when some entry is
-    nonzero in the field.
+    The loop ends: a pivot from the scan is the least |value| left, and a
+    pass that keeps its row leaves there a remainder smaller than that
+    pivot, so between two passes that drop a row the least |value| strictly
+    falls.
     """
     if len(rows) < 2:
-        entries = [x for row in rows.values() for x in row.values()]
-        return int(any(x % modulus for x in entries) if modulus else any(entries))
-    if modulus:
-        return _pivot_count(_SparseMatrix(rows, modulus))
-    cleared = {}
-    for i, row in rows.items():
-        scale = lcm(*(x.denominator for x in row.values()))
-        cleared[i] = {j: x.numerator * (scale // x.denominator) for j, x in row.items()}
-    return _pivot_count(_SparseMatrix(cleared))
+        g = gcd(*(x for row in rows.values() for x in row.values()))
+        return [g] if g else []
+    A = _SparseMatrix(rows)
+    diagonal = []
+    for j in A.singles:
+        (i,) = A.cols[j]
+        if len(A.rows[i]) == 1:
+            diagonal.append(abs(A.rows[i][j]))
+            A.drop_row(i)
+    while A.rows:
+        r, c = A.pivot()
+        p = A.clear_column(r, c)
+        A.reduce_row(r, c)
+        if len(A.rows[r]) == 1:
+            A.drop_row(r)
+            diagonal.append(abs(p))
+    return diagonal
 
 
 def rank_rationals(M) -> int:

@@ -68,10 +68,6 @@ class DualityReport:
     dims: dict[int, int]
 
     @property
-    def pairs(self) -> tuple[tuple[int, int, int], ...]:
-        return tuple((i, a, b) for i, a, b, _ in _duality_rows(self.dims))
-
-    @property
     def duality_ok(self) -> bool:
         return all(holds for *_, holds in _duality_rows(self.dims))
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -112,6 +113,30 @@ def test_huge_prime_torsion_order_is_fast():
     proc = _lch_process("geography", "--grading", "2", "--torsion", str(2**61 - 1))
     assert proc.returncode == 0
     assert proc.stdout.strip() == f"H_2 = Z/{2**61 - 1}"
+
+
+def test_rank_route_does_not_reduce_rows(tmp_path):
+    """Field homology of a random 40 x 40 boundary with entries in [-9, 9].
+
+    Rank over Q clears each pivot's column by Euclid and drops its row;
+    reducing the pivot row as the Smith diagonal does makes the entries
+    grow until the run is killed.  Over Z this boundary still has no bound
+    on entry growth (ROADMAP item 5), so only Q and Z/2 are run.
+    """
+    rng = random.Random(3)
+    lines = ['dga "dense"']
+    lines += [f"gen a{i} 1" for i in range(40)] + [f"gen b{j} 0" for j in range(40)]
+    for i in range(40):
+        terms = [(rng.randint(-9, 9), j) for j in range(40) if rng.random() < 0.08]
+        terms = [f"{c}*b{j}" for c, j in terms if c]
+        if terms:
+            lines.append(f"d a{i} = " + " + ".join(terms).replace("+ -", "- "))
+    doc = tmp_path / "dense.dga"
+    doc.write_text("\n".join(lines) + "\n")
+    for ring, group in (("Q", "Q^2"), ("Z/2", "(Z/2)^14")):
+        proc = _lch_process("homology", str(doc), "--aug", "", "--ring", ring)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines() == [f"H_1 = {group}", f"H_0 = {group}"]
 
 
 def test_huge_prime_modulus_is_fast():

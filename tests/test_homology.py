@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -479,7 +480,7 @@ def test_empty_and_one_row_boundaries_skip_the_kernel(monkeypatch):
     def no_load(*args, **kwargs):
         raise AssertionError("kernel loaded")
 
-    monkeypatch.setattr(_SparseMatrix, "_load", no_load)
+    monkeypatch.setattr(_SparseMatrix, "__init__", no_load)
     assert _factors_of_rows({}) == []
     assert rank_of_rows({}) == 0
     for p in RANK_PRIMES:
@@ -656,6 +657,86 @@ def test_lambda_k_table():
                 k: HomologyGroup(0, (n,)),
                 -k - 1: HomologyGroup(0, (n,)),
             }
+
+
+@pytest.fixture(scope="module")
+def scanned_complexes():
+    """The complexes of every integral augmentation with |values| <= 2 of
+    lambda0 and lambda_1..3, the points `lch scan --bound 2` visits."""
+    return [
+        linearized_differential(dga, aug)
+        for dga in (lambda0(), lambda_k(1), lambda_k(2), lambda_k(3))
+        for aug in enumerate_augmentations_bounded(dga, 2)
+    ]
+
+
+def test_factors_match_determinantal_divisors_on_scanned_boundaries(scanned_complexes):
+    # The k-th invariant factor is d_k / d_{k-1}, where d_k is the gcd of
+    # all k x k minors (Newman, Integral Matrices, 1972): a route to the
+    # Smith diagonal that shares nothing with the elimination kernel.  Zero
+    # rows and columns are dropped first, since they only multiply the
+    # number of vanishing minors.
+    assert len(scanned_complexes) == 248
+    boundaries = {}
+    for C in scanned_complexes:
+        for rows in C.rows.values():
+            if len(rows) >= 2:
+                key = tuple((i, tuple(sorted(row.items()))) for i, row in sorted(rows.items()))
+                boundaries[key] = rows
+    checked = with_torsion = 0
+    for rows in boundaries.values():
+        cols = sorted({j for row in rows.values() for j in row})
+        M = [[row.get(j, 0) for j in cols] for _, row in sorted(rows.items())]
+        size = min(len(M), len(cols))
+        if sum(comb(len(M), k) * comb(len(cols), k) for k in range(1, size + 1)) > 2000:
+            continue
+        quotients, prev = [], 1
+        for k in range(1, size + 1):
+            dk = minors_gcd(M, k)
+            if not dk:
+                break
+            quotients.append(dk // prev)
+            prev = dk
+        factors = _factors_of_rows(rows)
+        assert factors == quotients, M
+        checked += 1
+        with_torsion += factors[-1] > 1
+    assert (len(boundaries), checked, with_torsion) == (242, 242, 40)
+
+
+def _integral_duality_failures(H):
+    """Where H breaks Sabloff duality over Z: rank H_i = rank H_{-i} for
+    i != +-1, rank H_1 = rank H_{-1} + 1, and the torsion of H_k equals the
+    torsion of H_{-k-1}."""
+    failures = [
+        ("rank", i)
+        for i in sorted({0, 1, *(abs(d) for d in H.degrees())})
+        if H.group(i).free_rank - H.group(-i).free_rank != (1 if i == 1 else 0)
+    ]
+    failures += [
+        ("torsion", k) for k in H.degrees() if H.group(k).torsion != H.group(-k - 1).torsion
+    ]
+    return failures
+
+
+def test_integral_sabloff_duality(scanned_complexes):
+    # Sabloff, "Duality for Legendrian contact homology", Geom. Topol. 10
+    # (2006).  Field duality plus UCT only fixes how many p-primary summands
+    # each degree has; over Z the orders themselves must pair up, so this
+    # checks where `integral_homology` puts each torsion order.
+    rng = random.Random(1806)
+    sums = []
+    for _ in range(60):
+        free = rng.randint(0, 2)
+        orders = [rng.randint(2, 12) for _ in range(rng.randint(0 if free else 1, 4))]
+        grading = rng.choice((-4, -3, -2, -1, 2, 3, 4))
+        sums.append(linearized_differential(*geography_dga(grading, free, orders)))
+    torsion = 0
+    for C in scanned_complexes + sums:
+        H = integral_homology(C)
+        assert _integral_duality_failures(H) == [], H.format_report()
+        torsion += any(g.torsion for g in H.groups.values())
+    assert torsion > 60
 
 
 def test_large_lambda0_sums():
