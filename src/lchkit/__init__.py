@@ -15,12 +15,10 @@ homology exactly over Z, Q, or Z/m:
 
 from .algebra import (
     Poly,
-    add,
     degree_of_word,
     evaluate,
     format_poly,
     gen,
-    mul,
     s_linear_part,
 )
 from .augment import (

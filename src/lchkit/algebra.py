@@ -176,9 +176,6 @@ class Poly:
     def chord_symbols(self) -> set[str]:
         return {x for x in self.symbols() if not is_basepoint(x)}
 
-    def constant_coefficient(self) -> int:
-        return self._terms.get((), 0)
-
     # -- arithmetic -----------------------------------------------------
 
     def __add__(self, other) -> "Poly":
@@ -306,14 +303,6 @@ def degree_of_word(word: Iterable[str], grading: Mapping[str, int]) -> int:
             raise UnknownGenerator(f"no grading for symbol {x!r}")
         total += grading[x]
     return total
-
-
-def add(p: Poly, q: Poly) -> Poly:
-    return p + q
-
-
-def mul(p: Poly, q: Poly) -> Poly:
-    return p * q
 
 
 def _scalar_for(symbol: str, eps: Mapping[str, object]):

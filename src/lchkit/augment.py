@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import symbol_sort_key
-from .dga import DGA
 from .errors import (
     FieldRequired,
     InvalidParameter,
@@ -26,8 +25,13 @@ from .errors import (
     SearchTooLarge,
     UnknownGenerator,
 )
+from .linearize import linearized_differential
 from .matrices import rank_of_rows
 from .rings import ZZ, RingDesc, Zmod
+
+# `DGA` in annotations is lchkit.dga.DGA.  It is not imported: dga imports
+# this module, and imports in the model layer run one way, dga -> augment
+# -> linearize.
 
 DEFAULT_SEARCH_CAP = 10**8
 
@@ -294,7 +298,5 @@ def tangent_space_dim(dga: DGA, aug: Augmentation) -> int:
     """
     if not aug.ring.is_field:
         raise FieldRequired(f"tangent space needs a field, got {aug.ring}")
-    from .linearize import linearized_differential
-
     C = linearized_differential(dga, aug)
     return len(dga.chords_of_degree(0)) - rank_of_rows(C.rows_of(1), aug.ring.modulus)

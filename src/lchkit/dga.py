@@ -22,6 +22,7 @@ from functools import cache, cached_property
 
 from . import algebra
 from .algebra import Poly, degree_of_word, first_unknown_symbol, format_monomial, gen, t_gen
+from .augment import Augmentation
 from .errors import (
     InvalidParameter,
     NotAUnit,
@@ -41,15 +42,13 @@ class DGA:
     ``chords`` fixes the declaration order used everywhere downstream
     (matrix rows/columns, enumeration order, serialization).  ``diff``
     maps chord names to polynomials; omitted chords have zero
-    differential.  ``tb`` is optional metadata: when given it must equal
-    :func:`euler_tb`, the signed chord count, which is what
-    :meth:`tb_value` returns either way.
+    differential.  tb is not stored: it is :func:`euler_tb`, the signed
+    chord count.
     """
 
     name: str
     chords: tuple[tuple[str, int], ...]
     diff: dict[str, Poly] = field(default_factory=dict)
-    tb: int | None = None
 
     def __post_init__(self):
         seen = set()
@@ -70,8 +69,6 @@ class DGA:
             if not p.is_zero():
                 cleaned[chord] = p
         object.__setattr__(self, "diff", cleaned)
-        if self.tb is not None and self.tb != (signed := euler_tb(self)):
-            raise InvalidParameter(f"tb {self.tb} contradicts the gradings, which give tb = {signed}")
 
     # -- lookups ----------------------------------------------------------
 
@@ -150,9 +147,6 @@ class DGA:
         if chord not in self.grading:
             raise UnknownGenerator(f"unknown chord {chord!r}")
         return self.diff.get(chord, Poly.zero())
-
-    def tb_value(self) -> int:
-        return euler_tb(self)
 
 
 def _compile(p: Poly, grading: dict[str, int]) -> tuple[list, list]:
@@ -409,8 +403,6 @@ def _connected_sum_parts(
 
 def _connected_sum_augmented(summands: list[DGA], augs: list, name: str | None = None):
     """Iterated connected sum with the combined augmentation (c_j -> -1)."""
-    from .augment import Augmentation
-
     ring = augs[0].ring
     for aug in augs[1:]:
         if aug.ring != ring:
@@ -487,8 +479,6 @@ def geography_dga(i: int, m: int, torsions: list[int]):
     is built once per process for each grading, and validated on every
     call.
     """
-    from .augment import Augmentation
-
     if i in (0, 1):
         raise InvalidParameter("grading 0 and 1 are excluded (duality constraints)")
     if m < 0:

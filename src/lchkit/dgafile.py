@@ -5,10 +5,15 @@ line or follows whitespace -- '#' inside an identifier is literal, which
 is what connected-sum chord names like a1#2 use):
 
     dga "<name>"              header, required first
-    tb <int>                  optional; must equal the signed chord count
+    tb <int>                  optional assertion (see below)
     basepoint t               optional (t is reserved either way)
     gen <ident> <int>         one chord declaration per line
     d <ident> = <poly>        differential; omitted chords are closed
+
+A tb line asserts the Thurston-Bennequin number.  Like basepoint t it
+adds nothing to the DGA: parse checks it against the signed chord count
+(euler_tb) of the DGA it builds and raises InvalidParameter on a
+mismatch, and serialize does not write it back.
 
 A <poly> is '+'/'-' separated terms.  Each term is an optional integer
 coefficient joined by '*' to factors, each factor a chord identifier, t,
@@ -46,8 +51,8 @@ from __future__ import annotations
 import re
 
 from .algebra import T_INV_SYMBOL, T_SYMBOL, Poly, first_unknown_symbol, format_poly
-from .dga import DGA
-from .errors import DuplicateGenerator, ParseError, UnknownGenerator
+from .dga import DGA, euler_tb
+from .errors import DuplicateGenerator, InvalidParameter, ParseError, UnknownGenerator
 
 # A comment starts at a '#' that begins the line or follows whitespace.
 _COMMENT = re.compile(r"(?<!\S)#")
@@ -224,6 +229,7 @@ def parse(text: str) -> DGA:
     """Parse a .dga document into a (structurally valid) DGA.
 
     Grading and d^2 = 0 are *not* checked here; run validate separately.
+    A tb line is checked against the DGA built, and then dropped.
     """
     name: str | None = None
     tb: int | None = None
@@ -311,15 +317,15 @@ def parse(text: str) -> DGA:
             raise UnknownGenerator(f"undeclared symbol {symbol!r} in d {chord} (line {lineno})")
         diff[chord] = poly
 
-    return DGA(name=name, chords=tuple(chords), diff=diff, tb=tb)
+    dga = DGA(name=name, chords=tuple(chords), diff=diff)
+    if tb is not None and tb != (signed := euler_tb(dga)):
+        raise InvalidParameter(f"tb {tb} contradicts the gradings, which give tb = {signed}")
+    return dga
 
 
 def serialize(dga: DGA) -> str:
     """Canonical document for a DGA; round-trips through parse."""
-    lines = [f'dga "{dga.name}"']
-    if dga.tb is not None:
-        lines.append(f"tb {dga.tb}")
-    lines.append("basepoint t")
+    lines = [f'dga "{dga.name}"', "basepoint t"]
     for chord, degree in dga.chords:
         lines.append(f"gen {chord} {degree}")
     for chord, _ in dga.chords:

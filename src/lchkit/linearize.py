@@ -19,11 +19,13 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .augment import Augmentation
-from .dga import DGA
 from .errors import NotAComplex, NotAnAugmentation, ValidationFailed
 from .matrices import sparse_rows
 from .rings import RingDesc
+
+# `DGA` and `Augmentation` in annotations are lchkit.dga.DGA and
+# lchkit.augment.Augmentation.  They are not imported: both modules import
+# this one, and imports in the model layer run one way.
 
 
 class ChainComplex:

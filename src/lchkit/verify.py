@@ -22,7 +22,7 @@ from .augment import (
     enumerate_augmentations,
     enumerate_augmentations_bounded,
 )
-from .dga import DGA, connected_sum_augmented
+from .dga import DGA, connected_sum_augmented, euler_tb
 from .errors import FieldRequired, RingMismatch
 from .homology import GradedHomology, HomologyGroup, field_homology, integral_homology
 from .linearize import linearized_differential
@@ -120,7 +120,7 @@ def positivity_check(dga: DGA, aug: Augmentation) -> Positivity:
     if any(deg < 0 for _, deg in dga.chords):
         return Positivity.NOT_APPLICABLE
     homology = integral_homology(linearized_differential(dga, aug))
-    matches = homology == _filling_homology(dga.tb_value())
+    matches = homology == _filling_homology(euler_tb(dga))
     return Positivity.HOLDS if matches else Positivity.FAILS
 
 
@@ -168,7 +168,7 @@ class ObstructionVerdict:
 
 def filling_obstruction(dga: DGA, aug: Augmentation) -> ObstructionVerdict:
     total = sum(_field_dims(dga, aug).values())
-    tb = dga.tb_value()
+    tb = euler_tb(dga)
     genus, expected = (tb + 1) // 2, None
     if tb % 2 == 0:
         reason = (

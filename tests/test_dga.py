@@ -2,6 +2,7 @@ import pytest
 
 from lchkit.algebra import Poly, gen, t_gen, t_inv_gen
 from lchkit.augment import Augmentation
+from lchkit.cli import run
 from lchkit.dga import (
     DGA,
     _connected_sum_augmented,
@@ -17,6 +18,7 @@ from lchkit.dga import (
     unknot,
     validate,
 )
+from lchkit.dgafile import parse
 from lchkit.errors import InvalidParameter, NotAUnit, UnknownGenerator, ValidationFailed
 from lchkit.homology import integral_homology
 from lchkit.linearize import linearized_differential
@@ -271,14 +273,24 @@ def test_geography_member_cache_does_not_leak():
         assert list(aug.values.items()) == list(expected_aug.values.items())
 
 
-def test_tb_line_must_match_the_gradings():
-    """A given tb is the signed chord count, or the DGA is refused."""
-    chords = (("a", 1),)
-    diff = {"a": t_gen + Poly.one()}
-    assert DGA("ok", chords, diff, tb=-1).tb_value() == -1
+def test_tb_line_must_match_the_gradings(tmp_path, capsys):
+    """A tb line is the signed chord count, or the document is refused.
+
+    tb is no field of a DGA: only the parser reads a tb line, checks it
+    and drops it.
+    """
+    body = "gen a 1\nd a = t + 1\n"
+    assert parse(f'dga "ok"\ntb -1\n{body}') == parse(f'dga "ok"\n{body}')
+    message = "tb -5 contradicts the gradings, which give tb = -1"
     with pytest.raises(InvalidParameter) as err:
-        DGA("tb5", chords, diff, tb=-5)
-    assert str(err.value) == "tb -5 contradicts the gradings, which give tb = -1"
+        parse(f'dga "tb5"\ntb -5\n{body}')
+    assert str(err.value) == message
+    doc = tmp_path / "tb5.dga"
+    doc.write_text(f'dga "tb5"\ntb -5\n{body}')
+    assert run(["validate", str(doc)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    with pytest.raises(TypeError):
+        DGA("ok", (("a", 1),), {"a": t_gen + Poly.one()}, tb=-1)
 
 
 def test_alternating_summands_match_the_fold():

@@ -13,7 +13,7 @@ from lchkit.algebra import Poly, gen, t_gen
 from lchkit import dgafile
 from lchkit.dga import DGA, connected_sum, geography_dga, lambda0, lambda_k, unknot, validate
 from lchkit.dgafile import MAX_WORD_LETTERS, parse, serialize
-from lchkit.errors import DuplicateGenerator, LchError, ParseError, UnknownGenerator
+from lchkit.errors import DuplicateGenerator, InvalidParameter, LchError, ParseError, UnknownGenerator
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "lchkit" / "data"
 
@@ -71,11 +71,17 @@ def test_zero_differential_serializes_without_d_lines():
     assert parse(text) == dga
 
 
-def test_tb_line_round_trips():
-    dga = DGA(name="with-tb", chords=(("a", 1),), diff={"a": t_gen + Poly.one()}, tb=-1)
-    text = serialize(dga)
-    assert "tb -1" in text
-    assert parse(text) == dga
+def test_tb_line_is_checked_not_kept():
+    # A tb line that matches the gradings adds nothing to the DGA, and the
+    # serializer does not write it back; one that does not is refused.
+    text = serialize(lambda0())
+    header, rest = text.split("\n", 1)
+    parsed = parse(f"{header}\ntb 1\n{rest}")
+    assert parsed == lambda0()
+    assert serialize(parsed) == text
+    with pytest.raises(InvalidParameter) as err:
+        parse(f"{header}\ntb 3\n{rest}")
+    assert str(err.value) == "tb 3 contradicts the gradings, which give tb = 1"
 
 
 def test_crlf_and_comments_and_blank_lines():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from math import comb
 
@@ -719,11 +720,9 @@ def _integral_duality_failures(H):
     return failures
 
 
-def test_integral_sabloff_duality(scanned_complexes):
-    # Sabloff, "Duality for Legendrian contact homology", Geom. Topol. 10
-    # (2006).  Field duality plus UCT only fixes how many p-primary summands
-    # each degree has; over Z the orders themselves must pair up, so this
-    # checks where `integral_homology` puts each torsion order.
+def _seeded_geography_sums():
+    """The complexes of 60 seeded `geography_dga` sums: free rank 0..2 and
+    up to 4 torsion orders in 2..12, in a grading among -4..-1 and 2..4."""
     rng = random.Random(1806)
     sums = []
     for _ in range(60):
@@ -731,12 +730,94 @@ def test_integral_sabloff_duality(scanned_complexes):
         orders = [rng.randint(2, 12) for _ in range(rng.randint(0 if free else 1, 4))]
         grading = rng.choice((-4, -3, -2, -1, 2, 3, 4))
         sums.append(linearized_differential(*geography_dga(grading, free, orders)))
+    return sums
+
+
+def test_integral_sabloff_duality(scanned_complexes):
+    # Sabloff, "Duality for Legendrian contact homology", Geom. Topol. 10
+    # (2006).  Field duality plus UCT only fixes how many p-primary summands
+    # each degree has; over Z the orders themselves must pair up, so this
+    # checks where `integral_homology` puts each torsion order.
     torsion = 0
-    for C in scanned_complexes + sums:
+    for C in scanned_complexes + _seeded_geography_sums():
         H = integral_homology(C)
         assert _integral_duality_failures(H) == [], H.format_report()
         torsion += any(g.torsion for g in H.groups.values())
     assert torsion > 60
+
+
+def _apply(rows, vector):
+    """rows * vector for sparse rows {i: {j: x}} and a vector {j: x}."""
+    out = {}
+    for i, row in rows.items():
+        value = sum(x * vector.get(j, 0) for j, x in row.items())
+        if value:
+            out[i] = value
+    return out
+
+
+def _certified_torsion(C, d):
+    """The orders of H_d's torsion, each shown by a cycle and a cocycle.
+
+    D = U M V is the dense Smith form of M, the boundary into degree d.
+    Each D_ii = f > 1 gives w = V e_i, the cycle z = M w / f, and
+    phi = (row i of U) mod f.  phi kills every boundary mod f, so it is a
+    map from H_d to Z/f; phi(z) = 1 there, so [z] has order f, and
+    phi_i(z_j) = delta_ij mod f_i for all pairs makes the classes
+    independent.  Only the Smith form is dense: every product is taken on
+    `C.rows_of`, and nothing here runs the sparse kernel.
+    """
+    upper = C.rows_of(d + 1)
+    if not upper:
+        return ()
+    U, D, V = smith_normal_form(C.matrix(d + 1))
+    certificates = []
+    for i in range(min(len(D), len(V))):
+        f = D[i][i]
+        if f < 2:
+            continue
+        boundary = _apply(upper, {j: row[i] for j, row in enumerate(V)})
+        assert all(x % f == 0 for x in boundary.values())
+        z = {k: x // f for k, x in boundary.items()}
+        assert _apply(C.rows_of(d), z) == {}
+        phi = {k: x % f for k, x in enumerate(U[i]) if x % f}
+        cocycle = {}
+        for k, row in upper.items():
+            for j, x in row.items():
+                cocycle[j] = cocycle.get(j, 0) + phi.get(k, 0) * x
+        assert all(x % f == 0 for x in cocycle.values())
+        certificates.append((f, z, phi))
+    for i, (f, _, phi) in enumerate(certificates):
+        for j, (_, z, _) in enumerate(certificates):
+            pairing = sum(x * z.get(k, 0) for k, x in phi.items())
+            assert pairing % f == (i == j), (d, i, j)
+    return tuple(f for f, _, _ in certificates)
+
+
+def test_torsion_certificates(scanned_complexes):
+    # Every Z/f that `integral_homology` reports, and no other, is certified
+    # by an explicit cycle of order f and a cocycle mod f that detects it,
+    # read from the dense Smith form with its transforms.
+    members = [(lambda0(), eps_n)] + [(lambda_k(k), partial(eps_n_k, k)) for k in (1, 2, 3)]
+    lambdas = [
+        linearized_differential(dga, aug_of(n)) for dga, aug_of in members for n in range(2, 13)
+    ]
+    sixes = [
+        linearized_differential(*geography_dga(i, 0, [6] * count))
+        for i, count in ((2, 8), (-1, 8), (3, 6))
+    ]
+    corpus = (lambdas, scanned_complexes, _seeded_geography_sums(), *([C] for C in sixes))
+    counts = []
+    for complexes in corpus:
+        certified = 0
+        for C in complexes:
+            H = integral_homology(C)
+            for d in H.degrees():
+                orders = _certified_torsion(C, d)
+                assert orders == H.group(d).torsion, (d, H.format_report())
+                certified += len(orders)
+        counts.append(certified)
+    assert counts == [88, 104, 194, 16, 16, 12]
 
 
 def test_large_lambda0_sums():

@@ -2,7 +2,7 @@ import pytest
 
 from lchkit.algebra import Poly, t_gen
 from lchkit.augment import Augmentation, enumerate_augmentations
-from lchkit.dga import DGA, connected_sum, lambda0, lambda_k, unknot
+from lchkit.dga import DGA, connected_sum, euler_tb, lambda0, lambda_k, unknot
 from lchkit.errors import FieldRequired, InvalidParameter, RingMismatch, SearchTooLarge
 from lchkit.rings import QQ, ZZ, Zmod
 from lchkit.verify import (
@@ -81,7 +81,7 @@ def test_positivity_unknot_and_synthetic():
         chords=(("x", 0), ("y", 0), ("z", 0), ("b", 1)),
         diff={"b": t_gen + Poly.one()},
     )
-    assert even.tb_value() == 2
+    assert euler_tb(even) == 2
     assert positivity_check(even, Augmentation(ZZ, {})) is Positivity.HOLDS
     # tb + 1 = -1 < 0: the group has no degree-0 part, and H_1 = Z^2 is not Z
     negative = DGA(
@@ -89,7 +89,7 @@ def test_positivity_unknot_and_synthetic():
         chords=(("b1", 1), ("b2", 1)),
         diff={"b1": t_gen + Poly.one(), "b2": t_gen + Poly.one()},
     )
-    assert negative.tb_value() == -2
+    assert euler_tb(negative) == -2
     assert positivity_check(negative, Augmentation(ZZ, {})) is Positivity.FAILS
 
 
