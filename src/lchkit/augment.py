@@ -15,6 +15,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from .algebra import symbol_sort_key
 from .errors import (
@@ -193,16 +194,30 @@ def is_augmentation(dga: DGA, aug: Augmentation) -> bool:
 
 
 def _enumerate(dga: DGA, ring: RingDesc, domain: range, cap: int) -> list[Augmentation]:
-    """Depth-first walk of the grid `domain` ^ (degree-0 chords), in order.
+    """Depth-first walk of the grid `domain` ^ (degree-0 chords), constraint-first.
 
-    The walk keeps its own stack, one position per depth, so a grid of
-    any number of chords fits.  Each degree-1 constraint is checked in the
-    loop over the values of its last variable, before the walk goes
-    deeper, so a pruned value is never descended; its constant terms,
-    from the degree-1 columns of :attr:`DGA.linear_plan`, are summed in
-    place and reduced mod m (over Z, tested against 0).  The values come
-    from `domain`, so they are canonical already, and each point is built
-    without coercion.
+    The walk order puts the degree-1 constraints first, fewest distinct
+    variables first (a stable sort): each constraint adds its variables not
+    yet placed, in declaration order, and the variables no constraint names
+    come last, in declaration order.  Each constraint fires at the depth of
+    its last variable x in that order, where every one of its terms is
+    summed in place from the constant terms of the degree-1 columns of
+    :attr:`DGA.linear_plan` and reduced mod m (over Z, tested against 0); a
+    pruned value is never descended.  If no term of a constraint holds x
+    twice, it reads a1*x + a0 with a1 and a0 summed from the assigned
+    prefix, and x is solved instead of iterated: over Z/m with a1 a unit,
+    only -a0/a1 mod m is tried; over Z with a1 != 0, only the exact
+    quotient -a0/a1, and only if it lies in `domain`; over Z with a1 = 0
+    and a0 != 0, nothing.  Otherwise every value of `domain` is tried.  Of
+    several such constraints at one depth, the first that narrows decides.
+    The solver only narrows which values are tried: every constraint at the
+    depth is still checked on each of them.
+
+    The walk keeps its own stack, one position per depth, so a grid of any
+    number of chords fits.  Each point is kept as its value tuple in
+    declaration order, and the points are sorted by it at the end, which is
+    the lexicographic order of the grid.  The values come from `domain`, so
+    they are canonical already, and each point is built without coercion.
     """
     variables = dga.chords_of_degree(0)
     # The domain stays a range until the cap check passes; its length is
@@ -211,13 +226,27 @@ def _enumerate(dga: DGA, ring: RingDesc, domain: range, cap: int) -> list[Augmen
     values = domain.stop - domain.start
     if values ** len(variables) > cap:
         raise SearchTooLarge(f"{values}^{len(variables)} assignments exceeds cap {cap}")
-    # Each degree-1 constraint fires at the depth of its last variable;
-    # constant constraints (depth -1) are checked before any variable.
-    depth_of = {name: i for i, name in enumerate(variables)}
+    declared = {name: i for i, name in enumerate(variables)}
+    constraints = []
+    for _, _, terms, _ in dga.linear_plan[1].get(1, ()):
+        named = sorted({x for _, names in terms for x in names}, key=declared.__getitem__)
+        constraints.append((named, terms))
+    constraints.sort(key=lambda constraint: len(constraint[0]))
+    order = list(dict.fromkeys([x for names, _ in constraints for x in names] + variables))
+    depth_of = {name: i for i, name in enumerate(order)}
+    # Constant constraints (depth -1) are checked before any variable.
     by_depth: dict[int, list] = {}
-    for _, _, constant, _ in dga.linear_plan[1].get(1, ()):
-        depth = max((depth_of[x] for _, names in constant for x in names), default=-1)
-        by_depth.setdefault(depth, []).append(constant)
+    solvers: dict[int, list] = {}
+    for named, terms in constraints:
+        depth = max((depth_of[x] for x in named), default=-1)
+        by_depth.setdefault(depth, []).append(terms)
+        if depth < 0:
+            continue
+        x = order[depth]
+        if all(names.count(x) < 2 for _, names in terms):
+            linear = [(c, tuple(y for y in names if y != x)) for c, names in terms if x in names]
+            rest = [(c, names) for c, names in terms if x not in names]
+            solvers.setdefault(depth, []).append((linear, rest))
 
     m = ring.modulus or 0
     for terms in by_depth.get(-1, ()):
@@ -229,14 +258,37 @@ def _enumerate(dga: DGA, ring: RingDesc, domain: range, cap: int) -> list[Augmen
         return [canonical(ring, {})]
 
     assignment = dict.fromkeys(variables, 0)
-    results: list[Augmentation] = []
-    last = len(variables) - 1
-    # One iterator over `domain` per assigned depth: its position is where
-    # the walk resumes at that depth when the deeper ones are exhausted.
-    levels = [iter(domain)]
+
+    def candidates(depth: int):
+        """The values tried at `depth`: one solved value, none, or `domain`."""
+        for linear, rest in solvers.get(depth, ()):
+            a1 = a0 = 0
+            for c, names in linear:
+                for y in names:
+                    c *= assignment[y]
+                a1 += c
+            for c, names in rest:
+                for y in names:
+                    c *= assignment[y]
+                a0 += c
+            if m:
+                if gcd(a1, m) == 1:
+                    return (-a0 * pow(a1, -1, m) % m,)
+            elif a1:
+                x, r = divmod(-a0, a1)
+                return (x,) if not r and x in domain else ()
+            elif a0:
+                return ()
+        return domain
+
+    points: list[tuple] = []
+    last = len(order) - 1
+    # One iterator per assigned depth: its position is where the walk
+    # resumes at that depth when the deeper ones are exhausted.
+    levels = [iter(candidates(0))]
     while levels:
         depth = len(levels) - 1
-        name = variables[depth]
+        name = order[depth]
         checks = by_depth.get(depth, ())
         for value in levels[-1]:
             assignment[name] = value
@@ -251,12 +303,16 @@ def _enumerate(dga: DGA, ring: RingDesc, domain: range, cap: int) -> list[Augmen
             else:
                 if depth < last:
                     # Go one depth deeper; this depth resumes after `value`.
-                    levels.append(iter(domain))
+                    levels.append(iter(candidates(depth + 1)))
                     break
-                results.append(canonical(ring, {k: v for k, v in assignment.items() if v}))
+                points.append(tuple(assignment.values()))
         else:
             levels.pop()
-    return results
+    points.sort()
+    return [
+        canonical(ring, {name: v for name, v in zip(variables, point) if v})
+        for point in points
+    ]
 
 
 def enumerate_augmentations(
@@ -264,9 +320,13 @@ def enumerate_augmentations(
 ) -> list[Augmentation]:
     """All augmentations over a finite ring Z/m, in lexicographic value order.
 
-    The search is a depth-first walk of the value grid that prunes with each
-    degree-1 constraint as soon as its variables are assigned; the output
-    order is the same as filtering the full grid in lexicographic order.
+    The search is a depth-first walk of the value grid that visits the
+    variables of the degree-1 constraints first, fewest variables first,
+    and prunes with each constraint as soon as its variables are assigned.
+    A constraint linear in its last variable, with a unit coefficient,
+    solves that variable, so only one value of it is tried.  The points are
+    sorted at the end, so the output order is the same as filtering the
+    full grid in lexicographic order.
     """
     if not ring.is_finite:
         raise InvalidParameter(f"enumeration needs a finite ring, got {ring}")
@@ -277,7 +337,12 @@ def enumerate_augmentations(
 def enumerate_augmentations_bounded(
     dga: DGA, bound: int, cap: int | None = None
 ) -> list[Augmentation]:
-    """All integer augmentations with every value in [-bound, bound]."""
+    """All integer augmentations with every value in [-bound, bound].
+
+    The walk is that of `enumerate_augmentations`; over Z a constraint
+    linear in its last variable tries only the exact quotient, if it lies
+    in the window, and no value if the coefficient is 0 and the rest is not.
+    """
     if bound < 0:
         raise InvalidParameter("bound must be >= 0")
     cap = search_cap_from_env() if cap is None else cap

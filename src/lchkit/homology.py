@@ -307,19 +307,23 @@ def integral_homology(C: ChainComplex) -> GradedHomology:
     ker M_d is a direct summand of C_d.  Hence
     H_d = Z^(n_d - rk M_d - rk M_{d+1}) + Z/f_1 + ... + Z/f_s, where the
     f_i > 1 are the invariant factors of M_{d+1}; no kernel coordinates
-    are needed.
+    are needed.  Only nonempty boundaries are reduced: an empty or missing
+    one has no factors.  Only nontrivial groups are built.
     """
     if C.ring != ZZ:
         raise NotAComplex(f"integral homology needs an integer complex, got {C.ring}")
     degrees = C.degrees()
-    factors = {
-        d: _factors_of_rows(C.rows_of(d)) for d in {*degrees, *(d + 1 for d in degrees)}
-    }
+    factors = {}
+    for d in {*degrees, *(d + 1 for d in degrees)}:
+        if rows := C.rows_of(d):
+            factors[d] = _factors_of_rows(rows)
     groups: dict[int, HomologyGroup] = {}
     for d in degrees:
-        free_rank = len(C.basis_of(d)) - len(factors[d]) - len(factors[d + 1])
-        torsion = tuple(f for f in factors[d + 1] if f > 1)
-        groups[d] = HomologyGroup(free_rank=free_rank, torsion=torsion)
+        lower, upper = factors.get(d, ()), factors.get(d + 1, ())
+        free_rank = len(C.basis_of(d)) - len(lower) - len(upper)
+        torsion = tuple(f for f in upper if f > 1)
+        if free_rank or torsion:
+            groups[d] = HomologyGroup(free_rank=free_rank, torsion=torsion)
     return GradedHomology(groups)
 
 
@@ -327,20 +331,21 @@ def field_homology(C: ChainComplex, field_ring: RingDesc) -> dict[int, int]:
     """Per-degree dimensions over Q or Z/p; nonzero entries only.
 
     An integer complex may be tensored with any field; a Z/p complex can
-    only be read over Z/p itself.
+    only be read over Z/p itself.  Only nonempty boundaries are ranked: an
+    empty or missing one has rank 0.
     """
     if not field_ring.is_field:
         raise FieldRequired(f"{field_ring} is not a field")
     if C.ring != ZZ and C.ring != field_ring:
         raise RingMismatch(f"complex over {C.ring} cannot be read over {field_ring}")
     degrees = C.degrees()
-    ranks = {
-        d: rank_of_rows(C.rows_of(d), field_ring.modulus)
-        for d in {*degrees, *(d + 1 for d in degrees)}
-    }
+    ranks = {}
+    for d in {*degrees, *(d + 1 for d in degrees)}:
+        if rows := C.rows_of(d):
+            ranks[d] = rank_of_rows(rows, field_ring.modulus)
     dims: dict[int, int] = {}
     for d in degrees:
-        dim = len(C.basis_of(d)) - ranks[d] - ranks[d + 1]
+        dim = len(C.basis_of(d)) - ranks.get(d, 0) - ranks.get(d + 1, 0)
         if dim:
             dims[d] = dim
     return dims

@@ -14,7 +14,8 @@ then least fill cost (r-1)(c-1).  A worklist of columns left with one
 entry serves the cheapest cases without a scan.  Each pivot's column is
 cleared by row steps: over Z/p one exact step per row with the pivot's
 inverse, over Z Euclid against the pivot row by row additions and row
-swaps, which leaves the column's gcd as the pivot.
+swaps, which leaves the column's gcd as the pivot.  A pivot already alone
+in its column takes no step at all.
 
 - `rank_of_rows` clears each pivot's column and drops its row, so the rank
   is the number of pivots.  Over Z/p the entries are reduced mod p, over Q
@@ -28,9 +29,12 @@ swaps, which leaves the column's gcd as the pivot.
   which stands for column steps against a pivot alone in its column.  If
   the pivot is then all that is left of its row, it splits off as one
   diagonal entry; otherwise the remainders, each smaller than it, wait for
-  a later pivot.  After the split, a unit alone in its column is optimal,
-  and on the block-and-link boundaries of connected sums about half the
-  pivots are such units.
+  a later pivot.  A pivot of +-1 would reduce every other entry of its row
+  to 0, so its row is dropped at once and the entry 1 recorded, without
+  the reduction.  Neither shortcut changes which pivots are taken.  After
+  the split, a unit alone in its column is optimal, and on the
+  block-and-link boundaries of connected sums about half the pivots are
+  such units.
 
 No rows, or one row, need no kernel: the rank is 1 exactly when some
 entry is nonzero in the field, and the diagonal is the gcd of the row.
@@ -204,7 +208,8 @@ class _SparseMatrix:
     def clear_column(self, r: int, c: int) -> int:
         """Make (r, c) the only entry of column c by row steps; returns it.
 
-        Under a modulus each row takes one exact step, row_i -= x/p * row_r
+        A pivot already alone in its column is returned at once.  Under a
+        modulus each row takes one exact step, row_i -= x/p * row_r
         with the inverse of the pivot p mod m.  Over Z each row i runs
         Euclid against row r: `add_row` leaves the remainder of its entry
         mod p, and a nonzero remainder swaps rows i and r, so the gcd of the
@@ -212,6 +217,8 @@ class _SparseMatrix:
         """
         rows = self.rows
         p = rows[r][c]
+        if len(self.cols[c]) == 1:
+            return p
         m = self.modulus
         if m:
             minus_inv = -pow(p, -1, m)
@@ -288,6 +295,10 @@ def diagonal_of_rows(rows: dict[int, dict[int, int]]) -> list[int]:
     while A.rows:
         r, c = A.pivot()
         p = A.clear_column(r, c)
+        if p in (1, -1):
+            A.drop_row(r)
+            diagonal.append(1)
+            continue
         A.reduce_row(r, c)
         if len(A.rows[r]) == 1:
             A.drop_row(r)

@@ -1,9 +1,10 @@
 from fractions import Fraction
+import random
 from itertools import product
 
 import pytest
 
-from lchkit.algebra import evaluate, gen
+from lchkit.algebra import T_INV_SYMBOL, T_SYMBOL, Poly, evaluate, gen
 from lchkit.augment import (
     Augmentation,
     enumerate_augmentations,
@@ -172,6 +173,68 @@ CLOSED_DEGREE_ONE = DGA(
     diff={"b": gen("x") * gen("y") - 1},
 )
 
+# d b = x*x - 1 holds x twice, so the walk cannot solve for x and iterates it.
+SQUARE = DGA(
+    name="square",
+    chords=(("x", 0), ("y", 0), ("b", 1), ("c", 1)),
+    diff={"b": gen("x") * gen("x") - 1, "c": gen("x") * gen("y") - gen("y")},
+)
+
+# Over Z at bound 2, d b = x + y - 2 solves y = 2 - x, outside the window
+# for x < 0; d c = 2z - xy solves z = xy/2, not an integer at x = y = 1.
+WINDOWED = DGA(
+    name="windowed",
+    chords=(("x", 0), ("y", 0), ("z", 0), ("b", 1), ("c", 1)),
+    diff={
+        "b": gen("x") + gen("y") - 2,
+        "c": 2 * gen("z") - gen("x") * gen("y"),
+    },
+)
+
+# Above this many points the grid is filtered by `grid_filter` alone; the
+# `is_augmentation` and `evaluate` filters cost about 20 us a point.
+FULL_CHECK_POINTS = 10_000
+
+
+def grid_filter(dga, ring, domain):
+    """Reference route: the whole grid in lexicographic order, filtered by
+    summing every differential's terms as `Poly.terms` holds them, with t
+    and t^-1 at -1 and chords of nonzero degree at 0.  It shares nothing
+    with the enumerator's walk or with `DGA.linear_plan`.
+    """
+    deg0 = dga.chords_of_degree(0)
+    position = {name: i for i, name in enumerate(deg0)}
+    polys = []
+    for chord, _ in dga.chords:
+        terms = []
+        for word, c in dga.differential(chord).terms.items():
+            letters = []
+            for x in word:
+                if x in (T_SYMBOL, T_INV_SYMBOL):
+                    c = -c
+                elif x in position:
+                    letters.append(position[x])
+                else:
+                    break
+            else:
+                terms.append((c, letters))
+        if terms:
+            polys.append(terms)
+    m = ring.modulus or 0
+    found = []
+    for combo in product(domain, repeat=len(deg0)):
+        for terms in polys:
+            total = 0
+            for c, letters in terms:
+                for i in letters:
+                    c *= combo[i]
+                total += c
+            if total % m if m else total:
+                break
+        else:
+            found.append({name: v for name, v in zip(deg0, combo) if v})
+    return found
+
 
 @pytest.mark.parametrize(
     "dga, ring, bound",
@@ -182,15 +245,35 @@ CLOSED_DEGREE_ONE = DGA(
         (connected_sum(lambda_k(1), lambda0()), Zmod(2), None),
         (CLOSED_DEGREE_ONE, Zmod(5), None),
         (CLOSED_DEGREE_ONE, ZZ, 2),
+        (lambda0(), Zmod(4), None),
+        (lambda_k(1), Zmod(6), None),
+        (lambda_k(1), Zmod(8), None),
+        (CLOSED_DEGREE_ONE, Zmod(8), None),
+        (SQUARE, Zmod(8), None),
+        (SQUARE, ZZ, 2),
+        (lambda0(), ZZ, 2),
+        (WINDOWED, ZZ, 2),
+        (WINDOWED, ZZ, 1),
+        (lambda_k(3), ZZ, 1),
+        (connected_sum(lambda_k(1), lambda0()), ZZ, 1),
     ],
     ids=["lambda0-Z/2", "lambda0-Z/3", "lambda0-bound1", "lambda1#lambda0-Z/2",
-         "closed-c-Z/5", "closed-c-bound2"],
+         "closed-c-Z/5", "closed-c-bound2", "lambda0-Z/4", "lambda1-Z/6", "lambda1-Z/8",
+         "closed-c-Z/8", "square-Z/8", "square-bound2", "lambda0-bound2", "windowed-bound2",
+         "windowed-bound1", "lambda3-bound1", "lambda1#lambda0-bound1"],
 )
 def test_enumerated_points_are_canonical_and_match_the_grid(dga, ring, bound):
     """Points built without coercion equal coerced ones; the list is the grid filter.
 
-    The filter by `is_augmentation` is also checked against the reference
-    route, which shares no compiled form with the enumerator.
+    The cases reach every branch of the walk's solver: a unit coefficient
+    over a prime and over Z/4, Z/6, Z/8; a coefficient that is not a unit
+    mod m (x*y = 1 at x = 2 mod 8); a term that holds the variable twice
+    (x*x = 1); lambda0's a7 = -a1*a4 at a1 = 0, where the coefficient and
+    the rest both vanish, and x*y = 1 at x = 0 over Z, where only the
+    coefficient does; and over Z a quotient that is not an integer or lies
+    outside the window.  Up to FULL_CHECK_POINTS grid points, the filter by
+    `is_augmentation` is also checked against the reference route through
+    `evaluate`.
     """
     if bound is None:
         augs, domain = enumerate_augmentations(dga, ring), ring.elements()
@@ -199,7 +282,10 @@ def test_enumerated_points_are_canonical_and_match_the_grid(dga, ring, bound):
     for aug in augs:
         assert aug == Augmentation(ring, dict(aug.values))
         assert all(type(v) is int and not ring.is_zero(v) for v in aug.values.values())
+    assert [dict(aug.values) for aug in augs] == grid_filter(dga, ring, domain)
     deg0 = dga.chords_of_degree(0)
+    if len(domain) ** len(deg0) > FULL_CHECK_POINTS:
+        return
     grid = (Augmentation(ring, dict(zip(deg0, combo))) for combo in product(domain, repeat=len(deg0)))
     filtered = [aug for aug in grid if is_augmentation(dga, aug)]
     assert augs == filtered
@@ -207,6 +293,45 @@ def test_enumerated_points_are_canonical_and_match_the_grid(dga, ring, bound):
     assert [dict(aug.values) for aug in filtered] == [
         {k: v for k, v in sol.items() if v} for sol in oracle
     ]
+
+
+def _random_dga(rng, index):
+    """2-5 degree-0 chords and 1-3 degree-1 chords whose differentials are
+    sums of random words of length 0-3 in the degree-0 chords, letters
+    repeated freely; d^2 = 0, as no chord has degree 2."""
+    names = [f"x{i}" for i in range(rng.randint(2, 5))]
+    rng.shuffle(names)
+    diff = {}
+    for b in range(rng.randint(1, 3)):
+        p = Poly.zero()
+        for _ in range(rng.randint(1, 3)):
+            word = Poly.one()
+            for _ in range(rng.randint(0, 3)):
+                word = word * gen(rng.choice(names))
+            p = p + rng.choice((-3, -2, -1, 1, 2, 3)) * word
+        diff[f"b{b}"] = p
+    chords = [(name, 0) for name in names] + [(b, 1) for b in diff]
+    return DGA(name=f"random{index}", chords=tuple(chords), diff=diff)
+
+
+def test_walk_matches_the_grid_filter_on_a_random_corpus():
+    """200 seeded DGAs, each over one of Z/2..Z/9 and over Z at bounds 0-2:
+    the enumerated list, in order, is the filtered grid.  The walk visits
+    the variables constraint-first, so without its final sort the order
+    of the points would differ."""
+    rng = random.Random(2024)
+    nonempty = 0
+    for index in range(200):
+        dga = _random_dga(rng, index)
+        ring = Zmod(2 + index % 8)
+        augs = enumerate_augmentations(dga, ring)
+        assert [dict(a.values) for a in augs] == grid_filter(dga, ring, ring.elements()), dga
+        for bound in (0, 1, 2):
+            augs = enumerate_augmentations_bounded(dga, bound)
+            domain = range(-bound, bound + 1)
+            assert [dict(a.values) for a in augs] == grid_filter(dga, ZZ, domain), (dga, bound)
+            nonempty += bool(augs)
+    assert nonempty > 100
 
 
 def test_constant_term_on_a_degree_two_chord_is_checked():

@@ -9,8 +9,8 @@ import pytest
 
 import lchkit
 from lchkit.cli import load_dga, run
-from lchkit.dga import lambda_k
-from lchkit.dgafile import MAX_DOCUMENT_BYTES, MAX_WORD_LETTERS, parse
+from lchkit.dga import connected_sum, lambda0, lambda_k
+from lchkit.dgafile import MAX_DOCUMENT_BYTES, MAX_WORD_LETTERS, parse, serialize
 from lchkit.homology import GradedHomology
 
 
@@ -87,6 +87,15 @@ _PINNED_JSON = [
         ["geography", "--grading", "-1", "--torsion", "4,6,9", "--json"],
         "a551ec6989718ba71cb585ae4c5c092fc83f5f3a30fa463560d9ac501b733167",
     ),
+    # The augmentation walk solves variables and sorts its points at the end.
+    (
+        ["scan", "builtin:lambda0", "--primes", "3,7", "--bound", "1", "--json"],
+        "75f2bd165c5fc0a1aa2e6481364b370d727d3a86d01e522919c988add828e169",
+    ),
+    (
+        ["scan", "builtin:lambda3", "--primes", "2,5", "--bound", "2", "--json"],
+        "451d8b93b5cc7c619b115b1ad3774c58c207a68c80602cfa90da9871e566f213",
+    ),
 ]
 
 
@@ -97,6 +106,16 @@ def test_json_bytes_are_pinned_and_repeat_in_one_process(capsys):
             code, out, err = invoke(capsys, *argv)
             assert (code, err) == (0, "")
             assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_scan_of_a_sum_file_is_pinned(tmp_path, capsys):
+    doc = tmp_path / "sum.dga"
+    doc.write_text(serialize(connected_sum(lambda_k(1), lambda0())))
+    code, out, err = invoke(capsys, "scan", str(doc), "--primes", "2", "--bound", "1", "--json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "86a16b130d3a0f6b1b064e6690778483fe7d3386b798bc38adcd17328d9296c7"
+    )
 
 
 def _lch_process(*argv):

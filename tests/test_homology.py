@@ -299,6 +299,36 @@ def test_lone_torsion_entries_take_no_pivot(monkeypatch):
     assert sum(rows is top for rows in pivoted) == 0
 
 
+@pytest.mark.parametrize(
+    "grading, orders, pivots",
+    [(2, [6] * 64, 319), (-1, [4, 6, 9, 10, 12] * 20, 399), (3, [35] * 64, 383)],
+    ids=["lambda2-x64", "lambda0-x100", "lambda3-x64"],
+)
+def test_kernel_work_on_geography_sums_is_pinned(monkeypatch, grading, orders, pivots):
+    """Integral homology of three sums takes a fixed number of pivots, and the
+    Smith diagonal never reduces a row mod a unit pivot: such a row is
+    dropped at once, with diagonal entry 1."""
+    C = linearized_differential(*geography_dga(grading, 0, orders))
+    pivot, reduce_row = _SparseMatrix.pivot, _SparseMatrix.reduce_row
+    pivoted = []
+    reduced_by = []
+
+    def counting_pivot(self):
+        pivoted.append(1)
+        return pivot(self)
+
+    def recording_reduce_row(self, r, c):
+        reduced_by.append(self.rows[r][c])
+        reduce_row(self, r, c)
+
+    monkeypatch.setattr(_SparseMatrix, "pivot", counting_pivot)
+    monkeypatch.setattr(_SparseMatrix, "reduce_row", recording_reduce_row)
+    H = integral_homology(C)
+    assert H.group(grading) == from_orders(orders)
+    assert len(pivoted) == pivots
+    assert not any(p in (1, -1) for p in reduced_by)
+
+
 def fraction_rank(M) -> int:
     """Rank over Q by dense Gauss-Jordan elimination on Fractions (reference)."""
     A = [[Fraction(x) for x in row] for row in M]
