@@ -47,14 +47,17 @@ def is_basepoint(symbol: str) -> bool:
 def symbol_sort_key(symbol: str):
     """Total order on symbols: t < t^-1 < chords in natural name order.
 
-    Natural order compares digit runs numerically, so a2 < a10.
+    Natural order compares digit runs numerically, so a2 < a10.  A run is
+    compared as (length without leading zeros, those digits), which orders
+    runs of ASCII digits, the only digits a .dga name admits, as their
+    values do without converting them, so a run of any length is fine.
     """
     if symbol == T_SYMBOL:
         return (0,)
     if symbol == T_INV_SYMBOL:
         return (1,)
     parts = tuple(
-        (0, int(run)) if run.isdigit() else (1, run)
+        (0, len(digits := run.lstrip("0")), digits) if run.isdigit() else (1, run)
         for run in _NAT_SPLIT.split(symbol)
         if run != ""
     )

@@ -8,9 +8,14 @@ H_d(Z/2) -> H_{d-1}(Z/2) is read from that integral homology: its rank
 is #{orders f of H_{d-1}(Z) with f = 2 mod 4}.  Groups are built from two
 answers of `matrices`, straight from a complex's sparse rows: the Smith
 diagonal over Z (`diagonal_of_rows`) and the rank over a field
-(`rank_of_rows`).  The dense `smith_normal_form` keeps U and V for
-callers that need them.  A universal-coefficient consistency check
-rounds out the module.
+(`rank_of_rows`).  Each reader takes two steps: the invariants of the
+stored boundaries (`boundary_factors`, `boundary_ranks`), then the
+assembly of groups or dims from them and the bases
+(`homology_from_factors`, `dims_from_ranks`).  `integral_homology` and
+`field_homology` run both; a caller that meets the same invariants often,
+as a torsion scan does, may assemble once per distinct vector.  The dense
+`smith_normal_form` keeps U and V for callers that need them.  A
+universal-coefficient consistency check rounds out the module.
 """
 
 from __future__ import annotations
@@ -300,26 +305,32 @@ class GradedHomology:
         )
 
 
-def integral_homology(C: ChainComplex) -> GradedHomology:
-    """H_d over Z as free rank + invariant factors, one reduction per boundary.
+def boundary_factors(C: ChainComplex) -> tuple[tuple[int, ...], ...]:
+    """Invariant factors of each stored boundary of an integer complex.
+
+    One tuple per boundary, in ``C.rows`` order, in divisibility order with
+    the ones kept, so its length is the rank; an empty boundary gives ().
+    With the bases, these decide the integral homology:
+    see `homology_from_factors`.
+    """
+    if C.ring != ZZ:
+        raise NotAComplex(f"integral homology needs an integer complex, got {C.ring}")
+    return tuple(tuple(_factors_of_rows(rows)) if rows else () for rows in C.rows.values())
+
+
+def homology_from_factors(C: ChainComplex, factors) -> GradedHomology:
+    """H_d over Z from the `boundary_factors` of C, as free rank + torsion.
 
     C_d / ker M_d embeds in the free group C_{d-1}, so it is free and
     ker M_d is a direct summand of C_d.  Hence
     H_d = Z^(n_d - rk M_d - rk M_{d+1}) + Z/f_1 + ... + Z/f_s, where the
     f_i > 1 are the invariant factors of M_{d+1}; no kernel coordinates
-    are needed.  Only nonempty boundaries are reduced: an empty or missing
-    one has no factors.  Only nontrivial groups are built.
+    are needed.  Only nontrivial groups are built.
     """
-    if C.ring != ZZ:
-        raise NotAComplex(f"integral homology needs an integer complex, got {C.ring}")
-    degrees = C.degrees()
-    factors = {}
-    for d in {*degrees, *(d + 1 for d in degrees)}:
-        if rows := C.rows_of(d):
-            factors[d] = _factors_of_rows(rows)
+    by_degree = dict(zip(C.rows, factors))
     groups: dict[int, HomologyGroup] = {}
-    for d in degrees:
-        lower, upper = factors.get(d, ()), factors.get(d + 1, ())
+    for d in C.degrees():
+        lower, upper = by_degree.get(d, ()), by_degree.get(d + 1, ())
         free_rank = len(C.basis_of(d)) - len(lower) - len(upper)
         torsion = tuple(f for f in upper if f > 1)
         if free_rank or torsion:
@@ -327,28 +338,44 @@ def integral_homology(C: ChainComplex) -> GradedHomology:
     return GradedHomology(groups)
 
 
-def field_homology(C: ChainComplex, field_ring: RingDesc) -> dict[int, int]:
-    """Per-degree dimensions over Q or Z/p; nonzero entries only.
+def integral_homology(C: ChainComplex) -> GradedHomology:
+    """H_d over Z: `homology_from_factors` of `boundary_factors`, one
+    reduction per nonempty boundary."""
+    return homology_from_factors(C, boundary_factors(C))
+
+
+def boundary_ranks(C: ChainComplex, field_ring: RingDesc) -> tuple[int, ...]:
+    """Rank over Q or Z/p of each stored boundary, in ``C.rows`` order.
 
     An integer complex may be tensored with any field; a Z/p complex can
-    only be read over Z/p itself.  Only nonempty boundaries are ranked: an
-    empty or missing one has rank 0.
+    only be read over Z/p itself.  An empty boundary has rank 0 and is not
+    ranked.  With the bases, these decide the dimensions: see
+    `dims_from_ranks`.
     """
     if not field_ring.is_field:
         raise FieldRequired(f"{field_ring} is not a field")
     if C.ring != ZZ and C.ring != field_ring:
         raise RingMismatch(f"complex over {C.ring} cannot be read over {field_ring}")
-    degrees = C.degrees()
-    ranks = {}
-    for d in {*degrees, *(d + 1 for d in degrees)}:
-        if rows := C.rows_of(d):
-            ranks[d] = rank_of_rows(rows, field_ring.modulus)
+    modulus = field_ring.modulus
+    return tuple(rank_of_rows(rows, modulus) if rows else 0 for rows in C.rows.values())
+
+
+def dims_from_ranks(C: ChainComplex, ranks) -> dict[int, int]:
+    """Per-degree dimensions n_d - rk M_d - rk M_{d+1} from the
+    `boundary_ranks` of C; nonzero entries only."""
+    by_degree = dict(zip(C.rows, ranks))
     dims: dict[int, int] = {}
-    for d in degrees:
-        dim = len(C.basis_of(d)) - ranks.get(d, 0) - ranks.get(d + 1, 0)
+    for d in C.degrees():
+        dim = len(C.basis_of(d)) - by_degree.get(d, 0) - by_degree.get(d + 1, 0)
         if dim:
             dims[d] = dim
     return dims
+
+
+def field_homology(C: ChainComplex, field_ring: RingDesc) -> dict[int, int]:
+    """Per-degree dimensions over Q or Z/p: `dims_from_ranks` of
+    `boundary_ranks`; nonzero entries only."""
+    return dims_from_ranks(C, boundary_ranks(C, field_ring))
 
 
 def bockstein(C: ChainComplex) -> dict[int, int]:

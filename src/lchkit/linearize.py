@@ -105,7 +105,9 @@ class ChainComplex:
         """Raise NotAComplex unless consecutive boundaries compose to zero.
 
         Each row of the product is summed sparsely over the shared middle
-        degree, and its entries are reduced in the ring.
+        degree, and its entries are reduced in the ring.  A middle index
+        whose upper row is empty adds nothing, and a product row with no
+        entries at all has nothing to reduce.
         """
         reduce = self.ring.reduce
         rows = self.rows
@@ -116,9 +118,11 @@ class ChainComplex:
             for row in lower.values():
                 product: dict[int, int] = {}
                 for k, x in row.items():
-                    for j, y in upper.get(k, {}).items():
-                        product[j] = product.get(j, 0) + x * y
-                if any(reduce(z) for z in product.values()):
+                    above = upper.get(k)
+                    if above:
+                        for j, y in above.items():
+                            product[j] = product.get(j, 0) + x * y
+                if product and any(reduce(z) for z in product.values()):
                     raise NotAComplex(f"boundary squared is nonzero from degree {d + 1}")
 
     def dump(self) -> str:

@@ -96,6 +96,7 @@ class _SparseMatrix:
         self.modulus = modulus
         self.rows: dict[int, dict[int, int]] = {}
         self.cols: dict[int, set[int]] = {}
+        cols = self.cols
         for i in sorted(rows):
             if modulus:
                 entries = {j: y for j, x in rows[i].items() if (y := x % modulus)}
@@ -104,7 +105,11 @@ class _SparseMatrix:
             if entries:
                 self.rows[i] = entries
                 for j in entries:
-                    self.cols.setdefault(j, set()).add(i)
+                    col = cols.get(j)
+                    if col is None:
+                        cols[j] = {i}
+                    else:
+                        col.add(i)
         # Columns that were left with one row; entries go stale as the
         # column changes and are checked when popped.
         self.singles = [j for j, rs in self.cols.items() if len(rs) == 1]

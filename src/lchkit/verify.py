@@ -5,11 +5,13 @@ homology can look like: Sabloff duality over fields, the rigidity of
 knots with all chords in nonnegative degree, the dimension obstruction to
 a filling inducing an augmentation, torsion evidence scans over several
 primes, and additivity of homology under connected sums away from
-degrees 0 and 1.  Each report keeps what was measured and reads its
-verdict from one rule.  The filling group (Z in degree 1, Z^{tb+1} in
-degree 0) is one helper: positivity compares LCH with it, and the
-obstruction, which fires outright on even tb and on odd tb < -1, needs
-the total dimension to be its rank tb + 2.
+degrees 0 and 1.  A scan eliminates every point of its grids, but
+assembles homology once per distinct vector of boundary invariants
+(ranks over Z/p, invariant factors over Z).  Each report keeps what was
+measured and reads its verdict from one rule.  The filling group (Z in
+degree 1, Z^{tb+1} in degree 0) is one helper: positivity compares LCH
+with it, and the obstruction, which fires outright on even tb and on odd
+tb < -1, needs the total dimension to be its rank tb + 2.
 """
 
 from __future__ import annotations
@@ -24,7 +26,16 @@ from .augment import (
 )
 from .dga import DGA, connected_sum_augmented, euler_tb
 from .errors import FieldRequired, RingMismatch
-from .homology import GradedHomology, HomologyGroup, field_homology, integral_homology
+from .homology import (
+    GradedHomology,
+    HomologyGroup,
+    boundary_factors,
+    boundary_ranks,
+    dims_from_ranks,
+    field_homology,
+    homology_from_factors,
+    integral_homology,
+)
 from .linearize import linearized_differential
 from .rings import ZZ, Zmod
 
@@ -275,6 +286,12 @@ def torsion_scan(
     is checked to be prime before any enumeration starts.  Every grid (each
     prime's, then the bounded one) is enumerated before any point is
     linearized, so a bad bound or an oversized grid fails before any homology.
+
+    Every point is linearized, checked and eliminated, but homology is
+    assembled once per distinct invariant vector: all complexes of one DGA
+    share their bases and store the same boundaries, so the ranks over Z/p
+    (or the invariant factors over Z) of those boundaries decide the dims
+    (or the torsion).  Each grid keeps its own table of the vectors seen.
     """
     rings = [Zmod(p) for p in dict.fromkeys(primes)]
     for ring in rings:
@@ -284,10 +301,14 @@ def torsion_scan(
     bounded = [] if bound is None else enumerate_augmentations_bounded(dga, bound, cap=cap)
     prime_classes: dict[int, tuple[DimClass, ...]] = {}
     for ring, grid in zip(rings, grids):
+        dims_of: dict[tuple[int, ...], tuple] = {}
         groups: dict[tuple, list[Augmentation]] = {}
         for aug in grid:
-            dims = _field_dims(dga, aug)
-            key = tuple(sorted(dims.items()))
+            complex_ = linearized_differential(dga, aug)
+            ranks = boundary_ranks(complex_, ring)
+            key = dims_of.get(ranks)
+            if key is None:
+                key = dims_of[ranks] = tuple(sorted(dims_from_ranks(complex_, ranks).items()))
             groups.setdefault(key, []).append(aug)
         prime_classes[ring.modulus] = tuple(
             DimClass(dims=key, count=len(augs), example=augs[0].literal())
@@ -296,13 +317,18 @@ def torsion_scan(
 
     integral: list[tuple[str, tuple]] = []
     torsion_free = 0
+    torsion_of: dict[tuple[tuple[int, ...], ...], tuple] = {}
     for aug in bounded:
-        homology = integral_homology(linearized_differential(dga, aug))
-        torsion = tuple(
-            (d, homology.group(d).torsion)
-            for d in homology.degrees()
-            if homology.group(d).torsion
-        )
+        complex_ = linearized_differential(dga, aug)
+        factors = boundary_factors(complex_)
+        torsion = torsion_of.get(factors)
+        if torsion is None:
+            homology = homology_from_factors(complex_, factors)
+            torsion = torsion_of[factors] = tuple(
+                (d, homology.group(d).torsion)
+                for d in homology.degrees()
+                if homology.group(d).torsion
+            )
         if torsion:
             integral.append((aug.literal(), torsion))
         else:

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -9,6 +10,7 @@ from lchkit.algebra import (
     format_poly,
     gen,
     s_linear_part,
+    symbol_sort_key,
     t_gen,
     t_inv_gen,
 )
@@ -183,3 +185,36 @@ def test_s_linear_part_vanishes_without_constant_or_linear_terms():
         eps = {name: 0 for name in chords}
         eps["t"] = -1
         assert all(v == 0 for v in s_linear_part(p, eps).values())
+
+
+def _int_sort_key(symbol):
+    """The natural order by int() of each digit run, for short runs."""
+    if symbol in ("t", "t^-1"):
+        return (0,) if symbol == "t" else (1,)
+    runs = re.split(r"(\d+)", symbol)
+    return (2, tuple((0, int(run)) if run.isdigit() else (1, run) for run in runs if run))
+
+
+def _compare(key, x, y):
+    return (key(x) > key(y)) - (key(x) < key(y))
+
+
+def test_symbol_sort_key_orders_digit_runs_by_value():
+    rng = random.Random(20)
+
+    def name():
+        pieces = []
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.5:
+                pieces.append("".join(rng.choice("0123456789") for _ in range(rng.randint(1, 4))))
+            else:
+                pieces.append("".join(rng.choice("ab_#") for _ in range(rng.randint(1, 2))))
+        return "".join(pieces)
+
+    names = ["t", "t^-1", "a", "a0", "a00", "a1", "a01", "a2", "a10"]
+    names += [name() for _ in range(400)]
+    for x in names:
+        for y in names[:60]:
+            assert _compare(symbol_sort_key, x, y) == _compare(_int_sort_key, x, y), (x, y)
+    long = "a" + "7" * 5000
+    assert symbol_sort_key("a" + "7" * 4999) < symbol_sort_key(long) < symbol_sort_key("a1" + "0" * 5000)

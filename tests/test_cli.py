@@ -96,6 +96,15 @@ _PINNED_JSON = [
         ["scan", "builtin:lambda3", "--primes", "2,5", "--bound", "2", "--json"],
         "451d8b93b5cc7c619b115b1ad3774c58c207a68c80602cfa90da9871e566f213",
     ),
+    # Torsion-heavy integral grids: many distinct invariant-factor vectors.
+    (
+        ["scan", "builtin:lambda0", "--primes", "2,5", "--bound", "3", "--json"],
+        "e6dfe23d5a6c903004fdecb35e32d95bbf912afb1bda8c0749aa92719769fc87",
+    ),
+    (
+        ["scan", "builtin:lambda4", "--primes", "7", "--bound", "3", "--json"],
+        "d53c899375062028a5453424552d0b506b7a2e063e3887c70445eff8478a8690",
+    ),
 ]
 
 
@@ -200,6 +209,20 @@ def test_deep_augmentation_walk_does_not_recurse(tmp_path):
     proc = _lch_process("scan", str(doc), "--primes", "", "--bound", "0", "--json")
     assert (proc.returncode, proc.stderr) == (0, "")
     assert json.loads(proc.stdout)["torsion_free_count"] == 1
+
+
+def test_long_digit_run_in_a_chord_name(tmp_path):
+    # 5000 digits are past the interpreter's int-conversion limit, so the
+    # natural order of chord names must not convert digit runs to ints.
+    name = "a" + "7" * 5000
+    doc = tmp_path / "long.dga"
+    doc.write_text(f'dga "long"\ngen {name} 0\ngen b 1\nd b = {name} + t\n')
+    proc = _lch_process("augs", str(doc), "--ring", "Z/2", "--json")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["count"] == 1
+    proc = _lch_process("scan", str(doc), "--primes", "2", "--json")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["primes"]["2"][0]["count"] == 1
 
 
 def test_degree_gap_costs_nothing(tmp_path):

@@ -938,6 +938,18 @@ def test_square_zero_failure_at_one_end_only():
         _hand_built(ZZ, sizes, {1: [[1]], 2: [[1]], 3: [[0]]})
 
 
+def test_square_zero_failure_after_an_empty_product_row():
+    # Row g0_0 of d1 meets only g1_0, whose row of d2 is empty, so its
+    # product row has no entries; row g0_1 meets g1_1 and composes to 2 * 2.
+    sizes = {0: 2, 1: 2, 2: 1}
+    boundary = {1: [[1, 0], [0, 2]], 2: [[0], [2]]}
+    for ring in (ZZ, Zmod(8), QQ):
+        with pytest.raises(NotAComplex, match="nonzero from degree 2"):
+            _hand_built(ring, sizes, boundary)
+    # Over Z/4 the product 4 is 0, and the empty row is no failure either.
+    assert _hand_built(Zmod(4), sizes, boundary).rows_of(2) == {1: {0: 2}}
+
+
 def test_square_zero_checked_once_per_complex(monkeypatch):
     """Construction checks d^2 = 0; no consumer checks the same complex again."""
     calls = []

@@ -1,9 +1,11 @@
 import pytest
 
 from lchkit.algebra import Poly, t_gen
-from lchkit.augment import Augmentation, enumerate_augmentations
+from lchkit.augment import Augmentation, enumerate_augmentations, enumerate_augmentations_bounded
 from lchkit.dga import DGA, connected_sum, euler_tb, lambda0, lambda_k, unknot
 from lchkit.errors import FieldRequired, InvalidParameter, RingMismatch, SearchTooLarge
+from lchkit.homology import field_homology, integral_homology
+from lchkit.linearize import linearized_differential
 from lchkit.rings import QQ, ZZ, Zmod
 from lchkit.verify import (
     Positivity,
@@ -192,6 +194,68 @@ def test_torsion_scan_checks_every_grid_before_any_homology(monkeypatch):
     with pytest.raises(SearchTooLarge, match=r"5\^6 assignments exceeds cap 1000"):
         torsion_scan(lambda0(), [2, 3, 5], bound=1, cap=1000)
     assert calls == []
+
+
+# Two-summand sums have 12 degree-0 chords, so their grids over Z/5, Z/7
+# and at bound 2 pass the default cap; the walk still finds their points
+# quickly.
+ORACLE_CAP = 7**12
+
+
+def _reference_classes(dga, p):
+    """(dims, count, example) per class over Z/p, from `field_homology`
+    point by point."""
+    ring = Zmod(p)
+    groups = {}
+    for aug in enumerate_augmentations(dga, ring, cap=ORACLE_CAP):
+        dims = field_homology(linearized_differential(dga, aug), ring)
+        groups.setdefault(tuple(sorted(dims.items())), []).append(aug)
+    return [(dims, len(augs), augs[0].literal()) for dims, augs in sorted(groups.items())]
+
+
+def _reference_torsion(dga, bound):
+    """(torsion literals in grid order, torsion-free count), from
+    `integral_homology` point by point."""
+    torsion, free = [], 0
+    for aug in enumerate_augmentations_bounded(dga, bound, cap=ORACLE_CAP):
+        H = integral_homology(linearized_differential(dga, aug))
+        found = tuple((d, g.torsion) for d, g in sorted(H.groups.items()) if g.torsion)
+        if found:
+            torsion.append((aug.literal(), found))
+        else:
+            free += 1
+    return torsion, free
+
+
+@pytest.mark.parametrize(
+    "dga, primes",
+    [
+        pytest.param(dga, primes, id=dga.name)
+        for dga, primes in [
+            (unknot(), [2, 3, 5, 7]),
+            (lambda0(), [2, 3, 5, 7]),
+            *((lambda_k(k), [2, 3, 5, 7]) for k in range(1, 5)),
+            # Z/7 has 32550 points on a sum with lambda0, which would take
+            # the scan and its reference about 8 s.
+            (connected_sum(lambda0(), lambda_k(1)), [2, 3, 5]),
+            (connected_sum(lambda_k(1), lambda0()), [2, 3, 5]),
+            (connected_sum(lambda_k(1), lambda_k(2)), [2, 3, 5, 7]),
+        ]
+    ],
+)
+def test_torsion_scan_matches_homology_point_by_point(dga, primes):
+    """The scan assembles homology once per invariant vector; a reference
+    that computes every point's homology must give the same report.  The
+    Z/p grids do not depend on the bound, so they are scanned once."""
+    for bound in (0, 1, 2):
+        report = torsion_scan(dga, primes if bound == 2 else [], bound=bound, cap=ORACLE_CAP)
+        torsion, free = _reference_torsion(dga, bound)
+        assert list(report.integral_torsion) == torsion, bound
+        assert report.torsion_free_count == free, bound
+    assert list(report.prime_classes) == primes
+    for p in primes:
+        got = [(c.dims, c.count, c.example) for c in report.prime_classes[p]]
+        assert got == _reference_classes(dga, p), p
 
 
 def test_additivity_examples():
