@@ -37,7 +37,7 @@ from .errors import NotAUnit, UnknownGenerator
 T_SYMBOL = "t"
 T_INV_SYMBOL = "t^-1"
 
-_NAT_SPLIT = re.compile(r"(\d+)")
+_NAT_SPLIT = re.compile(r"([0-9]+)")
 
 
 def is_basepoint(symbol: str) -> bool:
@@ -47,18 +47,22 @@ def is_basepoint(symbol: str) -> bool:
 def symbol_sort_key(symbol: str):
     """Total order on symbols: t < t^-1 < chords in natural name order.
 
-    Natural order compares digit runs numerically, so a2 < a10.  A run is
-    compared as (length without leading zeros, those digits), which orders
-    runs of ASCII digits, the only digits a .dga name admits, as their
-    values do without converting them, so a run of any length is fine.
+    Natural order compares runs of ASCII digits 0-9 numerically, so
+    a2 < a3 < a10.  A run is compared as (length without leading zeros,
+    those digits), which orders runs as their values do without converting
+    them, so a run of any length is fine.  Every other character is text,
+    other digits included, and text compares by code point.  A .dga name
+    is ASCII, but a name built in Python may hold one: a² and a٢ are the
+    texts they are, so a < a2 < a10 < a² < a٢ < a٣.
     """
     if symbol == T_SYMBOL:
         return (0,)
     if symbol == T_INV_SYMBOL:
         return (1,)
+    # re.split puts the captured digit runs at the odd indices.
     parts = tuple(
-        (0, len(digits := run.lstrip("0")), digits) if run.isdigit() else (1, run)
-        for run in _NAT_SPLIT.split(symbol)
+        (0, len(digits := run.lstrip("0")), digits) if k % 2 else (1, run)
+        for k, run in enumerate(_NAT_SPLIT.split(symbol))
         if run != ""
     )
     return (2, parts)

@@ -89,31 +89,61 @@ class DGA:
         misgraded)`` per row chord of its linear part: i is the row chord's
         index within its degree, and ``misgraded`` is None, or the message
         to raise if the entry is nonzero, since that row chord does not sit
-        in degree d - 1.  Terms are as :func:`_compile` makes them.
+        in degree d - 1.  A term ``(c, names)`` is c * eps(x_1) * ... * eps(x_k).
+
+        One pass reads each word once, as eps sees it: each t or t^-1 flips
+        the sign, and eps vanishes off degree 0, so a word of degree-0
+        chords feeds eps(d chord) and the row of each letter, a word with
+        one graded letter feeds that letter's row, and one with two drops
+        out.  Entries keep the order in which their chords first occur in
+        the words, dropped words included, as in `algebra.s_linear_part`:
+        linearization raises the first nonzero misgraded entry.
         """
         grading = self.grading
+        degree_zero = self.degree_zero_chords
+        t, t_inv = _RESERVED
         basis: dict[int, list[str]] = {}
         for name, deg in self.chords:
             basis.setdefault(deg, []).append(name)
         index = {name: i for names in basis.values() for i, name in enumerate(names)}
         columns: dict[int, list] = {}
         for d in sorted({*basis, *(d + 1 for d in basis)}):
-            columns[d] = []
+            columns[d] = plan = []
             for j, chord in enumerate(basis.get(d, ())):
                 p = self.diff.get(chord)
                 if p is None:
                     continue
-                constant, linear = _compile(p, grading)
+                # Letters enter rows as their words are read, fed or not: first occurrence.
+                constant, rows = [], {}
+                for word, coeff in p.terms.items():
+                    letters = word
+                    if t in word or t_inv in word:
+                        letters = tuple([x for x in word if x not in _RESERVED])
+                        if (len(word) - len(letters)) % 2:
+                            coeff = -coeff
+                    if degree_zero.issuperset(letters):
+                        constant.append((coeff, letters))
+                        for k, x in enumerate(letters):
+                            rows.setdefault(x, []).append((coeff, letters[:k] + letters[k + 1 :]))
+                        continue
+                    for x in letters:
+                        rows.setdefault(x, [])
+                    for k, graded in enumerate(letters):
+                        if graded not in degree_zero:
+                            break
+                    rest = letters[:k] + letters[k + 1 :]
+                    if degree_zero.issuperset(rest):  # else a second graded letter drops the word
+                        rows[graded].append((coeff, rest))
                 entries = []
-                for name, terms in linear:
-                    misgraded = None
-                    if grading[name] != d - 1:
-                        misgraded = (
+                for name, row_terms in rows.items():
+                    if row_terms:
+                        degree = grading[name]
+                        misgraded = None if degree == d - 1 else (
                             f"d {chord} has an s-linear term on {name} of degree "
-                            f"{grading[name]}, expected {d - 1}; validate the DGA"
+                            f"{degree}, expected {d - 1}; validate the DGA"
                         )
-                    entries.append((index[name], terms, misgraded))
-                columns[d].append((j, chord, constant, entries))
+                        entries.append((index[name], row_terms, misgraded))
+                plan.append((j, chord, constant, entries))
         return basis, columns
 
     @cached_property
@@ -147,37 +177,6 @@ class DGA:
         if chord not in self.grading:
             raise UnknownGenerator(f"unknown chord {chord!r}")
         return self.diff.get(chord, Poly.zero())
-
-
-def _compile(p: Poly, grading: dict[str, int]) -> tuple[list, list]:
-    """``(constant, linear)``: the terms of eps(p) and of its s-linear part.
-
-    A term ``(c, degree-0 names)`` stands for c * eps(x_1) * ... * eps(x_k).
-    ``linear`` pairs each row chord, in order of first occurrence, with the
-    terms that sum to its coefficient; :attr:`DGA.linear_plan` places them.
-
-    eps sends t and t^-1 to -1, so each basepoint letter flips the sign of
-    the coefficient.  eps vanishes on chords of nonzero degree, so a
-    monomial with two of them drops out, and one with a single such chord
-    feeds only that chord's row.
-    """
-    terms = p.terms
-    constant: list[tuple[int, tuple[str, ...]]] = []
-    linear = {x: [] for word in terms for x in word if x not in _RESERVED}
-    t, t_inv = _RESERVED
-    for word, coeff in terms.items():
-        letters = word
-        if t in word or t_inv in word:
-            letters = tuple([x for x in word if x not in _RESERVED])
-            if (len(word) - len(letters)) % 2:
-                coeff = -coeff
-        graded = [j for j, x in enumerate(letters) if grading[x]]
-        if not graded:
-            constant.append((coeff, letters))
-        if len(graded) <= 1:
-            for j in graded or range(len(letters)):
-                linear[letters[j]].append((coeff, letters[:j] + letters[j + 1 :]))
-    return constant, [(row, row_terms) for row, row_terms in linear.items() if row_terms]
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,8 @@ word once per letter, so validating one n-letter word costs time and
 memory quadratic in n.  read_document reads a file of at most
 MAX_DOCUMENT_BYTES (16 MiB) as UTF-8; a larger file or a bad byte is a
 ParseError.  The serializer emits canonical term order (length-lex) with
-LF line endings; parse(serialize(d)) == d.
+LF line endings; parse(serialize(d)) == d, and serialize raises
+InvalidParameter for a name that no document can hold.
 """
 
 from __future__ import annotations
@@ -86,6 +87,11 @@ _INT = r"\d{1,18}"
 _TERM = rf"(?:(?:{_INT}\*)?{_FACTOR}(?:\*{_FACTOR}){{0,{MAX_WORD_LETTERS - 1}}}|{_INT})"
 _GEN_LINE = re.compile(rf"gen ({_IDENT}) (-?{_INT})")
 _D_LINE = re.compile(rf"d ({_IDENT}) = ([+-]?{_TERM}(?: [+-] {_TERM})*)")
+
+# serialize checks names against these: a chord name is an identifier, and
+# a '#' after whitespace would start a comment inside the quoted DGA name.
+_CHORD_NAME = re.compile(_IDENT)
+_NAME_COMMENT = re.compile(r"\s#")
 
 
 class _LineTokens:
@@ -324,9 +330,20 @@ def parse(text: str) -> DGA:
 
 
 def serialize(dga: DGA) -> str:
-    """Canonical document for a DGA; round-trips through parse."""
-    lines = [f'dga "{dga.name}"', "basepoint t"]
+    """Canonical document for a DGA; round-trips through parse.
+
+    A DGA built in Python may hold names that no document can: a name
+    with a '"', a line break or a '#' after whitespace, or a chord name
+    that is not an identifier.  serialize checks each name and raises
+    InvalidParameter for these; it does not parse the document back.
+    """
+    name = dga.name
+    if '"' in name or _NAME_COMMENT.search(name) or "".join(name.splitlines()) != name:
+        raise InvalidParameter(f"DGA name {name!r} cannot be written in a .dga document")
+    lines = [f'dga "{name}"', "basepoint t"]
     for chord, degree in dga.chords:
+        if not _CHORD_NAME.fullmatch(chord):
+            raise InvalidParameter(f"chord name {chord!r} cannot be written in a .dga document")
         lines.append(f"gen {chord} {degree}")
     for chord, _ in dga.chords:
         p = dga.diff.get(chord)

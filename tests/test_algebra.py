@@ -218,3 +218,13 @@ def test_symbol_sort_key_orders_digit_runs_by_value():
             assert _compare(symbol_sort_key, x, y) == _compare(_int_sort_key, x, y), (x, y)
     long = "a" + "7" * 5000
     assert symbol_sort_key("a" + "7" * 4999) < symbol_sort_key(long) < symbol_sort_key("a1" + "0" * 5000)
+
+
+def test_symbol_sort_key_reads_only_ascii_digit_runs():
+    """Only 0-9 runs compare by value; other digits are text, by code point."""
+    names = ["a٢", "a10", "a", "a²", "a3", "a٣", "a2", "²", "a²1", "ab"]
+    assert sorted(names, key=symbol_sort_key) == [
+        "a", "a2", "a3", "a10", "ab", "a²", "a²1", "a٢", "a٣", "²",
+    ]
+    assert symbol_sort_key("a٢") > symbol_sort_key("a3")
+    assert symbol_sort_key("²") == (2, ((1, "²"),))

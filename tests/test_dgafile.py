@@ -64,6 +64,21 @@ def test_serialize_is_canonical_and_idempotent():
     assert "d b = t + a" in out
 
 
+def test_serialize_refuses_names_a_document_cannot_hold():
+    """Names parse would misread raise InvalidParameter; the rest round-trip."""
+    for name in ('a"b', "x #y", "p\nq", "p\r", "u\u2028v", "tab\t#"):
+        with pytest.raises(InvalidParameter) as err:
+            serialize(DGA(name=name, chords=(("a", 0),)))
+        assert str(err.value) == f"DGA name {name!r} cannot be written in a .dga document"
+    for chord in ("a b", "1a", "a-b", "é", "a^2"):
+        with pytest.raises(InvalidParameter) as err:
+            serialize(DGA(name="ok", chords=((chord, 0),)))
+        assert str(err.value) == f"chord name {chord!r} cannot be written in a .dga document"
+    for name in ("", "#x", "a#b", " lead and trail ", "ü²"):
+        dga = DGA(name=name, chords=(("a#2", 0), ("_b", 1)), diff={"_b": gen("a#2")})
+        assert parse(serialize(dga)) == dga
+
+
 def test_zero_differential_serializes_without_d_lines():
     dga = DGA(name="flat", chords=(("x", 0), ("y", 2)))
     text = serialize(dga)

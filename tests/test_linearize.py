@@ -218,7 +218,24 @@ def _ill_graded_dga(c_first):
     )
 
 
+def _first_occurrence_dga():
+    """d a = w*v + v + x*w: its misgraded entries are on w, then v.
+
+    w first occurs in w*v, a word with two graded letters that drops out,
+    and its only term comes last, from x*w.  Entries follow first
+    occurrence, so linearization raises on w where eps(x) != 0 and on v
+    where eps(x) = 0; an order by first term would raise on v at both.
+    """
+    x, w, v = gen("x"), gen("w"), gen("v")
+    return DGA(
+        name="first",
+        chords=(("x", 0), ("w", -1), ("v", -1), ("a", 1)),
+        diff={"a": w * v + v + x * w},
+    )
+
+
 def _ill_graded_cases():
+    first = _first_occurrence_dga()
     for ring in RINGS:
         if ring.is_finite:
             domain = list(ring.elements())
@@ -228,6 +245,8 @@ def _ill_graded_cases():
             dga = _ill_graded_dga(c_first)
             for vx, vy, vz in product(domain, repeat=3):
                 yield dga, Augmentation(ring, {"x": vx, "y": vy, "z": vz})
+        for vx in domain:
+            yield first, Augmentation(ring, {"x": vx})
 
 
 def _first_failure(dga, aug):
