@@ -44,6 +44,12 @@ class DGA:
     maps chord names to polynomials; omitted chords have zero
     differential.  tb is not stored: it is :func:`euler_tb`, the signed
     chord count.
+
+    ``DGA(...)`` checks its parts in ``__post_init__`` and drops zero
+    differentials.  :meth:`_unchecked` skips that check; it has two
+    callers, which have made it already: ``dgafile.parse``, after its own
+    checks with line numbers, and :func:`_connected_sum_parts`, whose
+    renaming of valid summands cannot break it.
     """
 
     name: str
@@ -69,6 +75,22 @@ class DGA:
             if not p.is_zero():
                 cleaned[chord] = p
         object.__setattr__(self, "diff", cleaned)
+
+    @classmethod
+    def _unchecked(
+        cls, name: str, chords: tuple[tuple[str, int], ...], diff: dict[str, Poly]
+    ) -> "DGA":
+        """The DGA with exactly these parts, which the caller hands over.
+
+        Skips ``__post_init__``: chord names must be distinct and not
+        reserved, `diff` must map declared chords to nonzero polynomials
+        in declared symbols.  Nothing is checked or copied.
+        """
+        dga = object.__new__(cls)
+        object.__setattr__(dga, "name", name)
+        object.__setattr__(dga, "chords", chords)
+        object.__setattr__(dga, "diff", diff)
+        return dga
 
     # -- lookups ----------------------------------------------------------
 
@@ -397,7 +419,9 @@ def _connected_sum_parts(
 
     if name is None:
         name = "#".join(d.name for d in summands)
-    return DGA(name=name, chords=tuple(chords), diff=diff), renames, c_names
+    # Fresh names, images of declared letters and an injective renaming of
+    # nonzero differentials: the constructor's checks hold by construction.
+    return DGA._unchecked(name, tuple(chords), diff), renames, c_names
 
 
 def _connected_sum_augmented(summands: list[DGA], augs: list, name: str | None = None):

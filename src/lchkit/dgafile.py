@@ -27,9 +27,10 @@ characters from 1.
 
 A gen or d line in the serializer's form (single spaces, no '*' padding,
 no comment, ints of at most 18 digits, words of at most MAX_WORD_LETTERS
-letters) is taken whole by one regex match.  Every other line, and every
-line before the header, goes to the tokenizer: the line loses its
-comment first, then one regex splits the rest into typed tokens: int
+letters) is taken whole by one regex match, by the one regex that its
+prefix 'gen ' or 'd ' picks.  Every other line, and every line before
+the header, goes to the tokenizer: the line loses its comment first,
+then one regex splits the rest into typed tokens: int
 (decimal digits), ident (a chord name [A-Za-z_][A-Za-z0-9_#]* or t^-1),
 op (= + - *) and str (a double-quoted name).  Both routes give the same
 DGA with the same term order, and a line the fast route takes raises
@@ -40,15 +41,27 @@ inside quotes: dga "a #b" is an unterminated string.  Whitespace between
 tokens is insignificant, and errors report line and column.  A monomial
 has at most MAX_WORD_LETTERS factors: the Leibniz rule copies the whole
 word once per letter, so validating one n-letter word costs time and
-memory quadratic in n.  read_document reads a file of at most
-MAX_DOCUMENT_BYTES (16 MiB) as UTF-8; a larger file or a bad byte is a
-ParseError.  The serializer emits canonical term order (length-lex) with
-LF line endings; parse(serialize(d)) == d, and serialize raises
-InvalidParameter for a name that no document can hold.
+memory quadratic in n.
+
+read_document reads a file of at most MAX_DOCUMENT_BYTES (16 MiB) as
+UTF-8; a larger file or a bad byte is a ParseError.  Its first read asks
+for min(st_size, MAX_DOCUMENT_BYTES) + 1 bytes, st_size from fstat on the
+open file; if more than st_size bytes come back (a pipe or a /proc file
+reports 0, and a file may grow), it reads on up to one byte past the cap.
+
+parse checks what the DGA constructor checks, with line numbers: chord
+names neither reserved nor declared twice, differentials only of declared
+chords, and only declared symbols in them; like the constructor it drops
+a differential that sums to zero.  It then builds the DGA through the
+private DGA._unchecked, so no check runs twice.  The serializer emits
+canonical term order (length-lex) with LF line endings;
+parse(serialize(d)) == d, and serialize raises InvalidParameter for a
+DGA that no document can hold.
 """
 
 from __future__ import annotations
 
+import os
 import re
 
 from .algebra import T_INV_SYMBOL, T_SYMBOL, Poly, first_unknown_symbol, format_poly
@@ -216,9 +229,18 @@ def _parse_int(toks: _LineTokens) -> int:
 
 
 def read_document(path: str) -> str:
-    """The text of a .dga file, read as at most MAX_DOCUMENT_BYTES of UTF-8."""
+    """The text of a .dga file, read as at most MAX_DOCUMENT_BYTES of UTF-8.
+
+    The first read asks for one byte more than the file's size, capped: a
+    request for the cap itself would allocate a 16 MiB buffer per call.
+    """
     with open(path, "rb") as handle:
-        data = handle.read(MAX_DOCUMENT_BYTES + 1)
+        size = min(os.fstat(handle.fileno()).st_size, MAX_DOCUMENT_BYTES)
+        data = handle.read(size + 1)
+        if len(data) > size:
+            # A pipe or a /proc file reports size 0, and a file may have
+            # grown since the fstat: read on up to one byte past the cap.
+            data += handle.read(MAX_DOCUMENT_BYTES + 1 - len(data))
     if len(data) > MAX_DOCUMENT_BYTES:
         raise ParseError(f"document of more than {MAX_DOCUMENT_BYTES} bytes")
     try:
@@ -235,7 +257,8 @@ def parse(text: str) -> DGA:
     """Parse a .dga document into a (structurally valid) DGA.
 
     Grading and d^2 = 0 are *not* checked here; run validate separately.
-    A tb line is checked against the DGA built, and then dropped.
+    A tb line is checked against the DGA built, and then dropped.  The
+    structural checks are made here and not again by the constructor.
     """
     name: str | None = None
     tb: int | None = None
@@ -246,16 +269,19 @@ def parse(text: str) -> DGA:
     diff_lines: list[tuple[str, int, list | _LineTokens]] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        # The line's prefix picks the one fast-route regex that can match it.
         if name is not None:
-            m = _GEN_LINE.fullmatch(raw)
-            if m and m[1] != "t" and m[1] not in declared:
-                declared.add(m[1])
-                chords.append((m[1], int(m[2])))
-                continue
-            m = _D_LINE.fullmatch(raw)
-            if m:
-                diff_lines.append((m[1], lineno, _canonical_terms(m[2])))
-                continue
+            if raw.startswith("gen "):
+                m = _GEN_LINE.fullmatch(raw)
+                if m and m[1] != "t" and m[1] not in declared:
+                    declared.add(m[1])
+                    chords.append((m[1], int(m[2])))
+                    continue
+            elif raw.startswith("d "):
+                m = _D_LINE.fullmatch(raw)
+                if m:
+                    diff_lines.append((m[1], lineno, _canonical_terms(m[2])))
+                    continue
         toks = _LineTokens(raw, lineno)
         if not toks.tokens:
             continue
@@ -323,7 +349,9 @@ def parse(text: str) -> DGA:
             raise UnknownGenerator(f"undeclared symbol {symbol!r} in d {chord} (line {lineno})")
         diff[chord] = poly
 
-    dga = DGA(name=name, chords=tuple(chords), diff=diff)
+    # The checks above are those of the DGA constructor, with line numbers;
+    # as there, a differential that sums to zero is dropped.
+    dga = DGA._unchecked(name, tuple(chords), {chord: p for chord, p in diff.items() if p})
     if tb is not None and tb != (signed := euler_tb(dga)):
         raise InvalidParameter(f"tb {tb} contradicts the gradings, which give tb = {signed}")
     return dga
@@ -332,10 +360,12 @@ def parse(text: str) -> DGA:
 def serialize(dga: DGA) -> str:
     """Canonical document for a DGA; round-trips through parse.
 
-    A DGA built in Python may hold names that no document can: a name
-    with a '"', a line break or a '#' after whitespace, or a chord name
-    that is not an identifier.  serialize checks each name and raises
-    InvalidParameter for these; it does not parse the document back.
+    A DGA built in Python may hold what no document can: a name with a
+    '"', a line break or a '#' after whitespace, a chord name that is not
+    an identifier, a monomial of more than MAX_WORD_LETTERS letters, or a
+    degree or coefficient past sys.get_int_max_str_digits() digits.
+    serialize checks for these and raises InvalidParameter; it does not
+    parse the document back.
     """
     name = dga.name
     if '"' in name or _NAME_COMMENT.search(name) or "".join(name.splitlines()) != name:
@@ -344,9 +374,25 @@ def serialize(dga: DGA) -> str:
     for chord, degree in dga.chords:
         if not _CHORD_NAME.fullmatch(chord):
             raise InvalidParameter(f"chord name {chord!r} cannot be written in a .dga document")
-        lines.append(f"gen {chord} {degree}")
+        try:
+            lines.append(f"gen {chord} {degree}")
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise InvalidParameter(
+                f"degree of chord {chord!r} has too many digits for a .dga document"
+            ) from None
     for chord, _ in dga.chords:
         p = dga.diff.get(chord)
-        if p is not None and not p.is_zero():
+        if p is None or p.is_zero():
+            continue
+        if any(len(word) > MAX_WORD_LETTERS for word in p.terms):
+            raise InvalidParameter(
+                f"d {chord} has a monomial of more than {MAX_WORD_LETTERS} letters,"
+                " which a .dga document cannot hold"
+            )
+        try:
             lines.append(f"d {chord} = {format_poly(p)}")
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise InvalidParameter(
+                f"d {chord} has a coefficient with too many digits for a .dga document"
+            ) from None
     return "\n".join(lines) + "\n"

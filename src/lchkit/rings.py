@@ -77,6 +77,8 @@ class RingDesc:
     def coerce(self, value):
         """Canonical form of `value` in this ring, or InvalidValue."""
         if self.kind == "Q":
+            if type(value) is int:  # canonical already; a bool is refused below
+                return value
             if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
                 raise InvalidValue(f"{value!r} is not a rational number")
             value = Fraction(value)

@@ -127,13 +127,16 @@ def test_scan_of_a_sum_file_is_pinned(tmp_path, capsys):
     )
 
 
-def _lch_process(*argv):
-    """`lch argv` in a fresh interpreter, killed after 10 s of wall time."""
+def _lch_process(*argv, stdin=None):
+    """`lch argv` in a fresh interpreter, killed after 10 s of wall time.
+
+    `stdin`, if given, is the text piped in.
+    """
     src = os.path.dirname(os.path.dirname(lchkit.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run(
         [sys.executable, "-m", "lchkit.cli", *argv],
-        capture_output=True, text=True, timeout=10, env=env,
+        capture_output=True, text=True, input=stdin, timeout=10, env=env,
     )
 
 
@@ -330,6 +333,34 @@ def test_document_size_cap(tmp_path):
         proc = _lch_process("validate", str(doc))
         assert proc.returncode == code
     assert proc.stdout == ""
+    assert f"document of more than {MAX_DOCUMENT_BYTES} bytes" in proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+def test_validate_reads_a_pipe(tmp_path):
+    # A pipe reports size 0, so the document is read past the first byte;
+    # what lch prints must not depend on how the document arrives.
+    big = serialize(lambda_k(40)) + "# more than one pipe buffer\n" * 3000
+    cases = [
+        serialize(lambda0()),
+        big,
+        'dga "bad"\ngen a 0\ngen b 0\nd a = b\n',
+        'dga "x"\ngen a 1 1\n',
+        "",
+    ]
+    doc = tmp_path / "doc.dga"
+    codes = []
+    for data in cases:
+        doc.write_text(data, encoding="utf-8")
+        from_file = _lch_process("validate", str(doc))
+        from_pipe = _lch_process("validate", "/dev/stdin", stdin=data)
+        assert (from_pipe.returncode, from_pipe.stdout, from_pipe.stderr) == (
+            from_file.returncode, from_file.stdout, from_file.stderr
+        )
+        codes.append(from_pipe.returncode)
+    assert codes == [0, 0, 1, 2, 2]
+    proc = _lch_process("validate", "/dev/stdin", stdin="#" * (MAX_DOCUMENT_BYTES + 1))
+    assert proc.returncode == 2
     assert f"document of more than {MAX_DOCUMENT_BYTES} bytes" in proc.stderr
 
 

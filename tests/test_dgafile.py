@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import pytest
@@ -77,6 +78,44 @@ def test_serialize_refuses_names_a_document_cannot_hold():
     for name in ("", "#x", "a#b", " lead and trail ", "ü²"):
         dga = DGA(name=name, chords=(("a#2", 0), ("_b", 1)), diff={"_b": gen("a#2")})
         assert parse(serialize(dga)) == dga
+
+
+def test_serialize_refuses_words_a_document_cannot_hold():
+    """A word parse would refuse raises InvalidParameter; the longest allowed round-trips."""
+    word = ("a",) * MAX_WORD_LETTERS
+    ok = DGA(name="x", chords=(("a", 0), ("b", 1)), diff={"b": Poly({word: 1})})
+    assert parse(serialize(ok)) == ok
+    long = DGA(name="x", chords=(("a", 0), ("b", 1)), diff={"b": Poly({word + ("t",): 1})})
+    with pytest.raises(InvalidParameter) as err:
+        serialize(long)
+    assert str(err.value) == (
+        f"d b has a monomial of more than {MAX_WORD_LETTERS} letters,"
+        " which a .dga document cannot hold"
+    )
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this interpreter converts integers of any length",
+)
+def test_serialize_refuses_integers_past_the_digit_limit():
+    # str() refuses an int past sys.get_int_max_str_digits() digits with a
+    # bare ValueError; serialize must raise one of the package's errors.
+    huge = 10 ** (sys.get_int_max_str_digits() + 700)
+    cases = [
+        (
+            DGA(name="x", chords=(("a", 0), ("b", 1)), diff={"b": Poly({("a",): huge})}),
+            "d b has a coefficient with too many digits for a .dga document",
+        ),
+        (
+            DGA(name="x", chords=(("a", 0), ("b", huge))),
+            "degree of chord 'b' has too many digits for a .dga document",
+        ),
+    ]
+    for dga, message in cases:
+        with pytest.raises(InvalidParameter) as err:
+            serialize(dga)
+        assert str(err.value) == message
 
 
 def test_zero_differential_serializes_without_d_lines():
@@ -378,3 +417,106 @@ def test_fuzz_fast_route_matches_token_route(monkeypatch):
     for text, expected in zip(docs, fast):
         assert _outcome(text) == expected, text
     assert sum(not isinstance(o[0], type) for o in fast) > 250  # some still parse
+
+
+def _assert_as_constructed(dga):
+    """The public constructor, with its checks, keeps dga's parts as they are."""
+    rebuilt = DGA(dga.name, dga.chords, dict(dga.diff))
+    assert dga == rebuilt
+    assert [(c, list(p.terms.items())) for c, p in dga.diff.items()] == [
+        (c, list(p.terms.items())) for c, p in rebuilt.diff.items()
+    ]
+
+
+def test_parse_builds_what_the_constructor_builds():
+    # parse skips the constructor's checks, as its own have made them; on
+    # every document it accepts, the constructor must accept the same parts
+    # and keep them as they are: no zero differential, same key and term order.
+    rng = random.Random(20240818)
+    docs = [*_random_documents(rng), *_mutated_documents(rng, 400)]
+    # Differentials that sum to zero, on the fast route and on the tokens.
+    zero_sums = [
+        'dga "z"\ngen a 1\ngen b 0\nd a = b - b\n',
+        'dga "z"\ngen a 1\ngen b 0\nd a = b-b\n',
+        'dga "z"\ngen a 1\ngen b 0\nd a = t*t^-1 - 1\nd b = t^-1 * t - 1 # cancels\n',
+        'dga "z"\ngen a 1\ngen b 0\nd b = 2*b - b - b  \nd a = b\n',
+    ]
+    docs += zero_sums
+    parsed = 0
+    for text in docs:
+        try:
+            dga = parse(text)
+        except LchError:
+            continue
+        parsed += 1
+        _assert_as_constructed(dga)
+    assert parsed > 250
+    assert [list(parse(text).diff) for text in zero_sums] == [[], [], [], ["a"]]
+    # A differential that sums to zero still counts as written once.
+    with pytest.raises(ParseError) as err:
+        parse('dga "z"\ngen a 1\ngen b 0\nd a = b - b\nd a = b\n')
+    assert str(err.value) == "duplicate differential for 'a' (line 5, col 1)"
+
+
+def test_connected_sums_build_what_the_constructor_builds():
+    for d1, d2 in (
+        (unknot(), unknot()),
+        (lambda0(), lambda_k(1)),
+        (lambda_k(2), lambda_k(2)),
+        (connected_sum(lambda0(), lambda0()), lambda0()),
+    ):
+        _assert_as_constructed(connected_sum(d1, d2))
+    for i, m, torsions in ((2, 1, [4]), (-2, 1, [4, 6]), (-1, 0, [2, 3, 5]), (3, 2, [])):
+        _assert_as_constructed(geography_dga(i, m, torsions)[0])
+
+
+def _read_reporting_size(monkeypatch, path, reported):
+    """read_document(path) with fstat reporting a size of `reported` bytes."""
+    fake_os = types.SimpleNamespace(fstat=lambda fd: types.SimpleNamespace(st_size=reported))
+    monkeypatch.setattr(dgafile, "os", fake_os)
+    return dgafile.read_document(path)
+
+
+def test_read_document_reads_past_a_stale_size(tmp_path, monkeypatch):
+    # The first read is sized by fstat.  A pipe reports size 0 and a file may
+    # grow after the fstat: the rest is read on, up to the cap.
+    doc = tmp_path / "x.dga"
+    cap = 64
+    monkeypatch.setattr(dgafile, "MAX_DOCUMENT_BYTES", cap)
+    for length in (0, 1, cap - 1, cap):
+        data = b"#" * length
+        doc.write_bytes(data)
+        for reported in (0, 1, length // 2, length, length + 100):
+            assert _read_reporting_size(monkeypatch, str(doc), reported) == data.decode()
+    doc.write_bytes(b"#" * (cap + 1))
+    for reported in (0, cap // 2, cap, cap + 1, 10 * cap):
+        with pytest.raises(ParseError) as err:
+            _read_reporting_size(monkeypatch, str(doc), reported)
+        assert str(err.value) == f"document of more than {cap} bytes"
+
+
+def test_read_document_sizes_its_first_read(tmp_path, monkeypatch):
+    # Asking for MAX_DOCUMENT_BYTES + 1 bytes allocates a 16 MiB buffer on
+    # every call; the first read asks for one byte more than the file holds.
+    doc = tmp_path / "lambda0.dga"
+    doc.write_text(serialize(lambda0()), encoding="utf-8")
+    sizes = []
+
+    class Spy:
+        def __init__(self, path, mode):
+            self.handle = open(path, mode)
+            self.fileno = self.handle.fileno
+
+        def read(self, n):
+            sizes.append(n)
+            return self.handle.read(n)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.handle.close()
+
+    monkeypatch.setattr(dgafile, "open", Spy, raising=False)
+    assert parse(dgafile.read_document(str(doc))) == lambda0()
+    assert sizes == [doc.stat().st_size + 1]

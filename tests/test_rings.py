@@ -1,7 +1,9 @@
+from fractions import Fraction
+
 import pytest
 
 from lchkit.errors import InvalidValue
-from lchkit.rings import RingDesc, Zmod, _is_prime
+from lchkit.rings import QQ, RingDesc, Zmod, _is_prime
 
 
 def _trial_division(n):
@@ -28,3 +30,24 @@ def test_modulus_at_or_above_2_64_rejected():
         Zmod(2**64)
     with pytest.raises(InvalidValue):
         RingDesc.parse(f"Z/{2**70 + 1}")
+
+
+def _coerce_q_by_fraction(value):
+    """Coercion to Q through Fraction, for every value: the reference route."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise InvalidValue(f"{value!r} is not a rational number")
+    value = Fraction(value)
+    return int(value) if value.denominator == 1 else value
+
+
+def test_coerce_to_q_keeps_ints_and_refuses_bools():
+    # A plain int is canonical in Q and comes back as it is, without a Fraction.
+    cases = [0, 1, -1, 7, -12, 2**70, -(2**70), Fraction(6, 3), Fraction(-4, 2),
+             Fraction(1, 2), Fraction(-7, 3), Fraction(0)]
+    for value in cases:
+        got, expected = QQ.coerce(value), _coerce_q_by_fraction(value)
+        assert (got, type(got)) == (expected, type(expected)), value
+    for value in (True, False, 0.5, "1", None):
+        with pytest.raises(InvalidValue) as err:
+            QQ.coerce(value)
+        assert str(err.value) == f"{value!r} is not a rational number"
