@@ -176,7 +176,7 @@ def is_augmentation(dga: DGA, aug: Augmentation) -> bool:
     on a validly graded DGA.
     """
     eps = aug.eps_map(dga)
-    for plan in dga.linear_plan[1].values():
+    for plan in dga.linear_plan.values():
         for _, _, constant, _ in plan:
             total = 0
             for c, names in constant:
@@ -228,7 +228,7 @@ def _enumerate(dga: DGA, ring: RingDesc, domain: range, cap: int) -> list[Augmen
         raise SearchTooLarge(f"{values}^{len(variables)} assignments exceeds cap {cap}")
     declared = {name: i for i, name in enumerate(variables)}
     constraints = []
-    for _, _, terms, _ in dga.linear_plan[1].get(1, ()):
+    for _, _, terms, _ in dga.linear_plan.get(1, ()):
         named = sorted({x for _, names in terms for x in names}, key=declared.__getitem__)
         constraints.append((named, terms))
     constraints.sort(key=lambda constraint: len(constraint[0]))

@@ -27,11 +27,11 @@ from .linearize import linearized_differential
 from .rings import QQ, ZZ, RingDesc
 from .verify import filling_obstruction, sabloff_check, torsion_scan
 
-_BUILTIN = re.compile(r"builtin:(lambda(\d+)|unknot)$")
+_BUILTIN = re.compile(r"builtin:(lambda([0-9]+)|unknot)")
 
 
 def load_dga(source: str) -> DGA:
-    m = _BUILTIN.match(source)
+    m = _BUILTIN.fullmatch(source)
     if m:
         if m.group(1) == "unknot":
             return unknot()

@@ -99,19 +99,49 @@ class DGA:
         return dict(self.chords)
 
     @cached_property
-    def linear_plan(self) -> tuple[dict[int, list[str]], dict[int, list]]:
-        """``(basis, columns)``: all of linearization that needs no augmentation.
+    def basis(self) -> dict[int, list[str]]:
+        """Each occupied degree to its chords in declaration order.
 
-        ``basis`` maps each occupied degree to its chords in declaration
-        order.  ``columns`` maps every degree d that holds chords, or lies
-        one above such a degree, in increasing order, to the columns of the
-        boundary from degree d: ``(j, chord, constant, entries)`` for the
-        chord at index j, if its differential is nonzero.  ``constant``
-        holds the terms of eps(d chord), and ``entries`` holds ``(i, terms,
-        misgraded)`` per row chord of its linear part: i is the row chord's
-        index within its degree, and ``misgraded`` is None, or the message
-        to raise if the entry is nonzero, since that row chord does not sit
-        in degree d - 1.  A term ``(c, names)`` is c * eps(x_1) * ... * eps(x_k).
+        Every complex of the DGA holds this dict as its basis; do not mutate it.
+        """
+        basis: dict[int, list[str]] = {}
+        for name, deg in self.chords:
+            basis.setdefault(deg, []).append(name)
+        return basis
+
+    @cached_property
+    def basis_index(self) -> dict[str, int]:
+        """Each chord's index within its degree's :attr:`basis`."""
+        return {name: i for names in self.basis.values() for i, name in enumerate(names)}
+
+    @cached_property
+    def boundary_degrees(self) -> list[int]:
+        """The degrees a complex stores a boundary from, in increasing order.
+
+        Every degree that holds chords, and every degree one above such a
+        degree, so that compositions are checkable at the ends.
+        """
+        return sorted({*self.basis, *(d + 1 for d in self.basis)})
+
+    @cached_property
+    def linear_plan(self) -> dict[int, list]:
+        """Linearization compiled for evaluation at many augmentations.
+
+        Maps each of :attr:`boundary_degrees` to the columns of the
+        boundary from that degree d: ``(j, chord, constant, entries)`` for
+        the chord at index j of :attr:`basis`, if its differential is
+        nonzero.  ``constant`` holds the terms of eps(d chord), and
+        ``entries`` holds ``(i, terms, misgraded)`` per row chord of its
+        linear part: i is the row chord's index within its degree, and
+        ``misgraded`` is None, or the row chord's name if it does not sit
+        in degree d - 1, so that a nonzero entry there is an error.  A term
+        ``(c, names)`` is c * eps(x_1) * ... * eps(x_k).
+
+        Compiling pays only where one DGA is evaluated at many points: the
+        augmentation check and enumeration in `augment` read the constant
+        terms, and `verify.torsion_scan` evaluates the whole plan at every
+        point of its grids.  `linearized_differential`, which linearizes at
+        one point, reads the words themselves and never compiles it.
 
         One pass reads each word once, as eps sees it: each t or t^-1 flips
         the sign, and eps vanishes off degree 0, so a word of degree-0
@@ -124,12 +154,9 @@ class DGA:
         grading = self.grading
         degree_zero = self.degree_zero_chords
         t, t_inv = _RESERVED
-        basis: dict[int, list[str]] = {}
-        for name, deg in self.chords:
-            basis.setdefault(deg, []).append(name)
-        index = {name: i for names in basis.values() for i, name in enumerate(names)}
+        basis, index = self.basis, self.basis_index
         columns: dict[int, list] = {}
-        for d in sorted({*basis, *(d + 1 for d in basis)}):
+        for d in self.boundary_degrees:
             columns[d] = plan = []
             for j, chord in enumerate(basis.get(d, ())):
                 p = self.diff.get(chord)
@@ -156,17 +183,13 @@ class DGA:
                     rest = letters[:k] + letters[k + 1 :]
                     if degree_zero.issuperset(rest):  # else a second graded letter drops the word
                         rows[graded].append((coeff, rest))
-                entries = []
-                for name, row_terms in rows.items():
-                    if row_terms:
-                        degree = grading[name]
-                        misgraded = None if degree == d - 1 else (
-                            f"d {chord} has an s-linear term on {name} of degree "
-                            f"{degree}, expected {d - 1}; validate the DGA"
-                        )
-                        entries.append((index[name], row_terms, misgraded))
+                entries = [
+                    (index[name], row_terms, None if grading[name] == d - 1 else name)
+                    for name, row_terms in rows.items()
+                    if row_terms
+                ]
                 plan.append((j, chord, constant, entries))
-        return basis, columns
+        return columns
 
     @cached_property
     def degree_zero_chords(self) -> frozenset[str]:

@@ -6,19 +6,23 @@ into a finite chain complex (V, d^eps).  The constant part must vanish on
 every chord -- that is exactly the augmentation equation, and it is
 asserted here, so a non-augmentation cannot slip through.
 
-Everything that depends on the DGA alone (the bases, the row and column
-of each entry, the compiled terms and the grading checks) comes from
-:attr:`DGA.linear_plan`, built once per DGA; linearizing at one more
-augmentation only sums terms.  The boundaries are built and stored as
-sparse rows, which the d^2 check and the elimination kernel read
-directly; the dense matrices are views for printing and for callers that
-want them.
+There are two routes to the same complex.  `linearized_differential`
+linearizes at one point: it reads each word of each differential once,
+at eps, and compiles nothing.  A caller that evaluates one DGA at a whole
+grid of points, `verify.torsion_scan`, takes `_linearized_by_plan`, which
+only sums the terms of :attr:`DGA.linear_plan`, compiled once per DGA.
+Both take the bases and degrees from the DGA and their errors from the
+helpers below, so they cannot drift apart.  The boundaries are built and
+stored as sparse rows, which the d^2 check and the elimination kernel
+read directly; the dense matrices are views for printing and for callers
+that want them.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 
+from .algebra import T_INV_SYMBOL, T_SYMBOL
 from .errors import NotAComplex, NotAnAugmentation, ValidationFailed
 from .matrices import sparse_rows
 from .rings import RingDesc
@@ -143,26 +147,117 @@ class ChainComplex:
         return "\n".join(lines)
 
 
+def _not_an_augmentation(chord: str, constant) -> NotAnAugmentation:
+    return NotAnAugmentation(f"eps(d {chord}) = {constant} != 0: not an augmentation")
+
+
+def _misgraded(dga: DGA, chord: str, name: str, degree: int) -> ValidationFailed:
+    """A nonzero entry of d `chord`, from `degree`, on a row chord of another degree."""
+    return ValidationFailed(
+        f"d {chord} has an s-linear term on {name} of degree "
+        f"{dga.grading[name]}, expected {degree - 1}; validate the DGA"
+    )
+
+
 def linearized_differential(dga: DGA, aug: Augmentation) -> ChainComplex:
     """Build (V, d^eps) for a valid DGA and an augmentation of it.
 
     The column of chord a in the boundary from |a| is the s-linear part of
-    d(a) restricted to chords of degree |a| - 1, evaluated by the DGA's
-    :attr:`~DGA.linear_plan` at :meth:`Augmentation.eps_map`, which checks
-    the augmentation's names first.  Each entry's terms are summed here
-    and reduced mod m over Z/m.  The s^0 part of every conjugated
-    differential is checked to vanish in the ring; a failure raises
-    NotAnAugmentation, quoting the unreduced constant.  A nonzero entry on
-    a chord of another degree raises ValidationFailed.  Degrees are visited
-    in increasing order and columns in basis order, so the first failure
-    met is the one raised.
+    d(a) restricted to chords of degree |a| - 1, read at
+    :meth:`Augmentation.eps_map`, which checks the augmentation's names
+    first.  One pass reads each word of d(a) once: each t or t^-1 flips its
+    sign, and eps vanishes off degree 0, so a word of degree-0 chords adds
+    its value to eps(d a) and the value of its other letters to each
+    letter's entry, a word with one graded letter adds the value of its
+    degree-0 letters to that letter's entry, and a word with two drops
+    out.  Entries keep the order in which their chords first occur in the
+    words, dropped words included, as in `algebra.s_linear_part`.  Each
+    entry is reduced mod m over Z/m.
+
+    The s^0 part of every conjugated differential is checked to vanish in
+    the ring; a failure raises NotAnAugmentation, quoting the unreduced
+    constant.  A nonzero entry on a chord of another degree raises
+    ValidationFailed.  Degrees are visited in increasing order, columns in
+    basis order, and a column's constant before its entries, so the first
+    failure met is the one raised.  Nothing is compiled: a caller that
+    linearizes one DGA at many points takes the plan route instead.
     """
-    basis, columns = dga.linear_plan
+    eps = aug.eps_map(dga)
+    m = aug.ring.modulus or 0
+    grading, index, degree_zero = dga.grading, dga.basis_index, dga.degree_zero_chords
+    basis, diff = dga.basis, dga.diff
+
+    rows: dict[int, dict[int, dict[int, int]]] = {}
+    for d in dga.boundary_degrees:
+        rows[d] = boundary = {}
+        for j, chord in enumerate(basis.get(d, ())):
+            p = diff.get(chord)
+            if p is None:
+                continue
+            # Letters enter as their words are read, fed or not: first occurrence.
+            constant = 0
+            entries: dict[str, int] = {}
+            for word, coeff in p.terms.items():
+                letters = word
+                if T_SYMBOL in word or T_INV_SYMBOL in word:
+                    letters = tuple([x for x in word if x != T_SYMBOL and x != T_INV_SYMBOL])
+                    if (len(word) - len(letters)) % 2:
+                        coeff = -coeff
+                if degree_zero.issuperset(letters):
+                    values = [eps[x] for x in letters]
+                    for k, x in enumerate(letters):
+                        c = coeff
+                        for i, v in enumerate(values):
+                            if i != k:
+                                c *= v
+                        entries[x] = entries.get(x, 0) + c
+                    for v in values:
+                        coeff *= v
+                    constant += coeff
+                    continue
+                graded = None
+                for x in letters:
+                    if x not in entries:
+                        entries[x] = 0
+                    if x in degree_zero:
+                        coeff *= eps[x]
+                    elif graded is None:
+                        graded = x
+                    else:
+                        coeff = 0  # a second graded letter drops the word
+                if coeff:
+                    entries[graded] += coeff
+            if constant % m if m else constant:
+                raise _not_an_augmentation(chord, constant)
+            for name, value in entries.items():
+                if m:
+                    value %= m
+                if not value:
+                    continue
+                if grading[name] != d - 1:
+                    raise _misgraded(dga, chord, name, d)
+                i = index[name]
+                row = boundary.get(i)
+                if row is None:
+                    boundary[i] = {j: value}
+                else:
+                    row[j] = value
+
+    return ChainComplex(aug.ring, basis, rows=rows)
+
+
+def _linearized_by_plan(dga: DGA, aug: Augmentation) -> ChainComplex:
+    """`linearized_differential` by summing the terms of :attr:`DGA.linear_plan`.
+
+    The same complex, the same rows in the same order and the same first
+    failure; the plan is compiled on first use and kept with the DGA, so
+    this route pays off only where one DGA is linearized at many points.
+    """
     eps = aug.eps_map(dga)
     m = aug.ring.modulus or 0
 
     rows: dict[int, dict[int, dict[int, int]]] = {}
-    for d, plan in columns.items():
+    for d, plan in dga.linear_plan.items():
         rows[d] = boundary = {}
         for j, chord, constant_terms, entries in plan:
             constant = 0
@@ -171,9 +266,7 @@ def linearized_differential(dga: DGA, aug: Augmentation) -> ChainComplex:
                     c *= eps[x]
                 constant += c
             if constant % m if m else constant:
-                raise NotAnAugmentation(
-                    f"eps(d {chord}) = {constant} != 0: not an augmentation"
-                )
+                raise _not_an_augmentation(chord, constant)
             for i, terms, misgraded in entries:
                 value = 0
                 for c, names in terms:
@@ -185,11 +278,11 @@ def linearized_differential(dga: DGA, aug: Augmentation) -> ChainComplex:
                 if not value:
                     continue
                 if misgraded:
-                    raise ValidationFailed(misgraded)
+                    raise _misgraded(dga, chord, misgraded, d)
                 row = boundary.get(i)
                 if row is None:
                     boundary[i] = {j: value}
                 else:
                     row[j] = value
 
-    return ChainComplex(aug.ring, basis, rows=rows)
+    return ChainComplex(aug.ring, dga.basis, rows=rows)

@@ -9,7 +9,7 @@ import pytest
 
 import lchkit
 from lchkit.cli import load_dga, run
-from lchkit.dga import connected_sum, lambda0, lambda_k
+from lchkit.dga import DGA, connected_sum, lambda0, lambda_k
 from lchkit.dgafile import MAX_DOCUMENT_BYTES, MAX_WORD_LETTERS, parse, serialize
 from lchkit.homology import GradedHomology
 
@@ -115,6 +115,58 @@ def test_json_bytes_are_pinned_and_repeat_in_one_process(capsys):
             code, out, err = invoke(capsys, *argv)
             assert (code, err) == (0, "")
             assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+# The other one-shot commands: argv, exit code and sha256 of the --json stdout.
+_ONE_SHOT_JSON = [
+    (
+        ["duality", "builtin:lambda0", "--aug", "a1=5, a2=-1, a3=1, a6=1", "--field", "Q", "--json"],
+        0,
+        "c57d917ffa2df0ae4794f9df5ad11cec895a2f7cb6af41025c3d8fb8e7cfc742",
+    ),
+    (
+        ["obstruction", "builtin:lambda0", "--aug", "a1=5, a2=-1, a3=1, a6=1", "--field", "Z/5",
+         "--json"],
+        1,
+        "bcb16396afc41d828bb7ff695710b9f0dd44d00bf031e28d39438d99ad2f3928",
+    ),
+    (
+        ["obstruction", "builtin:lambda1", "--aug", "a1=3, a2=-1, a3=1, a10=1, a11=1", "--field",
+         "Z/3", "--json"],
+        1,
+        "80e56b9ec2916a2eb9a935794bae1e04ca2f847c26a5cff8cf8e8f334eb7971e",
+    ),
+    (
+        ["bockstein", "builtin:lambda2", "--aug", "a1=6, a2=-1, a3=1, a10=1, a11=1, a12=1", "--json"],
+        0,
+        "b5c723eb7547d1bea3eb093278840e988c304917b317858519d433830495d4a1",
+    ),
+    (
+        ["homology", "builtin:lambda3", "--aug", "a1=4, a2=-1, a3=1, a10=1, a11=1, a12=1, a13=1",
+         "--ring", "Z/2", "--json"],
+        0,
+        "5f3deea6887baf6a004030c28b9c2c260ea57f770a595e953d89ceed74d7037f",
+    ),
+]
+
+
+def test_one_shot_commands_never_compile_the_plan(capsys, monkeypatch):
+    """A job that linearizes at one augmentation reads the words once.
+
+    With `DGA.linear_plan` refusing to compile, homology, duality,
+    obstruction, bockstein and geography print the same bytes.
+    """
+
+    def refuse(dga):
+        raise AssertionError(f"DGA.linear_plan compiled for {dga.name}")
+
+    monkeypatch.setattr(DGA, "linear_plan", property(refuse))
+    pinned = [(argv, 0, digest) for argv, digest in _PINNED_JSON
+              if argv[0] in ("homology", "geography")]
+    for argv, expected, digest in pinned + _ONE_SHOT_JSON:
+        code, out, err = invoke(capsys, *argv)
+        assert (code, err) == (expected, ""), argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 def test_scan_of_a_sum_file_is_pinned(tmp_path, capsys):
@@ -386,9 +438,15 @@ def test_overlong_builtin_index_is_an_error(capsys):
     assert err == f"error: builtin:lambda<k> index of {len(digits)} digits is too long\n"
 
 
-def test_builtin_index_digits():
+def test_builtin_index_digits(capsys):
+    """A builtin name is the whole argument, with an index of ASCII digits;
+    anything else is a file path."""
     assert load_dga("builtin:lambda007") == lambda_k(7)
-    assert load_dga("builtin:lambda\u0663") == lambda_k(3)  # ARABIC-INDIC DIGIT THREE
+    assert load_dga("builtin:lambda3") == lambda_k(3)
+    for source in ("builtin:lambda1\n", "builtin:lambda\u0663"):  # ARABIC-INDIC DIGIT THREE
+        code, out, err = invoke(capsys, "validate", source)
+        assert (code, out) == (2, "")
+        assert err == f"error: [Errno 2] No such file or directory: {source!r}\n"
 
 
 def test_validate_parse_error_exits_2(tmp_path, capsys):

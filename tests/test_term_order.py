@@ -1,8 +1,8 @@
 """Term order of polynomials built in one pass, against the old folds.
 
-`DGA.linear_plan` takes its row order from `p.terms`, and that order decides
-which error fires first, so these tests compare `list(p.terms.items())`,
-not just equal polynomials.  The references below are the arithmetic that
+Linearization, by either route, takes its row order from `p.terms`, and
+that order decides which error fires first, so these tests compare
+`list(p.terms.items())`, not just equal polynomials.  The references below are the arithmetic that
 built each polynomial term by term: dict-level `+` and `*` that drop a
 word when its sum reaches 0, the folding ring map `ref_substitute`, and the
 product-and-fold Leibniz rule.  Connected sums are built by renaming

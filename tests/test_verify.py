@@ -1,3 +1,5 @@
+from functools import cached_property
+
 import pytest
 
 from lchkit.algebra import Poly, t_gen
@@ -182,18 +184,44 @@ def test_torsion_scan_checks_every_grid_before_any_homology(monkeypatch):
     import lchkit.verify as verify_module
 
     calls = []
-    real = verify_module.linearized_differential
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+    def counting(real):
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
 
-    monkeypatch.setattr(verify_module, "linearized_differential", counting)
+        return counted
+
+    for name in ("linearized_differential", "_linearized_by_plan"):
+        monkeypatch.setattr(verify_module, name, counting(getattr(verify_module, name)))
     with pytest.raises(InvalidParameter, match="bound must be >= 0"):
         torsion_scan(lambda0(), [2, 3, 5], bound=-1)
     with pytest.raises(SearchTooLarge, match=r"5\^6 assignments exceeds cap 1000"):
         torsion_scan(lambda0(), [2, 3, 5], bound=1, cap=1000)
     assert calls == []
+
+
+def test_torsion_scan_compiles_the_plan_once_per_dga(monkeypatch):
+    """Every point of every grid is linearized from one compiled plan."""
+    import lchkit.verify as verify_module
+
+    compiled, points = [], []
+    compile_plan = DGA.linear_plan.func
+
+    def counting(dga):
+        compiled.append(dga.name)
+        return compile_plan(dga)
+
+    plan = cached_property(counting)
+    plan.__set_name__(DGA, "linear_plan")
+    monkeypatch.setattr(DGA, "linear_plan", plan)
+    by_plan = verify_module._linearized_by_plan
+    monkeypatch.setattr(verify_module, "_linearized_by_plan",
+                        lambda *args: points.append(args) or by_plan(*args))
+    for dga in (lambda0(), connected_sum(lambda_k(1), unknot())):
+        torsion_scan(dga, [2, 3], bound=1)
+    assert compiled == ["lambda0", "lambda1#unknot"]
+    assert len(points) > 100
 
 
 # Two-summand sums have 12 degree-0 chords, so their grids over Z/5, Z/7
