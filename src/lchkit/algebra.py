@@ -17,9 +17,9 @@ linearization: `evaluate` (apply a scalar value to every symbol) and
 `s_linear_part` (the coefficient of the first-order term after substituting
 x -> s*x + eps(x) on chords, computed positionally so the bookkeeping
 variable s never needs to exist).  They are the reference route: the
-pipeline linearizes one point by reading each word once at eps, and a
-scan's grid by summing the compiled terms of `DGA.linear_plan`; the tests
-compare both routes with these.
+pipeline's `linearize.linearized_differential` reads each word once at
+eps, or sums the compiled terms of `DGA.linear_plan` for a DGA that holds
+it already (a scan's); the tests compare both routes with these.
 
 `first_unknown_symbol` is the one rule for which undeclared symbol an
 error names, in the DGA constructor and in the .dga parser alike.

@@ -3,11 +3,13 @@
 An augmentation is a unital ring map from the DGA to a commutative ring R
 that vanishes on chords of nonzero degree, sends t to -1, and annihilates
 the differential.  It is determined by its values on degree-0 chords, so
-enumeration is a finite search over those coordinates; only the degree-1
-differentials impose constraints (every monomial in d(a) for |a| != 1
-contains a chord of nonzero degree and dies under evaluation).  Both the
+enumeration is a finite search over those coordinates.  Each differential
+with a constant term (a word of degree-0 chords and t) imposes a
+constraint: on a validly graded DGA only the degree-1 ones, on a misgraded
+DGA any, so every enumerated point passes `is_augmentation`.  Both the
 check and the enumeration sum the constant terms of `DGA.linear_plan`, the
-DGA's one compiled form.
+DGA's one compiled form; compiling it here is what sends a scan's points
+down the plan route of `linearize.linearized_differential`.
 """
 
 from __future__ import annotations
@@ -196,22 +198,22 @@ def is_augmentation(dga: DGA, aug: Augmentation) -> bool:
 def _enumerate(dga: DGA, ring: RingDesc, domain: range, cap: int) -> list[Augmentation]:
     """Depth-first walk of the grid `domain` ^ (degree-0 chords), constraint-first.
 
-    The walk order puts the degree-1 constraints first, fewest distinct
-    variables first (a stable sort): each constraint adds its variables not
-    yet placed, in declaration order, and the variables no constraint names
-    come last, in declaration order.  Each constraint fires at the depth of
-    its last variable x in that order, where every one of its terms is
-    summed in place from the constant terms of the degree-1 columns of
-    :attr:`DGA.linear_plan` and reduced mod m (over Z, tested against 0); a
-    pruned value is never descended.  If no term of a constraint holds x
-    twice, it reads a1*x + a0 with a1 and a0 summed from the assigned
-    prefix, and x is solved instead of iterated: over Z/m with a1 a unit,
-    only -a0/a1 mod m is tried; over Z with a1 != 0, only the exact
-    quotient -a0/a1, and only if it lies in `domain`; over Z with a1 = 0
-    and a0 != 0, nothing.  Otherwise every value of `domain` is tried.  Of
-    several such constraints at one depth, the first that narrows decides.
-    The solver only narrows which values are tried: every constraint at the
-    depth is still checked on each of them.
+    Each column of :attr:`DGA.linear_plan` with a constant term is a
+    constraint.  The walk order puts the constraints first, fewest distinct
+    variables first (a stable sort of the columns in plan order): each
+    constraint adds its variables not yet placed, in declaration order, and
+    the variables no constraint names come last, in declaration order.  Each
+    constraint fires at the depth of its last variable x in that order,
+    where every one of its terms is summed in place and reduced mod m (over
+    Z, tested against 0); a pruned value is never descended.  If no term of
+    a constraint holds x twice, it reads a1*x + a0 with a1 and a0 summed
+    from the assigned prefix, and x is solved instead of iterated: over Z/m
+    with a1 a unit, only -a0/a1 mod m is tried; over Z with a1 != 0, only
+    the exact quotient -a0/a1, and only if it lies in `domain`; over Z with
+    a1 = 0 and a0 != 0, nothing.  Otherwise every value of `domain` is
+    tried.  Of several such constraints at one depth, the first that narrows
+    decides.  The solver only narrows which values are tried: every
+    constraint at the depth is still checked on each of them.
 
     The walk keeps its own stack, one position per depth, so a grid of any
     number of chords fits.  Each point is kept as its value tuple in
@@ -228,9 +230,11 @@ def _enumerate(dga: DGA, ring: RingDesc, domain: range, cap: int) -> list[Augmen
         raise SearchTooLarge(f"{values}^{len(variables)} assignments exceeds cap {cap}")
     declared = {name: i for i, name in enumerate(variables)}
     constraints = []
-    for _, _, terms, _ in dga.linear_plan.get(1, ()):
-        named = sorted({x for _, names in terms for x in names}, key=declared.__getitem__)
-        constraints.append((named, terms))
+    for plan in dga.linear_plan.values():
+        for _, _, terms, _ in plan:
+            if terms:
+                named = sorted({x for _, names in terms for x in names}, key=declared.__getitem__)
+                constraints.append((named, terms))
     constraints.sort(key=lambda constraint: len(constraint[0]))
     order = list(dict.fromkeys([x for names, _ in constraints for x in names] + variables))
     depth_of = {name: i for i, name in enumerate(order)}
@@ -321,7 +325,7 @@ def enumerate_augmentations(
     """All augmentations over a finite ring Z/m, in lexicographic value order.
 
     The search is a depth-first walk of the value grid that visits the
-    variables of the degree-1 constraints first, fewest variables first,
+    variables of the constraints first, fewest variables first,
     and prunes with each constraint as soon as its variables are assigned.
     A constraint linear in its last variable, with a unit coefficient,
     solves that variable, so only one value of it is tried.  The points are

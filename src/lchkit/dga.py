@@ -137,11 +137,12 @@ class DGA:
         in degree d - 1, so that a nonzero entry there is an error.  A term
         ``(c, names)`` is c * eps(x_1) * ... * eps(x_k).
 
-        Compiling pays only where one DGA is evaluated at many points: the
-        augmentation check and enumeration in `augment` read the constant
-        terms, and `verify.torsion_scan` evaluates the whole plan at every
-        point of its grids.  `linearized_differential`, which linearizes at
-        one point, reads the words themselves and never compiles it.
+        Compiling pays only where one DGA is evaluated at many points, so
+        only `augment` compiles it: the augmentation check and the
+        enumerators read its constant terms.  `linearized_differential`
+        sums the whole plan for a DGA that holds it already, as at every
+        point of a scan's grids, and otherwise reads the words themselves
+        and never compiles it, so a one-shot job does not pay for it.
 
         One pass reads each word once, as eps sees it: each t or t^-1 flips
         the sign, and eps vanishes off degree 0, so a word of degree-0

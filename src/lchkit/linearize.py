@@ -6,16 +6,16 @@ into a finite chain complex (V, d^eps).  The constant part must vanish on
 every chord -- that is exactly the augmentation equation, and it is
 asserted here, so a non-augmentation cannot slip through.
 
-There are two routes to the same complex.  `linearized_differential`
-linearizes at one point: it reads each word of each differential once,
-at eps, and compiles nothing.  A caller that evaluates one DGA at a whole
-grid of points, `verify.torsion_scan`, takes `_linearized_by_plan`, which
-only sums the terms of :attr:`DGA.linear_plan`, compiled once per DGA.
-Both take the bases and degrees from the DGA and their errors from the
-helpers below, so they cannot drift apart.  The boundaries are built and
-stored as sparse rows, which the d^2 check and the elimination kernel
-read directly; the dense matrices are views for printing and for callers
-that want them.
+`linearized_differential` is the one entry point, and it picks the route
+by one rule: a DGA that already holds its compiled :attr:`DGA.linear_plan`
+(every DGA a scan enumerates, since the enumerators compile it) is
+linearized by summing the plan's terms; any other DGA is read word by
+word, each word once, and nothing is compiled.  Both routes take the
+bases and degrees from the DGA and their errors from the helpers below,
+so they cannot drift apart.  The boundaries are built and stored as
+sparse rows, which the d^2 check and the elimination kernel read
+directly; the dense matrices are views for printing and for callers that
+want them.
 """
 
 from __future__ import annotations
@@ -165,29 +165,64 @@ def linearized_differential(dga: DGA, aug: Augmentation) -> ChainComplex:
     The column of chord a in the boundary from |a| is the s-linear part of
     d(a) restricted to chords of degree |a| - 1, read at
     :meth:`Augmentation.eps_map`, which checks the augmentation's names
-    first.  One pass reads each word of d(a) once: each t or t^-1 flips its
-    sign, and eps vanishes off degree 0, so a word of degree-0 chords adds
-    its value to eps(d a) and the value of its other letters to each
-    letter's entry, a word with one graded letter adds the value of its
-    degree-0 letters to that letter's entry, and a word with two drops
-    out.  Entries keep the order in which their chords first occur in the
-    words, dropped words included, as in `algebra.s_linear_part`.  Each
-    entry is reduced mod m over Z/m.
+    first.  Each entry is reduced mod m over Z/m.
+
+    The route rule: if the DGA already holds its compiled
+    :attr:`DGA.linear_plan`, the complex is the sum of the plan's terms;
+    otherwise one pass reads each word of d(a) once and nothing is
+    compiled.  In that pass each t or t^-1 flips the sign, and eps
+    vanishes off degree 0, so a word of degree-0 chords adds its value to
+    eps(d a) and the value of its other letters to each letter's entry, a
+    word with one graded letter adds the value of its degree-0 letters to
+    that letter's entry, and a word with two drops out.  Entries keep the
+    order in which their chords first occur in the words, dropped words
+    included, as in `algebra.s_linear_part`, and the plan keeps that order.
 
     The s^0 part of every conjugated differential is checked to vanish in
     the ring; a failure raises NotAnAugmentation, quoting the unreduced
     constant.  A nonzero entry on a chord of another degree raises
     ValidationFailed.  Degrees are visited in increasing order, columns in
     basis order, and a column's constant before its entries, so the first
-    failure met is the one raised.  Nothing is compiled: a caller that
-    linearizes one DGA at many points takes the plan route instead.
+    failure met is the one raised, on either route.
     """
     eps = aug.eps_map(dga)
     m = aug.ring.modulus or 0
+    rows: dict[int, dict[int, dict[int, int]]] = {}
+
+    # The cached plan sits in vars(dga) once compiled; reading the
+    # attribute here would compile it for a one-shot job.
+    if "linear_plan" in vars(dga):
+        for d, plan in dga.linear_plan.items():
+            rows[d] = boundary = {}
+            for j, chord, constant_terms, entries in plan:
+                constant = 0
+                for c, names in constant_terms:
+                    for x in names:
+                        c *= eps[x]
+                    constant += c
+                if constant % m if m else constant:
+                    raise _not_an_augmentation(chord, constant)
+                for i, terms, misgraded in entries:
+                    value = 0
+                    for c, names in terms:
+                        for x in names:
+                            c *= eps[x]
+                        value += c
+                    if m:
+                        value %= m
+                    if not value:
+                        continue
+                    if misgraded:
+                        raise _misgraded(dga, chord, misgraded, d)
+                    row = boundary.get(i)
+                    if row is None:
+                        boundary[i] = {j: value}
+                    else:
+                        row[j] = value
+        return ChainComplex(aug.ring, dga.basis, rows=rows)
+
     grading, index, degree_zero = dga.grading, dga.basis_index, dga.degree_zero_chords
     basis, diff = dga.basis, dga.diff
-
-    rows: dict[int, dict[int, dict[int, int]]] = {}
     for d in dga.boundary_degrees:
         rows[d] = boundary = {}
         for j, chord in enumerate(basis.get(d, ())):
@@ -244,45 +279,3 @@ def linearized_differential(dga: DGA, aug: Augmentation) -> ChainComplex:
                     row[j] = value
 
     return ChainComplex(aug.ring, basis, rows=rows)
-
-
-def _linearized_by_plan(dga: DGA, aug: Augmentation) -> ChainComplex:
-    """`linearized_differential` by summing the terms of :attr:`DGA.linear_plan`.
-
-    The same complex, the same rows in the same order and the same first
-    failure; the plan is compiled on first use and kept with the DGA, so
-    this route pays off only where one DGA is linearized at many points.
-    """
-    eps = aug.eps_map(dga)
-    m = aug.ring.modulus or 0
-
-    rows: dict[int, dict[int, dict[int, int]]] = {}
-    for d, plan in dga.linear_plan.items():
-        rows[d] = boundary = {}
-        for j, chord, constant_terms, entries in plan:
-            constant = 0
-            for c, names in constant_terms:
-                for x in names:
-                    c *= eps[x]
-                constant += c
-            if constant % m if m else constant:
-                raise _not_an_augmentation(chord, constant)
-            for i, terms, misgraded in entries:
-                value = 0
-                for c, names in terms:
-                    for x in names:
-                        c *= eps[x]
-                    value += c
-                if m:
-                    value %= m
-                if not value:
-                    continue
-                if misgraded:
-                    raise _misgraded(dga, chord, misgraded, d)
-                row = boundary.get(i)
-                if row is None:
-                    boundary[i] = {j: value}
-                else:
-                    row[j] = value
-
-    return ChainComplex(aug.ring, dga.basis, rows=rows)

@@ -36,7 +36,7 @@ from .homology import (
     homology_from_factors,
     integral_homology,
 )
-from .linearize import _linearized_by_plan, linearized_differential
+from .linearize import linearized_differential
 from .rings import ZZ, Zmod
 
 
@@ -287,12 +287,13 @@ def torsion_scan(
     prime's, then the bounded one) is enumerated before any point is
     linearized, so a bad bound or an oversized grid fails before any homology.
 
-    Every point is linearized, checked and eliminated, by summing the
-    terms of the DGA's plan, compiled once for all grids, but homology is
-    assembled once per distinct invariant vector: all complexes of one DGA
-    share their bases and store the same boundaries, so the ranks over Z/p
-    (or the invariant factors over Z) of those boundaries decide the dims
-    (or the torsion).  Each grid keeps its own table of the vectors seen.
+    Every point is linearized, checked and eliminated; the enumerators
+    compile the DGA's plan once for all grids, so `linearized_differential`
+    sums its terms at each point.  Homology is assembled once per distinct
+    invariant vector: all complexes of one DGA share their bases and store
+    the same boundaries, so the ranks over Z/p (or the invariant factors
+    over Z) of those boundaries decide the dims (or the torsion).  Each grid
+    keeps its own table of the vectors seen.
     """
     rings = [Zmod(p) for p in dict.fromkeys(primes)]
     for ring in rings:
@@ -305,7 +306,7 @@ def torsion_scan(
         dims_of: dict[tuple[int, ...], tuple] = {}
         groups: dict[tuple, list[Augmentation]] = {}
         for aug in grid:
-            complex_ = _linearized_by_plan(dga, aug)
+            complex_ = linearized_differential(dga, aug)
             ranks = boundary_ranks(complex_, ring)
             key = dims_of.get(ranks)
             if key is None:
@@ -320,7 +321,7 @@ def torsion_scan(
     torsion_free = 0
     torsion_of: dict[tuple[tuple[int, ...], ...], tuple] = {}
     for aug in bounded:
-        complex_ = _linearized_by_plan(dga, aug)
+        complex_ = linearized_differential(dga, aug)
         factors = boundary_factors(complex_)
         torsion = torsion_of.get(factors)
         if torsion is None:

@@ -508,6 +508,24 @@ def test_augs_mod2(capsys):
     assert "@ Z" in out
 
 
+def test_augs_of_a_misgraded_document_are_augmentations(tmp_path, capsys):
+    """d a = 1 + b puts a constant on a degree-0 chord: it constrains b.
+
+    Every enumerated point passes the augmentation check; the scan then
+    stops at the misgraded entry on b, and d a = 1 leaves no point at all.
+    """
+    doc = tmp_path / "bad.dga"
+    doc.write_text('dga "bad"\ngen a 0\ngen b 0\nd a = 1 + b\n')
+    assert invoke(capsys, "augs", str(doc), "--ring", "Z/2") == (
+        0, "2 augmentation(s)\nb=1 @ Z/2\na=1, b=1 @ Z/2\n", "",
+    )
+    assert invoke(capsys, "scan", str(doc)) == (
+        2, "", "error: d a has an s-linear term on b of degree 0, expected -1; validate the DGA\n",
+    )
+    doc.write_text('dga "const"\ngen a 0\nd a = 1\n')
+    assert invoke(capsys, "augs", str(doc), "--ring", "Z/2") == (0, "0 augmentation(s)\n(none)\n", "")
+
+
 def test_augs_json_parses_back(capsys):
     code, out, _ = invoke(capsys, "augs", "builtin:unknot", "--ring", "Z/3", "--json")
     assert code == 0

@@ -19,7 +19,7 @@ from lchkit.errors import (
     UnknownGenerator,
     ValidationFailed,
 )
-from lchkit.linearize import ChainComplex, _linearized_by_plan, linearized_differential
+from lchkit.linearize import ChainComplex, linearized_differential
 from lchkit.rings import QQ, ZZ, Zmod
 
 
@@ -306,29 +306,32 @@ def _rows_in_order(C):
     return [(d, [(i, list(row.items())) for i, row in rows.items()]) for d, rows in C.rows.items()]
 
 
-ROUTES = (linearized_differential, _linearized_by_plan)
-
-
 def _check_routes(dga, aug):
     """Both routes against the reference and each other; the first failure or None.
 
-    Each route must raise the reference's first failure, with its type and
-    message, or build the reference's columns; the two routes' complexes
-    must hold the same rows in the same key order.
+    `linearized_differential` runs on a fresh copy of `dga`, which reads
+    the words and must compile nothing, and on `dga` itself after its plan
+    is read, which sums the plan.  Each must raise the reference's first
+    failure, with its type and message, or build the reference's columns;
+    the two complexes must hold the same rows in the same key order.
     """
+    fresh = DGA(dga.name, dga.chords, dga.diff)
+    dga.linear_plan
     expected = _first_failure(dga, aug)
     if expected is not None:
-        for route in ROUTES:
+        for copy in (fresh, dga):
             with pytest.raises(LchError) as info:
-                route(dga, aug)
-            assert (type(info.value), str(info.value)) == expected, route.__name__
-        return expected[0]
-    eps = aug.eps_map(dga)
-    one_pass, by_plan = (route(dga, aug) for route in ROUTES)
-    _assert_reference_columns(one_pass, dga, eps)
-    assert _rows_in_order(one_pass) == _rows_in_order(by_plan)
-    assert one_pass.basis is by_plan.basis is dga.basis
-    return None
+                linearized_differential(copy, aug)
+            assert (type(info.value), str(info.value)) == expected
+    else:
+        eps = aug.eps_map(dga)
+        one_pass, by_plan = linearized_differential(fresh, aug), linearized_differential(dga, aug)
+        _assert_reference_columns(one_pass, dga, eps)
+        assert _rows_in_order(one_pass) == _rows_in_order(by_plan)
+        assert by_plan.basis is dga.basis
+        assert one_pass.basis is fresh.basis
+    assert "linear_plan" not in vars(fresh)
+    return None if expected is None else expected[0]
 
 
 def _random_dga(rng, index):
@@ -395,7 +398,9 @@ def _random_cases():
 
 
 def test_compiled_route_matches_reference_route(monkeypatch):
-    """Both routes, one pass and plan, equal algebra.evaluate and s_linear_part."""
+    """`linearized_differential` on both routes, one pass on a fresh DGA and
+    the plan's sum on a DGA that holds it, equals algebra.evaluate and
+    s_linear_part."""
     complexes = rejected = 0
     for dga, aug in _compiled_route_cases():
         ring = aug.ring
@@ -421,3 +426,24 @@ def test_compiled_route_matches_reference_route(monkeypatch):
     for dga, aug in _random_cases():
         seen[_check_routes(dga, aug)] += 1
     assert min(seen.values()) > 100
+
+
+def test_enumerated_points_of_ill_graded_dgas_are_augmentations():
+    """Every point the enumerators find on the ill-graded and random DGAs
+    above passes `is_augmentation`, and every point of the grid that
+    passes is found: constants on chords of any degree constrain the walk."""
+    dgas = {id(dga): dga for dga, _ in _ill_graded_cases()}
+    dgas.update({id(dga): dga for dga, _ in _random_cases()})
+    found = 0
+    for dga in dgas.values():
+        names = dga.chords_of_degree(0)
+        for ring, augs, domain in (
+            (Zmod(2), enumerate_augmentations(dga, Zmod(2)), range(2)),
+            (Zmod(3), enumerate_augmentations(dga, Zmod(3)), range(3)),
+            (ZZ, enumerate_augmentations_bounded(dga, 1), range(-1, 2)),
+        ):
+            grid = [Augmentation(ring, dict(zip(names, values)))
+                    for values in product(domain, repeat=len(names))]
+            assert augs == [aug for aug in grid if is_augmentation(dga, aug)], (dga.name, ring)
+            found += len(augs)
+    assert len(dgas) > 300 and found > 1000

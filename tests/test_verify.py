@@ -184,28 +184,27 @@ def test_torsion_scan_checks_every_grid_before_any_homology(monkeypatch):
     import lchkit.verify as verify_module
 
     calls = []
-
-    def counting(real):
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
-
-        return counted
-
-    for name in ("linearized_differential", "_linearized_by_plan"):
-        monkeypatch.setattr(verify_module, name, counting(getattr(verify_module, name)))
+    real = verify_module.linearized_differential
+    monkeypatch.setattr(verify_module, "linearized_differential",
+                        lambda *args: calls.append(args) or real(*args))
     with pytest.raises(InvalidParameter, match="bound must be >= 0"):
         torsion_scan(lambda0(), [2, 3, 5], bound=-1)
     with pytest.raises(SearchTooLarge, match=r"5\^6 assignments exceeds cap 1000"):
         torsion_scan(lambda0(), [2, 3, 5], bound=1, cap=1000)
     assert calls == []
+    # The count is live: a scan that runs linearizes once per grid point.
+    dga = lambda0()
+    torsion_scan(dga, [2, 3], bound=1)
+    points = [*enumerate_augmentations(dga, Zmod(2)), *enumerate_augmentations(dga, Zmod(3)),
+              *enumerate_augmentations_bounded(dga, 1)]
+    assert calls == [(dga, aug) for aug in points]
 
 
 def test_torsion_scan_compiles_the_plan_once_per_dga(monkeypatch):
     """Every point of every grid is linearized from one compiled plan."""
     import lchkit.verify as verify_module
 
-    compiled, points = [], []
+    compiled, took_plan = [], []
     compile_plan = DGA.linear_plan.func
 
     def counting(dga):
@@ -215,13 +214,13 @@ def test_torsion_scan_compiles_the_plan_once_per_dga(monkeypatch):
     plan = cached_property(counting)
     plan.__set_name__(DGA, "linear_plan")
     monkeypatch.setattr(DGA, "linear_plan", plan)
-    by_plan = verify_module._linearized_by_plan
-    monkeypatch.setattr(verify_module, "_linearized_by_plan",
-                        lambda *args: points.append(args) or by_plan(*args))
+    real = verify_module.linearized_differential
+    monkeypatch.setattr(verify_module, "linearized_differential",
+                        lambda dga, aug: took_plan.append("linear_plan" in vars(dga)) or real(dga, aug))
     for dga in (lambda0(), connected_sum(lambda_k(1), unknot())):
         torsion_scan(dga, [2, 3], bound=1)
     assert compiled == ["lambda0", "lambda1#unknot"]
-    assert len(points) > 100
+    assert len(took_plan) > 100 and all(took_plan)
 
 
 # Two-summand sums have 12 degree-0 chords, so their grids over Z/5, Z/7
