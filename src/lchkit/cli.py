@@ -2,7 +2,10 @@
 
 DGAs are addressed either by a .dga file path or by a builtin pseudo-path:
 builtin:lambda0, builtin:lambda1, builtin:lambda<k>, builtin:unknot.
-Exit codes: 0 success, 1 check-failure verdict, 2 usage or parse errors.
+Exit codes: 0 success, 1 check-failure verdict, 2 usage or parse errors,
+141 when the reader of stdout closes the pipe early (128 + SIGPIPE, the
+status a shell gives a writer whose reader has gone; nothing goes to
+stderr).
 All output is deterministic; --json switches to structured output.
 """
 
@@ -11,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 
@@ -289,13 +293,24 @@ def run(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.fn(args)
+    except BrokenPipeError:
+        raise  # the reader has gone; `main` exits 141, not 2
     except (LchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # As in the "Note on SIGPIPE" of the `signal` docs: stdout goes to
+        # devnull, so the flush at exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -155,6 +155,8 @@ def smith_normal_form(M):
 
 def _divisibility_chain(diagonal: list[int]) -> list[int]:
     """Invariant factors of diag(d_1, ..., d_r), d_i > 0, by gcd/lcm swaps."""
+    if len(diagonal) < 2:
+        return diagonal
     rest = [d for d in diagonal if d != 1]
     for i in range(len(rest)):
         for j in range(i + 1, len(rest)):

@@ -8,20 +8,24 @@ always small: connected sums reach hundreds of chords.  Dense `matmul` and
 `identity` serve only `homology.smith_normal_form` and the tests.
 
 `_SparseMatrix` is the one elimination kernel, over Z or over Z/p, built
-from sparse rows; two loops drive it, and both live here.  Its pivot rule
-is Markowitz's: least |value| (every value counts as 1 under a modulus),
-then least fill cost (r-1)(c-1).  A worklist of columns left with one
-entry serves the cheapest cases without a scan.  Each pivot's column is
-cleared by row steps: over Z/p one exact step per row with the pivot's
-inverse, over Z Euclid against the pivot row by row additions and row
-swaps, which leaves the column's gcd as the pivot.  A pivot already alone
-in its column takes no step at all.
+from sparse rows; two loops drive it, and both live here.  A load walks
+each row's items once, in row-index order: it reduces each entry mod p
+under a modulus, drops zeros, and adds the row to its column's set, so
+columns are indexed in the order their first entries occur.  Its pivot
+rule is Markowitz's: least |value| (every value counts as 1 under a
+modulus), then least fill cost (r-1)(c-1).  A worklist of columns left
+with one entry serves the cheapest cases without a scan.  Each pivot's
+column is cleared by row steps: over Z/p one exact step per row with the
+pivot's inverse, over Z Euclid against the pivot row by row additions and
+row swaps, which leaves the column's gcd as the pivot.  A pivot already
+alone in its column takes no step at all.
 
 - `rank_of_rows` clears each pivot's column and drops its row, so the rank
   is the number of pivots.  Over Z/p the entries are reduced mod p, over Q
   each row's denominators are cleared first, so rank over Q needs no
-  Fraction arithmetic.  The dense `rank_rationals` and `rank_mod_p`
-  convert with `sparse_rows` and take the same route.
+  Fraction arithmetic; a row of plain ints has none and goes to the load
+  without that copy.  The dense `rank_rationals` and `rank_mod_p` convert
+  with `sparse_rows` and take the same route.
 - `diagonal_of_rows` gives the nonzero Smith diagonal over Z.  An entry
   alone in both its row and its column, as the torsion entries of a
   connected sum are, is a diagonal block of its own and splits off before
@@ -36,8 +40,9 @@ in its column takes no step at all.
   block-and-link boundaries of connected sums about half the pivots are
   such units.
 
-No rows, or one row, need no kernel: the rank is 1 exactly when some
-entry is nonzero in the field, and the diagonal is the gcd of the row.
+No rows, or one row, need no kernel and are not copied: the rank is 1
+exactly when some entry of the row is nonzero in the field, and the
+diagonal is the gcd of the row's values.
 """
 
 from __future__ import annotations
@@ -98,18 +103,19 @@ class _SparseMatrix:
         self.cols: dict[int, set[int]] = {}
         cols = self.cols
         for i in sorted(rows):
-            if modulus:
-                entries = {j: y for j, x in rows[i].items() if (y := x % modulus)}
-            else:
-                entries = {j: x for j, x in rows[i].items() if x}
-            if entries:
-                self.rows[i] = entries
-                for j in entries:
+            entries = {}
+            for j, x in rows[i].items():
+                if modulus:
+                    x %= modulus
+                if x:
+                    entries[j] = x
                     col = cols.get(j)
                     if col is None:
                         cols[j] = {i}
                     else:
                         col.add(i)
+            if entries:
+                self.rows[i] = entries
         # Columns that were left with one row; entries go stale as the
         # column changes and are checked when popped.
         self.singles = [j for j, rs in self.cols.items() if len(rs) == 1]
@@ -260,11 +266,17 @@ def rank_of_rows(rows: dict[int, dict[int, int]], modulus: int | None = None) ->
     which leaves the row space unchanged.
     """
     if len(rows) < 2:
-        entries = [x for row in rows.values() for x in row.values()]
-        return int(any(x % modulus for x in entries) if modulus else any(entries))
+        for row in rows.values():
+            for x in row.values():
+                if x % modulus if modulus else x:
+                    return 1
+        return 0
     if not modulus:
         cleared = {}
         for i, row in rows.items():
+            if all(type(x) is int for x in row.values()):
+                cleared[i] = row
+                continue
             scale = lcm(*(x.denominator for x in row.values()))
             cleared[i] = {j: x.numerator * (scale // x.denominator) for j, x in row.items()}
         rows = cleared
@@ -288,8 +300,10 @@ def diagonal_of_rows(rows: dict[int, dict[int, int]]) -> list[int]:
     falls.
     """
     if len(rows) < 2:
-        g = gcd(*(x for row in rows.values() for x in row.values()))
-        return [g] if g else []
+        for row in rows.values():
+            g = gcd(*row.values())
+            return [g] if g else []
+        return []
     A = _SparseMatrix(rows)
     diagonal = []
     for j in A.singles:

@@ -462,6 +462,26 @@ def test_missing_file_exits_2(capsys):
     assert code == 2
 
 
+def test_closed_pipe_exits_141_without_an_error(tmp_path):
+    # The report is about 94 KB, past a 64 KB pipe buffer, so lch is still
+    # writing when its reader goes away after 10 bytes, as `| head -c 10`
+    # does.  That is not a failed command: exit 128 + SIGPIPE, stderr empty.
+    src = os.path.dirname(os.path.dirname(lchkit.__file__))
+    with subprocess.Popen(
+        [sys.executable, "-m", "lchkit.cli", "augs", "builtin:lambda0", "--ring", "Z/7", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src),
+    ) as proc:
+        try:
+            head = proc.stdout.read(10)
+            proc.stdout.close()
+            code = proc.wait(timeout=30)
+        finally:
+            proc.kill()
+        assert head == b'{\n  "augme'
+        assert code == 141
+        assert proc.stderr.read() == b""
+
+
 def test_usage_error_exits_2(capsys):
     assert run(["homology", "builtin:lambda0"]) == 2  # missing --aug
     capsys.readouterr()

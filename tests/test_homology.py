@@ -13,6 +13,7 @@ from lchkit.augment import (
 )
 from lchkit.dga import (
     DGA,
+    connected_sum,
     connected_sum_augmented,
     euler_tb,
     geography_dga,
@@ -24,6 +25,7 @@ from lchkit.errors import FieldRequired, NotAComplex, RingMismatch
 from lchkit.homology import (
     GradedHomology,
     HomologyGroup,
+    _divisibility_chain,
     _factors_of_rows,
     bockstein,
     field_homology,
@@ -36,6 +38,7 @@ from lchkit.homology import (
 from lchkit.linearize import ChainComplex, linearized_differential
 from lchkit.matrices import (
     _SparseMatrix,
+    diagonal_of_rows,
     identity,
     matmul,
     rank_mod_p,
@@ -545,6 +548,142 @@ def test_empty_and_one_row_boundaries_skip_the_kernel(monkeypatch):
             assert rank_of_rows(sparse_rows(M), p) == dense_rank_mod_p(M, p), (row, p)
             seen["zero mod p"] += any(row) and not any(x % p for x in row)
     assert min(seen.values()) > 20, seen
+
+
+def comprehension_load(rows, modulus):
+    """The kernel's load as one dict comprehension per row and a second walk
+    over its keys (reference): kept rows, column index and single columns."""
+    kept, cols = {}, {}
+    for i in sorted(rows):
+        if modulus:
+            entries = {j: y for j, x in rows[i].items() if (y := x % modulus)}
+        else:
+            entries = {j: x for j, x in rows[i].items() if x}
+        if entries:
+            kept[i] = entries
+            for j in entries:
+                cols.setdefault(j, set()).add(i)
+    return kept, cols, [j for j, rs in cols.items() if len(rs) == 1]
+
+
+def test_load_matches_the_comprehension_load():
+    """`_SparseMatrix` keeps the reference's rows, columns and worklist in
+    the same order, entry by entry: every pivot and Euclid step rests on
+    that order."""
+
+    def check(rows, modulus):
+        A = _SparseMatrix(rows, modulus)
+        kept, cols, singles = comprehension_load(rows, modulus)
+        assert [(i, list(row.items())) for i, row in A.rows.items()] == [
+            (i, list(row.items())) for i, row in kept.items()
+        ], (rows, modulus)
+        assert list(A.cols.items()) == list(cols.items()), (rows, modulus)
+        assert A.singles == singles, (rows, modulus)
+
+    loads = 0
+    dga = lambda0()
+    for aug in enumerate_augmentations(dga, Zmod(7)):
+        check(linearized_differential(dga, aug).rows_of(1), 7)
+        loads += 1
+    dga = connected_sum(lambda0(), lambda_k(1))
+    for aug in enumerate_augmentations_bounded(dga, 1):
+        check(linearized_differential(dga, aug).rows_of(1), 0)
+        loads += 1
+    assert loads > 1000
+
+    rng = random.Random(2718)
+    moduli = (0, 2, 3, 5, 7)
+
+    def entry():
+        kind = rng.random()
+        if kind < 0.15:
+            return 0
+        if kind < 0.3:
+            return rng.choice((2, 3, 5, 7, 210)) * rng.randint(-3, 3)
+        if kind < 0.45:
+            return rng.randint(7, 10**6)
+        return rng.randint(-9, 9)
+
+    for _ in range(300):
+        keys = rng.sample(range(40), rng.randint(1, 12))  # unsorted row keys
+        rows = {
+            i: {j: entry() for j in rng.sample(range(30), rng.randint(1, 6))}
+            for i in keys
+        }
+        for m in moduli:
+            check(rows, m)
+
+
+def gcd_of_row(row) -> int:
+    """gcd of the entries of one row by Euclid (reference)."""
+    g = 0
+    for x in row:
+        g = _gcd(g, x)
+    return g
+
+
+def test_trivial_boundaries_match_independent_oracles():
+    """Zero- and one-row inputs, and Q rows of plain ints, against dense
+    Gauss-Jordan elimination and the dense Smith form written here."""
+    assert rank_of_rows({}) == 0
+    assert diagonal_of_rows({}) == []
+    for p in RANK_PRIMES:
+        assert rank_of_rows({}, p) == 0
+
+    one_rows = [
+        {4: 0},
+        {0: 0, 3: 0},
+        {2: -4, 0: 0, 5: 6},  # an explicit 0, negatives
+        {1: -7},
+        {7: 14, 1: -21, 3: 35},  # all = 0 mod 7
+        {0: 6, 1: 10, 2: 15},
+        {3: 2**70 * 3, 9: -(2**70 * 5)},
+        {0: Fraction(-1, 2), 1: 0, 2: 3},
+    ]
+    for row in one_rows:
+        width = max(row) + 1
+        M = [[row.get(j, 0) for j in range(width)]]
+        assert rank_of_rows({5: row}) == fraction_rank(M), row
+        if any(isinstance(x, Fraction) for x in row.values()):
+            continue
+        D = smith_normal_form(M)[1]
+        assert diagonal_of_rows({5: row}) == ([D[0][0]] if D[0][0] else []), row
+        assert diagonal_of_rows({5: row}) == ([gcd_of_row(M[0])] if any(M[0]) else []), row
+        for p in RANK_PRIMES:
+            assert rank_of_rows({5: row}, p) == dense_rank_mod_p(M, p), (row, p)
+
+    # Several rows over Q: all-int rows load as they are, the others are
+    # scaled by their denominators first; the rank is the same either way.
+    rng = random.Random(3141)
+
+    def q_entry(fractions):
+        if rng.random() < 0.3:
+            return 0
+        if fractions and rng.random() < 0.5:
+            return Fraction(rng.randint(-9, 9), rng.randint(2, 12))
+        return rng.randint(-9, 9)
+
+    for _ in range(200):
+        m = rng.randint(2, 7)
+        n = rng.randint(1, 7)
+        M = [[q_entry(rng.random() < 0.5) for _ in range(n)] for _ in range(m)]
+        if rng.random() < 0.3:  # a dependent row, mixing both kinds
+            M.append([Fraction(x, 3) + y for x, y in zip(M[0], M[1])])
+        rows = {i: {j: x for j, x in enumerate(row)} for i, row in enumerate(M)}
+        assert rank_of_rows(rows) == fraction_rank(M), M
+        assert rank_of_rows(sparse_rows(M)) == fraction_rank(M), M
+        assert all(rows[i] == dict(enumerate(row)) for i, row in enumerate(M))
+
+    # The divisibility chain against the Smith form of the diagonal matrix.
+    assert _divisibility_chain([]) == []
+    assert _divisibility_chain([1]) == [1]
+    for n in (2, 12, 2**61 - 1):
+        assert _divisibility_chain([n]) == [n]
+    diagonal = [1, 1, 4, 6, 9, 10, 12, 35, 1, 2]
+    rng.shuffle(diagonal)
+    n = len(diagonal)
+    D = smith_normal_form([[diagonal[i] if i == j else 0 for j in range(n)] for i in range(n)])[1]
+    assert _divisibility_chain(diagonal) == [D[i][i] for i in range(n)]
 
 
 def test_sparse_kernel_mod_p_keeps_entries_reduced():
