@@ -67,7 +67,6 @@ from .homology import (
     from_orders,
     integral_homology,
     invariant_factors,
-    smith_normal_form,
     uct_check,
 )
 from .linearize import ChainComplex, linearized_differential

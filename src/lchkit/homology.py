@@ -13,8 +13,7 @@ stored boundaries (`boundary_factors`, `boundary_ranks`), then the
 assembly of groups or dims from them and the bases
 (`homology_from_factors`, `dims_from_ranks`).  `integral_homology` and
 `field_homology` run both; a caller that meets the same invariants often,
-as a torsion scan does, may assemble once per distinct vector.  The dense
-`smith_normal_form` keeps U and V for callers that need them.  A
+as a torsion scan does, may assemble once per distinct vector.  A
 universal-coefficient consistency check rounds out the module.
 """
 
@@ -25,132 +24,13 @@ from math import gcd
 
 from .errors import FieldRequired, NotAComplex, RingMismatch
 from .linearize import ChainComplex
-from .matrices import diagonal_of_rows, identity, rank_of_rows, sparse_rows
+from .matrices import diagonal_of_rows, rank_of_rows, sparse_rows
 from .rings import ZZ, RingDesc
 
 
 # ----------------------------------------------------------------------
 # Smith normal form
 # ----------------------------------------------------------------------
-
-
-def _snf_inplace(A, m: int, n: int, U, V) -> int:
-    """Diagonalize A by unimodular row/column operations; returns the rank.
-
-    Pivot choice is the entry of minimal absolute value in the remaining
-    block; between reductions, failures of the pivot to divide the rest of
-    the block are repaired by folding the offending row into the pivot row,
-    which strictly shrinks the pivot.  All arithmetic is exact.
-    """
-
-    def row_add(i, j, q):  # row_i += q * row_j
-        Ai, Aj = A[i], A[j]
-        for c in range(n):
-            Ai[c] += q * Aj[c]
-        Ui, Uj = U[i], U[j]
-        for c in range(m):
-            Ui[c] += q * Uj[c]
-
-    def col_add(j, i, q):  # col_j += q * col_i
-        for r in range(m):
-            A[r][j] += q * A[r][i]
-        for r in range(n):
-            V[r][j] += q * V[r][i]
-
-    def row_swap(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-
-    def col_swap(i, j):
-        for r in range(m):
-            A[r][i], A[r][j] = A[r][j], A[r][i]
-        for r in range(n):
-            V[r][i], V[r][j] = V[r][j], V[r][i]
-
-    t = 0
-    while True:
-        pivot = None
-        best = None
-        for i in range(t, m):
-            Ai = A[i]
-            for j in range(t, n):
-                x = Ai[j]
-                if x and (best is None or abs(x) < best):
-                    best = abs(x)
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        row_swap(t, pivot[0])
-        col_swap(t, pivot[1])
-        while True:
-            p = A[t][t]
-            # Shrink the pivot one non-divisible entry at a time: the
-            # remainder replaces the pivot, so |pivot| strictly decreases
-            # and the loop terminates.
-            shrunk = False
-            for i in range(t + 1, m):
-                if A[i][t] % p:
-                    row_add(i, t, -(A[i][t] // p))
-                    row_swap(t, i)
-                    shrunk = True
-                    break
-            if shrunk:
-                continue
-            for j in range(t + 1, n):
-                if A[t][j] % p:
-                    col_add(j, t, -(A[t][j] // p))
-                    col_swap(t, j)
-                    shrunk = True
-                    break
-            if shrunk:
-                continue
-            # The pivot divides its whole row and column: eliminate exactly.
-            for i in range(t + 1, m):
-                if A[i][t]:
-                    row_add(i, t, -(A[i][t] // p))
-            for j in range(t + 1, n):
-                if A[t][j]:
-                    col_add(j, t, -(A[t][j] // p))
-            # Fold in a row whose entries the pivot fails to divide, so the
-            # next round shrinks the pivot; this enforces d1 | d2 | ...
-            offender = None
-            for i in range(t + 1, m):
-                Ai = A[i]
-                for j in range(t + 1, n):
-                    if Ai[j] % p:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            row_add(t, offender, 1)
-        t += 1
-
-    for i in range(t):
-        if A[i][i] < 0:
-            for c in range(n):
-                A[i][c] = -A[i][c]
-            for c in range(m):
-                U[i][c] = -U[i][c]
-    return t
-
-
-def smith_normal_form(M):
-    """Smith normal form: returns (U, D, V) with D = U*M*V.
-
-    U and V are unimodular; D is diagonal with nonnegative entries forming
-    a divisibility chain d1 | d2 | ...  M is a list of equal-length rows.
-    This dense routine keeps both transforms; `invariant_factors` is the
-    sparse route to the diagonal alone.
-    """
-    m = len(M)
-    n = len(M[0]) if m else 0
-    D = [list(row) for row in M]
-    U = identity(m)
-    V = identity(n)
-    _snf_inplace(D, m, n, U, V)
-    return U, D, V
 
 
 def _divisibility_chain(diagonal: list[int]) -> list[int]:
@@ -166,6 +46,7 @@ def _divisibility_chain(diagonal: list[int]) -> list[int]:
     return [1] * (len(diagonal) - len(rest)) + rest
 
 
+# No package code calls this; `bench/tracing.py` wraps it by name.
 def invariant_factors(M) -> list[int]:
     """Nonzero diagonal entries of the Smith form, in divisibility order,
     by the sparse elimination of `matrices.diagonal_of_rows`, which keeps no
@@ -183,19 +64,6 @@ def _factors_of_rows(rows: dict[int, dict[int, int]]) -> list[int]:
 # ----------------------------------------------------------------------
 
 
-def _primary_parts(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 @dataclass(frozen=True)
 class HomologyGroup:
     """Finitely generated abelian group: free rank + invariant factors.
@@ -208,6 +76,8 @@ class HomologyGroup:
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self):
+        if self.free_rank < 0:
+            raise ValueError(f"free rank must be >= 0: {self.free_rank}")
         for a, b in zip(self.torsion, self.torsion[1:]):
             if a < 2 or b % a:
                 raise ValueError(f"not a divisibility chain: {self.torsion}")
@@ -216,13 +86,6 @@ class HomologyGroup:
 
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion
-
-    def primary_decomposition(self) -> list[int]:
-        """Torsion as prime powers, e.g. Z/12 + Z/2 -> [4, 3, 2] sorted."""
-        parts: list[int] = []
-        for d in self.torsion:
-            parts.extend(p**e for p, e in _primary_parts(d).items())
-        return sorted(parts, reverse=True)
 
     def p_torsion_count(self, p: int) -> int:
         return sum(1 for d in self.torsion if d % p == 0)

@@ -4,8 +4,9 @@ Dense matrices are lists of rows (lists); sparse ones are dicts
 ``{row: {col: value}}`` of nonzero entries, the form in which
 `linearize.ChainComplex` stores its boundaries.  Entries are Python ints
 (or Fractions where stated); nothing here ever rounds.  Shapes are not
-always small: connected sums reach hundreds of chords.  Dense `matmul` and
-`identity` serve only `homology.smith_normal_form` and the tests.
+always small: connected sums reach hundreds of chords.  No package code
+calls the dense `matmul`, `rank_rationals` or `rank_mod_p`; they remain
+because `bench/tracing.py` wraps each of them by name.
 
 `_SparseMatrix` is the one elimination kernel, over Z or over Z/p, built
 from sparse rows; two loops drive it, and both live here.  A load walks
@@ -50,10 +51,7 @@ from __future__ import annotations
 from math import gcd, lcm
 
 
-def identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
+# No package code calls this; `bench/tracing.py` wraps it by name.
 def matmul(A, B) -> list[list[int]]:
     """A @ B; the inner dimension is len(B)."""
     rows = len(A)
@@ -325,11 +323,13 @@ def diagonal_of_rows(rows: dict[int, dict[int, int]]) -> list[int]:
     return diagonal
 
 
+# No package code calls this; `bench/tracing.py` wraps it by name.
 def rank_rationals(M) -> int:
     """Rank over Q of a dense matrix of ints and Fractions; see `rank_of_rows`."""
     return rank_of_rows(sparse_rows(M))
 
 
+# No package code calls this; `bench/tracing.py` wraps it by name.
 def rank_mod_p(M, p: int) -> int:
     """Rank over the field Z/p (p prime) of a dense integer matrix; see `rank_of_rows`."""
     return rank_of_rows(sparse_rows(M), p)

@@ -271,7 +271,8 @@ def test_criterion_13_bockstein():
 def test_criterion_14_snf_property_suite():
     from test_homology import check_snf, minors_gcd
 
-    from lchkit.matrices import rank_rationals
+    from lchkit.homology import _divisibility_chain
+    from lchkit.matrices import diagonal_of_rows, rank_rationals, sparse_rows
 
     rng = random.Random(20240819)
     ok = True
@@ -285,6 +286,12 @@ def test_criterion_14_snf_property_suite():
         except AssertionError:
             ok = False
             detail = f"structure fails at trial {trial}"
+            break
+        # The kernel behind every printed torsion order must give the same
+        # nonzero diagonal, hence the same ratios of determinantal divisors.
+        if _divisibility_chain(diagonal_of_rows(sparse_rows(M))) != [x for x in diag if x]:
+            ok = False
+            detail = f"kernel diagonal mismatch at trial {trial}"
             break
         r = rank_rationals(M)
         if sum(1 for x in diag if x) != r:
@@ -301,7 +308,7 @@ def test_criterion_14_snf_property_suite():
             dk_prev = dk
         if not ok:
             break
-    report(14, "SNF: 1000 random matrices vs determinantal divisors", ok, detail)
+    report(14, "SNF and kernel: 1000 random matrices vs determinantal divisors", ok, detail)
 
 
 def test_criterion_15_parser_round_trip_and_fuzz():

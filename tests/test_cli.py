@@ -204,7 +204,7 @@ def test_rank_route_does_not_reduce_rows(tmp_path):
     Rank over Q clears each pivot's column by Euclid and drops its row;
     reducing the pivot row as the Smith diagonal does makes the entries
     grow until the run is killed.  Over Z this boundary still has no bound
-    on entry growth (ROADMAP item 5), so only Q and Z/2 are run.
+    on entry growth (ROADMAP item 2), so only Q and Z/2 are run.
     """
     rng = random.Random(3)
     lines = ['dga "dense"']

@@ -32,14 +32,12 @@ from lchkit.homology import (
     from_orders,
     integral_homology,
     invariant_factors,
-    smith_normal_form,
     uct_check,
 )
 from lchkit.linearize import ChainComplex, linearized_differential
 from lchkit.matrices import (
     _SparseMatrix,
     diagonal_of_rows,
-    identity,
     matmul,
     rank_mod_p,
     rank_of_rows,
@@ -62,6 +60,129 @@ def eps_n_k(k, n):
 # ----------------------------------------------------------------------
 # Smith normal form
 # ----------------------------------------------------------------------
+
+
+def identity(n: int) -> list[list[int]]:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def _snf_inplace(A, m: int, n: int, U, V) -> int:
+    """Diagonalize A by unimodular row/column operations; returns the rank.
+
+    Pivot choice is the entry of minimal absolute value in the remaining
+    block; between reductions, failures of the pivot to divide the rest of
+    the block are repaired by folding the offending row into the pivot row,
+    which strictly shrinks the pivot.  All arithmetic is exact.
+    """
+
+    def row_add(i, j, q):  # row_i += q * row_j
+        Ai, Aj = A[i], A[j]
+        for c in range(n):
+            Ai[c] += q * Aj[c]
+        Ui, Uj = U[i], U[j]
+        for c in range(m):
+            Ui[c] += q * Uj[c]
+
+    def col_add(j, i, q):  # col_j += q * col_i
+        for r in range(m):
+            A[r][j] += q * A[r][i]
+        for r in range(n):
+            V[r][j] += q * V[r][i]
+
+    def row_swap(i, j):
+        A[i], A[j] = A[j], A[i]
+        U[i], U[j] = U[j], U[i]
+
+    def col_swap(i, j):
+        for r in range(m):
+            A[r][i], A[r][j] = A[r][j], A[r][i]
+        for r in range(n):
+            V[r][i], V[r][j] = V[r][j], V[r][i]
+
+    t = 0
+    while True:
+        pivot = None
+        best = None
+        for i in range(t, m):
+            Ai = A[i]
+            for j in range(t, n):
+                x = Ai[j]
+                if x and (best is None or abs(x) < best):
+                    best = abs(x)
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        row_swap(t, pivot[0])
+        col_swap(t, pivot[1])
+        while True:
+            p = A[t][t]
+            # Shrink the pivot one non-divisible entry at a time: the
+            # remainder replaces the pivot, so |pivot| strictly decreases
+            # and the loop terminates.
+            shrunk = False
+            for i in range(t + 1, m):
+                if A[i][t] % p:
+                    row_add(i, t, -(A[i][t] // p))
+                    row_swap(t, i)
+                    shrunk = True
+                    break
+            if shrunk:
+                continue
+            for j in range(t + 1, n):
+                if A[t][j] % p:
+                    col_add(j, t, -(A[t][j] // p))
+                    col_swap(t, j)
+                    shrunk = True
+                    break
+            if shrunk:
+                continue
+            # The pivot divides its whole row and column: eliminate exactly.
+            for i in range(t + 1, m):
+                if A[i][t]:
+                    row_add(i, t, -(A[i][t] // p))
+            for j in range(t + 1, n):
+                if A[t][j]:
+                    col_add(j, t, -(A[t][j] // p))
+            # Fold in a row whose entries the pivot fails to divide, so the
+            # next round shrinks the pivot; this enforces d1 | d2 | ...
+            offender = None
+            for i in range(t + 1, m):
+                Ai = A[i]
+                for j in range(t + 1, n):
+                    if Ai[j] % p:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            row_add(t, offender, 1)
+        t += 1
+
+    for i in range(t):
+        if A[i][i] < 0:
+            for c in range(n):
+                A[i][c] = -A[i][c]
+            for c in range(m):
+                U[i][c] = -U[i][c]
+    return t
+
+
+def smith_normal_form(M):
+    """Smith normal form: returns (U, D, V) with D = U*M*V.
+
+    U and V are unimodular; D is diagonal with nonnegative entries forming
+    a divisibility chain d1 | d2 | ...  M is a list of equal-length rows.
+    This dense routine keeps both transforms; it is the tests' oracle for
+    the sparse `matrices.diagonal_of_rows`, which computes the diagonal alone.
+    """
+    m = len(M)
+    n = len(M[0]) if m else 0
+    D = [list(row) for row in M]
+    U = identity(m)
+    V = identity(n)
+    _snf_inplace(D, m, n, U, V)
+    return U, D, V
 
 
 def determinant(M) -> int:
@@ -769,7 +890,8 @@ def test_from_orders_matches_primary_parts():
         G = from_orders(orders)
         assert G.free_rank == orders.count(0)
         parts = [q for n in orders if n for q in _prime_power_parts(n)]
-        assert G.primary_decomposition() == sorted(parts, reverse=True)
+        got = [q for d in G.torsion for q in _prime_power_parts(d)]
+        assert sorted(got, reverse=True) == sorted(parts, reverse=True)
 
 
 def test_group_direct_sum_and_str():
@@ -777,7 +899,6 @@ def test_group_direct_sum_and_str():
     assert str(g) == "Z^2 + Z/6"
     assert str(HomologyGroup(0, ())) == "0"
     assert g.direct_sum(HomologyGroup(0, (4,))) == from_orders([0, 0, 6, 4])
-    assert HomologyGroup(0, (12,)).primary_decomposition() == [4, 3]
 
 
 def test_bad_invariant_factors_rejected():
@@ -785,6 +906,10 @@ def test_bad_invariant_factors_rejected():
         HomologyGroup(0, (3, 4))
     with pytest.raises(ValueError):
         HomologyGroup(0, (1, 2))
+    with pytest.raises(ValueError):
+        HomologyGroup(-1)
+    with pytest.raises(ValueError):
+        GradedHomology.from_json_obj([{"degree": 0, "free_rank": -2, "torsion": []}])
 
 
 # ----------------------------------------------------------------------
