@@ -17,9 +17,8 @@ linearization: `evaluate` (apply a scalar value to every symbol) and
 `s_linear_part` (the coefficient of the first-order term after substituting
 x -> s*x + eps(x) on chords, computed positionally so the bookkeeping
 variable s never needs to exist).  They are the reference route: the
-pipeline's `linearize.linearized_differential` reads each word once at
-eps, or sums the compiled terms of `DGA.linear_plan` for a DGA that holds
-it already (a scan's); the tests compare both routes with these.
+pipeline linearizes by the word rule of `linearize`, on either of its two
+routes, and the tests compare both routes with these.
 
 `first_unknown_symbol` is the one rule for which undeclared symbol an
 error names, in the DGA constructor and in the .dga parser alike.
@@ -38,6 +37,9 @@ from .errors import NotAUnit, UnknownGenerator
 T_SYMBOL = "t"
 T_INV_SYMBOL = "t^-1"
 
+# The one chord-name rule, of .dga documents and augmentation literals alike.
+CHORD_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_#]*")
+
 _NAT_SPLIT = re.compile(r"([0-9]+)")
 
 
@@ -54,7 +56,8 @@ def symbol_sort_key(symbol: str):
     them, so a run of any length is fine.  Every other character is text,
     other digits included, and text compares by code point.  A .dga name
     is ASCII, but a name built in Python may hold one: a² and a٢ are the
-    texts they are, so a < a2 < a10 < a² < a٢ < a٣.
+    texts they are, so a < a2 < a10 < a² < a٢ < a٣.  Names whose runs
+    have equal values, such as a1 and a01, compare as strings.
     """
     if symbol == T_SYMBOL:
         return (0,)
@@ -66,7 +69,7 @@ def symbol_sort_key(symbol: str):
         for k, run in enumerate(_NAT_SPLIT.split(symbol))
         if run != ""
     )
-    return (2, parts)
+    return (2, parts, symbol)
 
 
 def word_sort_key(word: tuple[str, ...]):

@@ -7,9 +7,9 @@ enumeration is a finite search over those coordinates.  Each differential
 with a constant term (a word of degree-0 chords and t) imposes a
 constraint: on a validly graded DGA only the degree-1 ones, on a misgraded
 DGA any, so every enumerated point passes `is_augmentation`.  Both the
-check and the enumeration sum the constant terms of `DGA.linear_plan`, the
-DGA's one compiled form; compiling it here is what sends a scan's points
-down the plan route of `linearize.linearized_differential`.
+check and the enumeration read them through `linearize.constraints`,
+which compiles the DGA's plan (`linearize` states the word rule); that is
+what sends a scan's points down the plan route of linearization.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
-from .algebra import symbol_sort_key
+from .algebra import CHORD_NAME, symbol_sort_key
 from .errors import (
     FieldRequired,
     InvalidParameter,
@@ -28,7 +28,7 @@ from .errors import (
     SearchTooLarge,
     UnknownGenerator,
 )
-from .linearize import linearized_differential
+from .linearize import constraints, linearized_differential
 from .matrices import rank_of_rows
 from .rings import ZZ, RingDesc, Zmod
 
@@ -158,7 +158,7 @@ def parse_augmentation_literal(text: str, default_ring: RingDesc | None = None) 
             name, _, raw = chunk.partition("=")
             name = name.strip()
             raw = raw.strip()
-            if not name.isidentifier() and "#" not in name:
+            if not CHORD_NAME.fullmatch(name):
                 raise ParseError(f"bad chord name {name!r} in augmentation literal")
             try:
                 value: object = Fraction(raw) if "/" in raw else int(raw)
@@ -173,21 +173,14 @@ def parse_augmentation_literal(text: str, default_ring: RingDesc | None = None) 
 def is_augmentation(dga: DGA, aug: Augmentation) -> bool:
     """True iff evaluating every differential under aug gives 0 in the ring.
 
-    All chords are checked, by the constant terms of
-    :attr:`DGA.linear_plan`, although only degree-1 differentials can fail
-    on a validly graded DGA.
+    All chords are checked, by :func:`linearize.constraints`, although only
+    degree-1 differentials can fail on a validly graded DGA.
     """
     eps = aug.eps_map(dga)
-    for plan in dga.linear_plan.values():
-        for _, _, constant, _ in plan:
-            total = 0
-            for c, names in constant:
-                for name in names:
-                    c = c * eps[name]
-                total += c
-            if not aug.ring.is_zero(total):
-                return False
-    return True
+    return all(
+        aug.ring.is_zero(sum(c * prod(eps[x] for x in names) for c, names in terms))
+        for terms in constraints(dga)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -198,9 +191,9 @@ def is_augmentation(dga: DGA, aug: Augmentation) -> bool:
 def _enumerate(dga: DGA, ring: RingDesc, domain: range, cap: int) -> list[Augmentation]:
     """Depth-first walk of the grid `domain` ^ (degree-0 chords), constraint-first.
 
-    Each column of :attr:`DGA.linear_plan` with a constant term is a
-    constraint.  The walk order puts the constraints first, fewest distinct
-    variables first (a stable sort of the columns in plan order): each
+    Each list of :func:`linearize.constraints` is a constraint.  The walk
+    order puts the constraints first, fewest distinct variables first (a
+    stable sort of the constraints in plan order): each
     constraint adds its variables not yet placed, in declaration order, and
     the variables no constraint names come last, in declaration order.  Each
     constraint fires at the depth of its last variable x in that order,
@@ -229,19 +222,17 @@ def _enumerate(dga: DGA, ring: RingDesc, domain: range, cap: int) -> list[Augmen
     if values ** len(variables) > cap:
         raise SearchTooLarge(f"{values}^{len(variables)} assignments exceeds cap {cap}")
     declared = {name: i for i, name in enumerate(variables)}
-    constraints = []
-    for plan in dga.linear_plan.values():
-        for _, _, terms, _ in plan:
-            if terms:
-                named = sorted({x for _, names in terms for x in names}, key=declared.__getitem__)
-                constraints.append((named, terms))
-    constraints.sort(key=lambda constraint: len(constraint[0]))
-    order = list(dict.fromkeys([x for names, _ in constraints for x in names] + variables))
+    walk = [
+        (sorted({x for _, names in terms for x in names}, key=declared.__getitem__), terms)
+        for terms in constraints(dga)
+    ]
+    walk.sort(key=lambda constraint: len(constraint[0]))
+    order = list(dict.fromkeys([x for names, _ in walk for x in names] + variables))
     depth_of = {name: i for i, name in enumerate(order)}
     # Constant constraints (depth -1) are checked before any variable.
     by_depth: dict[int, list] = {}
     solvers: dict[int, list] = {}
-    for named, terms in constraints:
+    for named, terms in walk:
         depth = max((depth_of[x] for x in named), default=-1)
         by_depth.setdefault(depth, []).append(terms)
         if depth < 0:

@@ -30,6 +30,7 @@ from .errors import (
     UnknownGenerator,
     ValidationFailed,
 )
+from .linearize import compile_plan
 from .rings import ZZ
 
 _RESERVED = (algebra.T_SYMBOL, algebra.T_INV_SYMBOL)
@@ -125,72 +126,12 @@ class DGA:
 
     @cached_property
     def linear_plan(self) -> dict[int, list]:
-        """Linearization compiled for evaluation at many augmentations.
+        """The word rule of `linearize`, compiled once by :func:`linearize.compile_plan`.
 
-        Maps each of :attr:`boundary_degrees` to the columns of the
-        boundary from that degree d: ``(j, chord, constant, entries)`` for
-        the chord at index j of :attr:`basis`, if its differential is
-        nonzero.  ``constant`` holds the terms of eps(d chord), and
-        ``entries`` holds ``(i, terms, misgraded)`` per row chord of its
-        linear part: i is the row chord's index within its degree, and
-        ``misgraded`` is None, or the row chord's name if it does not sit
-        in degree d - 1, so that a nonzero entry there is an error.  A term
-        ``(c, names)`` is c * eps(x_1) * ... * eps(x_k).
-
-        Compiling pays only where one DGA is evaluated at many points, so
-        only `augment` compiles it: the augmentation check and the
-        enumerators read its constant terms.  `linearized_differential`
-        sums the whole plan for a DGA that holds it already, as at every
-        point of a scan's grids, and otherwise reads the words themselves
-        and never compiles it, so a one-shot job does not pay for it.
-
-        One pass reads each word once, as eps sees it: each t or t^-1 flips
-        the sign, and eps vanishes off degree 0, so a word of degree-0
-        chords feeds eps(d chord) and the row of each letter, a word with
-        one graded letter feeds that letter's row, and one with two drops
-        out.  Entries keep the order in which their chords first occur in
-        the words, dropped words included, as in `algebra.s_linear_part`:
-        linearization raises the first nonzero misgraded entry.
+        Only `linearize.constraints` compiles it, for `augment`: a one-shot
+        linearization reads the words themselves and never compiles it.
         """
-        grading = self.grading
-        degree_zero = self.degree_zero_chords
-        t, t_inv = _RESERVED
-        basis, index = self.basis, self.basis_index
-        columns: dict[int, list] = {}
-        for d in self.boundary_degrees:
-            columns[d] = plan = []
-            for j, chord in enumerate(basis.get(d, ())):
-                p = self.diff.get(chord)
-                if p is None:
-                    continue
-                # Letters enter rows as their words are read, fed or not: first occurrence.
-                constant, rows = [], {}
-                for word, coeff in p.terms.items():
-                    letters = word
-                    if t in word or t_inv in word:
-                        letters = tuple([x for x in word if x not in _RESERVED])
-                        if (len(word) - len(letters)) % 2:
-                            coeff = -coeff
-                    if degree_zero.issuperset(letters):
-                        constant.append((coeff, letters))
-                        for k, x in enumerate(letters):
-                            rows.setdefault(x, []).append((coeff, letters[:k] + letters[k + 1 :]))
-                        continue
-                    for x in letters:
-                        rows.setdefault(x, [])
-                    for k, graded in enumerate(letters):
-                        if graded not in degree_zero:
-                            break
-                    rest = letters[:k] + letters[k + 1 :]
-                    if degree_zero.issuperset(rest):  # else a second graded letter drops the word
-                        rows[graded].append((coeff, rest))
-                entries = [
-                    (index[name], row_terms, None if grading[name] == d - 1 else name)
-                    for name, row_terms in rows.items()
-                    if row_terms
-                ]
-                plan.append((j, chord, constant, entries))
-        return columns
+        return compile_plan(self)
 
     @cached_property
     def degree_zero_chords(self) -> frozenset[str]:

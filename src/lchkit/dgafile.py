@@ -64,7 +64,7 @@ from __future__ import annotations
 import os
 import re
 
-from .algebra import T_INV_SYMBOL, T_SYMBOL, Poly, first_unknown_symbol, format_poly
+from .algebra import CHORD_NAME, T_INV_SYMBOL, T_SYMBOL, Poly, first_unknown_symbol, format_poly
 from .dga import DGA, euler_tb
 from .errors import DuplicateGenerator, InvalidParameter, ParseError, UnknownGenerator
 
@@ -75,7 +75,7 @@ _COMMENT = re.compile(r"(?<!\S)#")
 # be \S, or \s* would backtrack and report a trailing space.  Lines are
 # right-stripped first, or finditer would retry at every trailing blank.
 _TOKEN = re.compile(
-    r'\s*(?:(\d+)|(t\^-1|[A-Za-z_][A-Za-z0-9_#]*)|([=+*-])|("[^"]*")|(\S))'
+    rf'\s*(?:(\d+)|(t\^-1|{CHORD_NAME.pattern})|([=+*-])|("[^"]*")|(\S))'
 )
 _KINDS = (None, "int", "ident", "op", "str")
 _BAD = len(_KINDS)
@@ -94,16 +94,15 @@ MAX_DOCUMENT_BYTES = 16 * 1024 * 1024
 # line, so a match splits the line exactly as the tokens do.  A match can
 # raise nothing: its ints have at most 18 digits, which int() converts under
 # any digit limit, and its words at most MAX_WORD_LETTERS letters.
-_IDENT = r"[A-Za-z_][A-Za-z0-9_#]*"
+_IDENT = CHORD_NAME.pattern
 _FACTOR = rf"(?:t\^-1|{_IDENT})"
 _INT = r"\d{1,18}"
 _TERM = rf"(?:(?:{_INT}\*)?{_FACTOR}(?:\*{_FACTOR}){{0,{MAX_WORD_LETTERS - 1}}}|{_INT})"
 _GEN_LINE = re.compile(rf"gen ({_IDENT}) (-?{_INT})")
 _D_LINE = re.compile(rf"d ({_IDENT}) = ([+-]?{_TERM}(?: [+-] {_TERM})*)")
 
-# serialize checks names against these: a chord name is an identifier, and
-# a '#' after whitespace would start a comment inside the quoted DGA name.
-_CHORD_NAME = re.compile(_IDENT)
+# serialize checks names against CHORD_NAME and this: a '#' after
+# whitespace would start a comment inside the quoted DGA name.
 _NAME_COMMENT = re.compile(r"\s#")
 
 
@@ -372,7 +371,7 @@ def serialize(dga: DGA) -> str:
         raise InvalidParameter(f"DGA name {name!r} cannot be written in a .dga document")
     lines = [f'dga "{name}"', "basepoint t"]
     for chord, degree in dga.chords:
-        if not _CHORD_NAME.fullmatch(chord):
+        if not CHORD_NAME.fullmatch(chord):
             raise InvalidParameter(f"chord name {chord!r} cannot be written in a .dga document")
         try:
             lines.append(f"gen {chord} {degree}")

@@ -6,16 +6,21 @@ into a finite chain complex (V, d^eps).  The constant part must vanish on
 every chord -- that is exactly the augmentation equation, and it is
 asserted here, so a non-augmentation cannot slip through.
 
-`linearized_differential` is the one entry point, and it picks the route
-by one rule: a DGA that already holds its compiled :attr:`DGA.linear_plan`
-(every DGA a scan enumerates, since the enumerators compile it) is
-linearized by summing the plan's terms; any other DGA is read word by
-word, each word once, and nothing is compiled.  Both routes take the
-bases and degrees from the DGA and their errors from the helpers below,
-so they cannot drift apart.  The boundaries are built and stored as
-sparse rows, which the d^2 check and the elimination kernel read
-directly; the dense matrices are views for printing and for callers that
-want them.
+The word rule: the column of chord a in the boundary from |a| is read off
+the words of d(a) as eps sees them.  Each t or t^-1 flips the sign, and
+eps vanishes off degree 0, so a word of degree-0 chords adds its value to
+eps(d a) and the value of its other letters to each letter's entry, a
+word with one graded letter adds the value of its degree-0 letters to
+that letter's entry, and a word with two drops out.  Entries keep the
+order in which their chords first occur in the words, dropped words
+included, as in `algebra.s_linear_part`.
+
+This module holds the rule, the plan `compile_plan` compiles from it (read
+by `augment` through `constraints`), and both routes of the one entry
+point `linearized_differential`: a DGA that holds its plan already (every
+DGA a scan enumerates) sums the plan's terms, any other is read word by
+word.  The boundaries are stored as sparse rows, which the d^2 check and
+the elimination kernel read directly.
 """
 
 from __future__ import annotations
@@ -42,11 +47,10 @@ class ChainComplex:
     other degrees have empty bases and zero boundaries, and a gap between
     degrees costs nothing.  Entries are exact (ints; Fractions over Q).
 
-    ``ChainComplex(ring, basis, boundary)`` builds a complex by hand from
-    dense matrices, ``boundary[d]`` of shape len(basis[d-1]) x
-    len(basis[d]); `linearized_differential` passes ``rows=`` instead.
-    ``boundary`` and ``matrix(d)`` are dense views of the stored rows,
-    built on first use, and ``dump()`` prints them.
+    ``ChainComplex(ring, basis, boundary)`` builds a complex from dense
+    matrices, checking that ``boundary[d]`` is len(basis[d-1]) x
+    len(basis[d]); `linearized_differential` hands its rows to the private
+    `_of_rows`.  ``boundary`` and ``matrix(d)`` are dense views.
 
     Construction checks d^2 = 0 in the ring (raising NotAComplex), so every
     consumer may rely on it without checking again.  Do not mutate the
@@ -54,27 +58,31 @@ class ChainComplex:
     of one DGA share their basis.
     """
 
-    def __init__(
-        self,
-        ring: RingDesc,
-        basis: dict[int, list[str]],
-        boundary: dict[int, list[list[int]]] | None = None,
-        *,
-        rows: dict[int, dict[int, dict[int, int]]] | None = None,
-    ):
-        if (boundary is None) == (rows is None):
-            raise TypeError("give either dense boundary matrices or sparse rows")
+    def __init__(self, ring: RingDesc, basis: dict[int, list[str]], boundary: dict[int, list]):
+        rows = {}
+        for d, M in boundary.items():
+            n_rows, n_cols = len(basis.get(d - 1, ())), len(basis.get(d, ()))
+            if len(M) != n_rows or any(len(row) != n_cols for row in M):
+                raise NotAComplex(f"boundary from degree {d} is not {n_rows}x{n_cols}")
+            rows[d] = sparse_rows(M)
         self.ring = ring
         self.basis = basis
-        if rows is None:
-            rows = {}
-            for d, M in boundary.items():
-                n_rows, n_cols = len(self.basis_of(d - 1)), len(self.basis_of(d))
-                if len(M) != n_rows or any(len(row) != n_cols for row in M):
-                    raise NotAComplex(f"boundary from degree {d} is not {n_rows}x{n_cols}")
-                rows[d] = sparse_rows(M)
         self.rows = rows
         self.check_square_zero()
+
+    @classmethod
+    def _of_rows(cls, ring: RingDesc, basis: dict[int, list[str]], rows: dict) -> ChainComplex:
+        """The complex with exactly these sparse rows, which the caller hands over.
+
+        Each index must lie in its basis and each entry be nonzero and
+        reduced in the ring; nothing is checked or copied but d^2 = 0.
+        """
+        C = object.__new__(cls)
+        C.ring = ring
+        C.basis = basis
+        C.rows = rows
+        C.check_square_zero()
+        return C
 
     def degrees(self) -> list[int]:
         return sorted(d for d, names in self.basis.items() if names)
@@ -129,23 +137,6 @@ class ChainComplex:
                 if product and any(reduce(z) for z in product.values()):
                     raise NotAComplex(f"boundary squared is nonzero from degree {d + 1}")
 
-    def dump(self) -> str:
-        """Human-readable matrix dump with chord labels, for goldens."""
-        lines = []
-        for d in sorted(self.rows, reverse=True):
-            rows = self.basis_of(d - 1)
-            cols = self.basis_of(d)
-            if not cols:
-                continue
-            lines.append(f"degree {d}: columns [{' '.join(cols)}] rows [{' '.join(rows)}]")
-            M = self.boundary[d]
-            for i, row_name in enumerate(rows):
-                entries = " ".join(str(M[i][j]) for j in range(len(cols)))
-                lines.append(f"  {row_name}: {entries}")
-            if not rows:
-                lines.append("  (target is zero)")
-        return "\n".join(lines)
-
 
 def _not_an_augmentation(chord: str, constant) -> NotAnAugmentation:
     return NotAnAugmentation(f"eps(d {chord}) = {constant} != 0: not an augmentation")
@@ -159,24 +150,75 @@ def _misgraded(dga: DGA, chord: str, name: str, degree: int) -> ValidationFailed
     )
 
 
+def compile_plan(dga: DGA) -> dict[int, list]:
+    """The word rule compiled for evaluation at many augmentations.
+
+    Maps each of :attr:`DGA.boundary_degrees` to the columns of the
+    boundary from that degree d: ``(j, chord, constant, entries)`` for the
+    chord at index j of :attr:`DGA.basis`, if its differential is nonzero.
+    ``constant`` holds the terms of eps(d chord), and ``entries`` holds
+    ``(i, terms, misgraded)`` per row chord of its linear part, in the
+    rule's order: i is the row chord's index within its degree, and
+    ``misgraded`` is None, or the row chord's name if it does not sit in
+    degree d - 1, so that a nonzero entry there is an error.  A term
+    ``(c, names)`` is c * eps(x_1) * ... * eps(x_k).  One pass reads each
+    word once; :attr:`DGA.linear_plan` caches the result.
+    """
+    grading, index, degree_zero = dga.grading, dga.basis_index, dga.degree_zero_chords
+    basis = dga.basis
+    columns: dict[int, list] = {}
+    for d in dga.boundary_degrees:
+        columns[d] = plan = []
+        for j, chord in enumerate(basis.get(d, ())):
+            p = dga.diff.get(chord)
+            if p is None:
+                continue
+            # Letters enter rows as their words are read, fed or not: first occurrence.
+            constant, rows = [], {}
+            for word, coeff in p.terms.items():
+                letters = word
+                if T_SYMBOL in word or T_INV_SYMBOL in word:
+                    letters = tuple([x for x in word if x != T_SYMBOL and x != T_INV_SYMBOL])
+                    if (len(word) - len(letters)) % 2:
+                        coeff = -coeff
+                if degree_zero.issuperset(letters):
+                    constant.append((coeff, letters))
+                    for k, x in enumerate(letters):
+                        rows.setdefault(x, []).append((coeff, letters[:k] + letters[k + 1 :]))
+                    continue
+                for x in letters:
+                    rows.setdefault(x, [])
+                for k, graded in enumerate(letters):
+                    if graded not in degree_zero:
+                        break
+                rest = letters[:k] + letters[k + 1 :]
+                if degree_zero.issuperset(rest):  # else a second graded letter drops the word
+                    rows[graded].append((coeff, rest))
+            entries = [
+                (index[name], row_terms, None if grading[name] == d - 1 else name)
+                for name, row_terms in rows.items()
+                if row_terms
+            ]
+            plan.append((j, chord, constant, entries))
+    return columns
+
+
+def constraints(dga: DGA) -> list[list[tuple[int, tuple[str, ...]]]]:
+    """The nonempty constant-term lists of the DGA's plan, in plan order.
+
+    Each holds the terms ``(c, names)`` of one eps(d chord).  Reading them
+    compiles :attr:`DGA.linear_plan`, so later linearizations sum the plan.
+    """
+    return [constant for plan in dga.linear_plan.values() for _, _, constant, _ in plan if constant]
+
+
 def linearized_differential(dga: DGA, aug: Augmentation) -> ChainComplex:
     """Build (V, d^eps) for a valid DGA and an augmentation of it.
 
-    The column of chord a in the boundary from |a| is the s-linear part of
-    d(a) restricted to chords of degree |a| - 1, read at
-    :meth:`Augmentation.eps_map`, which checks the augmentation's names
-    first.  Each entry is reduced mod m over Z/m.
-
-    The route rule: if the DGA already holds its compiled
-    :attr:`DGA.linear_plan`, the complex is the sum of the plan's terms;
-    otherwise one pass reads each word of d(a) once and nothing is
-    compiled.  In that pass each t or t^-1 flips the sign, and eps
-    vanishes off degree 0, so a word of degree-0 chords adds its value to
-    eps(d a) and the value of its other letters to each letter's entry, a
-    word with one graded letter adds the value of its degree-0 letters to
-    that letter's entry, and a word with two drops out.  Entries keep the
-    order in which their chords first occur in the words, dropped words
-    included, as in `algebra.s_linear_part`, and the plan keeps that order.
+    The column of chord a is the s-linear part of d(a) on chords of degree
+    |a| - 1, read by the word rule at :meth:`Augmentation.eps_map` (which
+    checks the augmentation's names first) and reduced mod m over Z/m: as
+    the sum of the plan if the DGA holds it, else in one pass over the words.
 
     The s^0 part of every conjugated differential is checked to vanish in
     the ring; a failure raises NotAnAugmentation, quoting the unreduced
@@ -219,7 +261,7 @@ def linearized_differential(dga: DGA, aug: Augmentation) -> ChainComplex:
                         boundary[i] = {j: value}
                     else:
                         row[j] = value
-        return ChainComplex(aug.ring, dga.basis, rows=rows)
+        return ChainComplex._of_rows(aug.ring, dga.basis, rows)
 
     grading, index, degree_zero = dga.grading, dga.basis_index, dga.degree_zero_chords
     basis, diff = dga.basis, dga.diff
@@ -278,4 +320,4 @@ def linearized_differential(dga: DGA, aug: Augmentation) -> ChainComplex:
                 else:
                     row[j] = value
 
-    return ChainComplex(aug.ring, basis, rows=rows)
+    return ChainComplex._of_rows(aug.ring, basis, rows)

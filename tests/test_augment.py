@@ -92,6 +92,9 @@ def test_values_canonicalized():
     assert aug.values == {"a1": 2}
     with pytest.raises(InvalidValue):
         Augmentation(ZZ, {"a1": Fraction(1, 2)})
+    with pytest.raises(InvalidValue) as err:
+        Augmentation(Zmod(5), {"a1": 2}).reduction(5)
+    assert str(err.value) == "reduction applies to integer augmentations"
 
 
 def test_enumerate_lambda0_mod2_is_16():
@@ -427,6 +430,18 @@ def test_literal_errors():
         parse_augmentation_literal("a1=1 @ Z/5", default_ring=ZZ)
     with pytest.raises(ParseError):
         RingDesc.parse("GF(4)")
+    # A chord name in a literal is a .dga identifier: [A-Za-z_][A-Za-z0-9_#]*.
+    for text, name in (("#=1", "#"), ("1#=2", "1#"), ("a b#=1", "a b#"), ("é=1", "é")):
+        with pytest.raises(ParseError) as err:
+            parse_augmentation_literal(text)
+        assert str(err.value) == f"bad chord name {name!r} in augmentation literal"
+    assert parse_augmentation_literal("a1#2=1").values == {"a1#2": 1}
+
+
+def test_literal_order_does_not_depend_on_insertion():
+    one = Augmentation(ZZ, {"x1": 1, "x01": 2})
+    other = Augmentation(ZZ, {"x01": 2, "x1": 1})
+    assert one.literal() == other.literal() == "x01=2, x1=1 @ Z"
 
 
 def test_enumeration_over_composite_modulus():

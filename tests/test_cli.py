@@ -517,6 +517,8 @@ def test_builtin_emission_round_trips(tmp_path, capsys):
     code, out, _ = invoke(capsys, "builtin", "unknot")
     assert code == 0
     assert out.startswith('dga "unknot"')
+    assert invoke(capsys, "builtin", "lambda0") == (0, serialize(lambda0()), "")
+    assert invoke(capsys, "builtin", "lambda_k") == (2, "", "error: builtin lambda_k needs --k\n")
 
 
 def test_augs_mod2(capsys):
@@ -526,6 +528,12 @@ def test_augs_mod2(capsys):
     code, out, _ = invoke(capsys, "augs", "builtin:lambda0", "--ring", "Z", "--bound", "1")
     assert code == 0
     assert "@ Z" in out
+    assert invoke(capsys, "augs", "builtin:lambda0", "--ring", "Z") == (
+        2, "", "error: enumeration over Z needs --bound\n"
+    )
+    assert invoke(capsys, "augs", "builtin:lambda0", "--ring", "Q") == (
+        2, "", "error: cannot enumerate over Q\n"
+    )
 
 
 def test_augs_of_a_misgraded_document_are_augmentations(tmp_path, capsys):
@@ -733,6 +741,10 @@ def test_determinism(capsys):
 
 
 def test_search_cap_env(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("LCH_SEARCH_CAP", "abc")
+    assert invoke(capsys, "augs", "builtin:lambda0", "--ring", "Z/2") == (
+        2, "", "error: LCH_SEARCH_CAP='abc' is not an integer\n"
+    )
     monkeypatch.setenv("LCH_SEARCH_CAP", "10")
     code, _, err = invoke(capsys, "augs", "builtin:lambda0", "--ring", "Z/2")
     assert code == 2

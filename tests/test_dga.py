@@ -19,10 +19,16 @@ from lchkit.dga import (
     validate,
 )
 from lchkit.dgafile import parse
-from lchkit.errors import InvalidParameter, NotAUnit, UnknownGenerator, ValidationFailed
+from lchkit.errors import (
+    InvalidParameter,
+    NotAUnit,
+    RingMismatch,
+    UnknownGenerator,
+    ValidationFailed,
+)
 from lchkit.homology import integral_homology
 from lchkit.linearize import linearized_differential
-from lchkit.rings import ZZ
+from lchkit.rings import ZZ, Zmod
 
 
 def test_lambda0_data():
@@ -88,6 +94,10 @@ def test_undeclared_symbol_raises():
         DGA(name="bad3", chords=(("a", 1),), diff={"a": gen("zz")})
     with pytest.raises(UnknownGenerator):
         DGA(name="bad4", chords=(("a", 1),), diff={"zz": gen("a")})
+    for lookup in (unknot().degree_of, unknot().differential):
+        with pytest.raises(UnknownGenerator) as err:
+            lookup("zz")
+        assert str(err.value) == "unknown chord 'zz'"
 
 
 def test_reserved_and_duplicate_names():
@@ -162,6 +172,9 @@ def test_connected_sum_augmented():
     assert combined.value_of("c") == -1
     # the combined assignment really is an augmentation
     linearized_differential(summed, combined)
+    with pytest.raises(RingMismatch) as err:
+        connected_sum_augmented(l0, e2, l1, Augmentation(Zmod(3), {}))
+    assert str(err.value) == "augmentation rings differ: Z vs Z/3"
 
 
 def test_geography_examples():
@@ -340,6 +353,9 @@ def test_geography_rejects_bad_gradings():
         geography_dga(2, 0, [])
     with pytest.raises(InvalidParameter):
         geography_dga(2, 0, [1])
+    with pytest.raises(InvalidParameter) as err:
+        geography_dga(2, -1, [2])
+    assert str(err.value) == "free rank must be >= 0"
 
 
 def test_connected_sum_additivity_of_homology():

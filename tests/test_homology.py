@@ -906,6 +906,9 @@ def test_bad_invariant_factors_rejected():
         HomologyGroup(0, (3, 4))
     with pytest.raises(ValueError):
         HomologyGroup(0, (1, 2))
+    with pytest.raises(ValueError) as err:
+        HomologyGroup(0, (1,))
+    assert str(err.value) == "invariant factors must be >= 2: (1,)"
     with pytest.raises(ValueError):
         HomologyGroup(-1)
     with pytest.raises(ValueError):
@@ -1153,6 +1156,21 @@ def test_non_complex_rejected():
             basis={0: ["x"], 1: ["y"], 2: ["z"]},
             boundary={0: [], 1: [[1]], 2: [[1]], 3: [[]]},
         )
+    basis = {0: ["x"], 1: ["y", "z"]}
+    for boundary in ({1: [[0]]}, {1: [[0, 0], [0, 0]]}, {1: [[0, 0, 0]]}, {1: []}):
+        with pytest.raises(NotAComplex) as err:
+            ChainComplex(ZZ, basis, boundary)
+        assert str(err.value) == "boundary from degree 1 is not 1x2"
+
+
+def test_chain_complex_takes_only_dense_boundaries():
+    """Sparse rows with an index outside the basis once read as LCH = 0;
+    the one public form checks shapes, so the same complex reads H_1 = Z."""
+    basis = {0: ["x"], 1: ["y"]}
+    with pytest.raises(TypeError):
+        ChainComplex(ZZ, basis, rows={1: {0: {5: 1}}})
+    H = integral_homology(ChainComplex(ZZ, basis, {1: [[0]]}))
+    assert (str(H.group(1)), str(H.group(0))) == ("Z", "Z")
 
 
 def _hand_built(ring, sizes, boundary):

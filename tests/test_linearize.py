@@ -140,13 +140,6 @@ def test_columns_agree_with_s_linear_oracle():
         assert column(C, chord) == expected
 
 
-def test_dump_mentions_labels():
-    d = unknot()
-    C = linearized_differential(d, Augmentation(ZZ, {}))
-    text = C.dump()
-    assert "degree 1" in text and "a" in text
-
-
 RINGS = (Zmod(2), Zmod(3), Zmod(4), Zmod(5), ZZ, QQ)
 
 

@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from lchkit.errors import InvalidValue
-from lchkit.rings import QQ, RingDesc, Zmod, _is_prime
+from lchkit.errors import InvalidValue, ParseError
+from lchkit.rings import QQ, ZZ, RingDesc, Zmod, _is_prime
 
 
 def _trial_division(n):
@@ -30,6 +30,20 @@ def test_modulus_at_or_above_2_64_rejected():
         Zmod(2**64)
     with pytest.raises(InvalidValue):
         RingDesc.parse(f"Z/{2**70 + 1}")
+
+
+def test_bad_ring_descriptors_rejected():
+    for make, error, message in (
+        (lambda: RingDesc("R"), InvalidValue, "unknown ring kind 'R'"),
+        (lambda: Zmod(1), InvalidValue, "modulus must be an integer >= 2"),
+        (lambda: RingDesc("Z", 5), InvalidValue, "Z takes no modulus"),
+        (ZZ.elements, InvalidValue, "Z is not finite"),
+        (lambda: RingDesc.parse("Z/x"), ParseError, "bad modulus in ring 'Z/x'"),
+        (lambda: RingDesc.parse("Z/1"), ParseError, "modulus must be >= 2 in 'Z/1'"),
+    ):
+        with pytest.raises(error) as err:
+            make()
+        assert str(err.value) == message
 
 
 def _coerce_q_by_fraction(value):
