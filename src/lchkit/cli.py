@@ -59,32 +59,32 @@ def _int_list(text: str) -> list[int]:
         ) from None
 
 
-def _emit(args, obj, text: str) -> None:
-    if args.json:
-        try:
-            text = json.dumps(obj, indent=2, sort_keys=True)
-        except ValueError as exc:  # an integer past sys.get_int_max_str_digits()
-            raise LchError(f"cannot write the JSON report: {exc}") from None
-    print(text)
+def _emit(args, obj, text) -> None:
+    """Print ``obj()`` as JSON under --json, else ``text()``.  Only that form is
+    built, so an integer past sys.get_int_max_str_digits() is an error, not a crash."""
+    form = "JSON" if args.json else "text"
+    try:
+        out = json.dumps(obj(), indent=2, sort_keys=True) if args.json else text()
+    except ValueError as exc:
+        raise LchError(f"cannot write the {form} report: {exc}") from None
+    print(out)
 
 
 def cmd_validate(args) -> int:
     dga = load_dga(args.dga)
     report = validate(dga)
-    obj = {
-        "dga": dga.name,
-        "grading_ok": report.grading_ok,
-        "d_squared_ok": report.d_squared_ok,
-        "failures": [{"chord": c, "poly": str(p)} for c, p in report.failures],
-    }
-    if report.ok:
-        _emit(args, obj, f"{dga.name}: OK (grading and d^2 = 0)")
-        return 0
-    lines = [f"{dga.name}: INVALID"]
-    for chord, poly in report.failures:
-        lines.append(f"  {chord}: {poly}")
-    _emit(args, obj, "\n".join(lines))
-    return 1
+    _emit(
+        args,
+        lambda: {
+            "dga": dga.name,
+            "grading_ok": report.grading_ok,
+            "d_squared_ok": report.d_squared_ok,
+            "failures": [{"chord": c, "poly": str(p)} for c, p in report.failures],
+        },
+        lambda: f"{dga.name}: OK (grading and d^2 = 0)" if report.ok
+        else "\n".join([f"{dga.name}: INVALID", *(f"  {c}: {p}" for c, p in report.failures)]),
+    )
+    return 0 if report.ok else 1
 
 
 def cmd_builtin(args) -> int:
@@ -117,9 +117,11 @@ def cmd_augs(args) -> int:
         augs = enumerate_augmentations(dga, ring)
     else:
         raise LchError(f"cannot enumerate over {ring}")
-    obj = {"dga": dga.name, "count": len(augs), "augmentations": [a.to_json_obj() for a in augs]}
-    text = "\n".join(a.literal() for a in augs) or "(none)"
-    _emit(args, obj, f"{len(augs)} augmentation(s)\n{text}")
+    _emit(
+        args,
+        lambda: {"dga": dga.name, "count": len(augs), "augmentations": [a.to_json_obj() for a in augs]},
+        lambda: f"{len(augs)} augmentation(s)\n" + ("\n".join(a.literal() for a in augs) or "(none)"),
+    )
     return 0
 
 
@@ -140,16 +142,19 @@ def cmd_homology(args) -> int:
     complex_ = linearized_differential(dga, aug)
     if aug.ring == ZZ:
         homology = integral_homology(complex_)
-        obj = {"dga": dga.name, "ring": "Z", "homology": homology.to_json_obj()}
-        _emit(args, obj, homology.format_report() or "LCH = 0")
+        _emit(
+            args,
+            lambda: {"dga": dga.name, "ring": "Z", "homology": homology.to_json_obj()},
+            lambda: homology.format_report() or "LCH = 0",
+        )
     else:
         dims = field_homology(complex_, aug.ring)
-        obj = {
-            "dga": dga.name,
-            "ring": str(aug.ring),
-            "dims": {str(d): v for d, v in sorted(dims.items(), reverse=True)},
-        }
-        _emit(args, obj, _field_homology_text(dims, aug.ring))
+        by_degree = sorted(dims.items(), reverse=True)
+        _emit(
+            args,
+            lambda: {"dga": dga.name, "ring": str(aug.ring), "dims": {str(d): v for d, v in by_degree}},
+            lambda: _field_homology_text(dims, aug.ring),
+        )
     return 0
 
 
@@ -158,14 +163,14 @@ def cmd_duality(args) -> int:
     ring = RingDesc.parse(args.field)
     aug = parse_augmentation_literal(args.aug, default_ring=ring)
     report = sabloff_check(dga, aug)
-    _emit(args, report.to_json_obj(), report.format_report())
+    _emit(args, report.to_json_obj, report.format_report)
     return 0 if report.duality_ok else 1
 
 
 def cmd_scan(args) -> int:
     dga = load_dga(args.dga)
     report = torsion_scan(dga, args.primes, bound=args.bound)
-    _emit(args, report.to_json_obj(), report.format_report())
+    _emit(args, report.to_json_obj, report.format_report)
     return 0
 
 
@@ -181,37 +186,35 @@ def cmd_geography(args) -> int:
             file=sys.stderr,
         )
         return 1
-    # Verified isomorphic, so print the group in the user's decomposition.
-    pieces = ["Z"] * args.free + [f"Z/{n}" for n in args.torsion]
-    text = f"H_{args.grading} = " + " + ".join(pieces)
-    obj = {
-        "dga": dga.name,
-        "grading": args.grading,
-        "requested": {"free_rank": args.free, "torsion_orders": args.torsion},
-        "achieved": achieved.to_json_obj(),
-        "homology": homology.to_json_obj(),
-        "augmentation": aug.to_json_obj(),
-    }
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(dgafile.serialize(dga))
-    _emit(args, obj, text)
+    _emit(
+        args,
+        lambda: {
+            "dga": dga.name,
+            "grading": args.grading,
+            "requested": {"free_rank": args.free, "torsion_orders": args.torsion},
+            "achieved": achieved.to_json_obj(),
+            "homology": homology.to_json_obj(),
+            "augmentation": aug.to_json_obj(),
+        },
+        # Verified isomorphic, so print the group in the user's decomposition.
+        lambda: f"H_{args.grading} = " + " + ".join(["Z"] * args.free + [f"Z/{n}" for n in args.torsion]),
+    )
     return 0
 
 
 def cmd_bockstein(args) -> int:
     dga = load_dga(args.dga)
     aug = parse_augmentation_literal(args.aug, default_ring=ZZ)
-    ranks = bockstein(linearized_differential(dga, aug))
-    obj = {"dga": dga.name, "bockstein_ranks": {str(d): r for d, r in sorted(ranks.items(), reverse=True)}}
-    if ranks:
-        text = "\n".join(
-            f"beta: H_{d}(Z/2) -> H_{d - 1}(Z/2) has rank {r}"
-            for d, r in sorted(ranks.items(), reverse=True)
-        )
-    else:
-        text = "beta = 0 in all degrees"
-    _emit(args, obj, text)
+    ranks = sorted(bockstein(linearized_differential(dga, aug)).items(), reverse=True)
+    _emit(
+        args,
+        lambda: {"dga": dga.name, "bockstein_ranks": {str(d): r for d, r in ranks}},
+        lambda: "\n".join(f"beta: H_{d}(Z/2) -> H_{d - 1}(Z/2) has rank {r}" for d, r in ranks)
+        or "beta = 0 in all degrees",
+    )
     return 0
 
 
@@ -220,7 +223,7 @@ def cmd_obstruction(args) -> int:
     ring = RingDesc.parse(args.field)
     aug = parse_augmentation_literal(args.aug, default_ring=ring)
     verdict = filling_obstruction(dga, aug)
-    _emit(args, verdict.to_json_obj(), verdict.format_report())
+    _emit(args, verdict.to_json_obj, verdict.format_report)
     return 0 if verdict.geometric_possible else 1
 
 

@@ -7,7 +7,8 @@ invariant factor f > 1 of M_{d+1}.  The mod-2 Bockstein
 H_d(Z/2) -> H_{d-1}(Z/2) is read from that integral homology: its rank
 is #{orders f of H_{d-1}(Z) with f = 2 mod 4}.  Groups are built from two
 answers of `matrices`, straight from a complex's sparse rows: the Smith
-diagonal over Z (`diagonal_of_rows`) and the rank over a field
+diagonal over Z (`diagonal_of_rows`, which `invariant_factors`, the one
+Smith reader, puts in divisibility order) and the rank over a field
 (`rank_of_rows`).  Each reader takes two steps: the invariants of the
 stored boundaries (`boundary_factors`, `boundary_ranks`), then the
 assembly of groups or dims from them and the bases
@@ -24,7 +25,7 @@ from math import gcd
 
 from .errors import FieldRequired, NotAComplex, RingMismatch
 from .linearize import ChainComplex
-from .matrices import diagonal_of_rows, rank_of_rows, sparse_rows
+from .matrices import diagonal_of_rows, rank_of_rows
 from .rings import ZZ, RingDesc
 
 
@@ -46,16 +47,10 @@ def _divisibility_chain(diagonal: list[int]) -> list[int]:
     return [1] * (len(diagonal) - len(rest)) + rest
 
 
-# No package code calls this; `bench/tracing.py` wraps it by name.
-def invariant_factors(M) -> list[int]:
-    """Nonzero diagonal entries of the Smith form, in divisibility order,
-    by the sparse elimination of `matrices.diagonal_of_rows`, which keeps no
-    transforms."""
-    return _factors_of_rows(sparse_rows(M))
-
-
-def _factors_of_rows(rows: dict[int, dict[int, int]]) -> list[int]:
-    """`invariant_factors` of an integer matrix given as sparse rows."""
+def invariant_factors(rows: dict[int, dict[int, int]]) -> list[int]:
+    """Nonzero diagonal entries of the Smith form of an integer matrix given
+    as sparse rows ``{i: {j: x}}``, in divisibility order, by the sparse
+    elimination of `matrices.diagonal_of_rows`, which keeps no transforms."""
     return _divisibility_chain(diagonal_of_rows(rows))
 
 
@@ -180,7 +175,7 @@ def boundary_factors(C: ChainComplex) -> tuple[tuple[int, ...], ...]:
     """
     if C.ring != ZZ:
         raise NotAComplex(f"integral homology needs an integer complex, got {C.ring}")
-    return tuple(tuple(_factors_of_rows(rows)) if rows else () for rows in C.rows.values())
+    return tuple(tuple(invariant_factors(rows)) if rows else () for rows in C.rows.values())
 
 
 def homology_from_factors(C: ChainComplex, factors) -> GradedHomology:

@@ -159,10 +159,11 @@ class ObstructionVerdict:
     reason: str
 
     def format_report(self) -> str:
+        expected = "n/a" if self.expected_filling_dim is None else self.expected_filling_dim
         lines = [
             f"field {self.field_name}",
             f"total LCH dimension: {self.total_dim}",
-            f"filling would give:  {self.expected_filling_dim}",
+            f"filling would give:  {expected}",
             ("no obstruction (filling not excluded)" if self.geometric_possible else f"NOT geometric: {self.reason}"),
         ]
         return "\n".join(lines)

@@ -46,6 +46,11 @@ def test_add_cancellation():
     assert (A1 + A3) + (-A3) == A1
     assert A1 - A1 == Poly.zero()
     assert not (A1 - A1)
+    # An int compares and adds as a constant; a str is no Poly at all.
+    assert Poly.constant(3) == 3 and (A1 == "a1") is False
+    with pytest.raises(TypeError) as err:
+        A1 + "x"
+    assert str(err.value) == "unsupported operand type(s) for +: 'Poly' and 'str'"
 
 
 def test_normalization_idempotent():
@@ -53,6 +58,11 @@ def test_normalization_idempotent():
     again = Poly(p.terms)
     assert again == p
     assert p.terms == {("a1",): 1, ("t", "a2", "t^-1"): 3}
+    # Term order is not part of the value: equal polys hash alike.
+    one, other = Poly({("a1",): 1, ("a2", "a1"): 2}), Poly({("a2", "a1"): 2, ("a1",): 1})
+    assert list(one.terms) != list(other.terms)
+    assert one == other and hash(one) == hash(other)
+    assert repr(one) == "Poly<a1 + 2*a2*a1>" and repr(Poly.zero()) == "Poly<0>"
 
 
 def test_terms_is_a_read_only_view():

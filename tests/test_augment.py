@@ -414,6 +414,9 @@ def test_literal_round_trip():
     again = parse_augmentation_literal(aug.literal())
     assert again == aug
     assert parse_augmentation_literal("@ Z/5") == Augmentation(Zmod(5), {})
+    # Empty chunks between or after commas are skipped.
+    assert parse_augmentation_literal("a1=1, , a2=2") == Augmentation(ZZ, {"a1": 1, "a2": 2})
+    assert parse_augmentation_literal("a1=1,") == Augmentation(ZZ, {"a1": 1})
     assert parse_augmentation_literal("a1=2", default_ring=Zmod(3)) == Augmentation(
         Zmod(3), {"a1": 2}
     )

@@ -11,7 +11,7 @@ import lchkit
 from lchkit.cli import load_dga, run
 from lchkit.dga import DGA, connected_sum, lambda0, lambda_k
 from lchkit.dgafile import MAX_DOCUMENT_BYTES, MAX_WORD_LETTERS, parse, serialize
-from lchkit.homology import GradedHomology
+from lchkit.homology import GradedHomology, HomologyGroup
 
 
 def invoke(capsys, *argv):
@@ -46,7 +46,7 @@ def test_homology_json_round_trips(capsys):
     assert GradedHomology.from_json_obj(obj["homology"]).group(0).torsion == (6,)
 
 
-def test_geography_output(capsys):
+def test_geography_output(capsys, monkeypatch):
     code, out, _ = invoke(
         capsys, "geography", "--grading", "2", "--free", "1", "--torsion", "4,6"
     )
@@ -55,6 +55,11 @@ def test_geography_output(capsys):
     code, out, _ = invoke(capsys, "geography", "--grading", "-3", "--torsion", "5")
     assert code == 0
     assert out.strip() == "H_-3 = Z/5"
+    # The construction's own check: a wrong group is a failure verdict.
+    monkeypatch.setattr("lchkit.cli.integral_homology", lambda C: GradedHomology({2: HomologyGroup(1)}))
+    for flag in ((), ("--json",)):
+        argv = ["geography", "--grading", "2", "--free", "1", "--torsion", "4,6", *flag]
+        assert invoke(capsys, *argv) == (1, "", "geography FAILED: H_2 = Z, requested Z + Z/2 + Z/12\n")
 
 
 def test_geography_json_has_canonical_form(capsys):
@@ -330,6 +335,37 @@ def test_overlong_json_integer_is_an_error(capsys):
     assert out == "" and err.startswith("error: cannot write the JSON report")
     code, out, _ = invoke(capsys, "geography", "--grading", "2", "--torsion", orders)
     assert code == 0 and out.startswith("H_2 = Z/")
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this interpreter converts integers of any length",
+)
+def test_overlong_report_integer_is_an_error_in_either_form(tmp_path, capsys):
+    # Every coefficient fits sys.get_int_max_str_digits(), but an invariant
+    # factor (the lcm of two coprime coefficients) or a d^2 coefficient (their
+    # product) does not.  Only the form asked for is written, so either form
+    # fails with exit 2 and no stdout, not a traceback whose exit 1 reads as
+    # a verdict.
+    limit = sys.get_int_max_str_digits()
+    n, m = int("7" * (limit - 300)), 10 ** (limit - 301) + 1
+    torsion = tmp_path / "torsion.dga"
+    torsion.write_text(
+        f'dga "torsion"\ngen a1 1\ngen a2 1\ngen b1 0\ngen b2 0\nd a1 = {n}*b1\nd a2 = {m}*b2\n'
+    )
+    n, m = 10 ** (limit * 7 // 10) + 3, 10 ** (limit * 7 // 10) + 7
+    square = tmp_path / "square.dga"
+    square.write_text(f'dga "square"\ngen a 2\ngen b 1\ngen c 0\nd a = {n}*b\nd b = {m}*c\n')
+    commands = [
+        ["homology", str(torsion), "--aug", ""],
+        ["scan", str(torsion), "--primes", "2", "--bound", "0"],
+        ["validate", str(square)],
+    ]
+    for argv in commands:
+        for flag, form in (((), "text"), (("--json",), "JSON")):
+            code, out, err = invoke(capsys, *argv, *flag)
+            assert (code, out) == (2, ""), (argv, flag, err)
+            assert err.startswith(f"error: cannot write the {form} report: "), (argv, flag, err)
 
 
 @pytest.mark.skipif(
@@ -656,7 +692,7 @@ def _obstruction_row(field, total, expected, possible, reason):
     lines = [
         f"field {field}",
         f"total LCH dimension: {total}",
-        f"filling would give:  {expected}",
+        f"filling would give:  {'n/a' if expected is None else expected}",
         "no obstruction (filling not excluded)" if possible else f"NOT geometric: {reason}",
     ]
     obj = {

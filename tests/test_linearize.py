@@ -57,6 +57,9 @@ def test_zero_differential_gives_zero_matrices():
     C = linearized_differential(d, Augmentation(ZZ, {}))
     for deg in (0, 1, 2, 3):
         assert all(all(v == 0 for v in row) for row in C.matrix(deg))
+    # A degree with no stored boundary reads as zeros of the bases' shape.
+    C = ChainComplex(ZZ, {0: ["x", "y"], 1: ["z", "w", "v"]}, {})
+    assert C.rows == {} and C.matrix(1) == [[0, 0, 0], [0, 0, 0]]
 
 
 def test_basis_covers_every_chord_once():

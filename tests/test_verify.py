@@ -6,7 +6,8 @@ from lchkit.algebra import Poly, t_gen
 from lchkit.augment import Augmentation, enumerate_augmentations, enumerate_augmentations_bounded
 from lchkit.dga import DGA, connected_sum, euler_tb, lambda0, lambda_k, unknot
 from lchkit.errors import FieldRequired, InvalidParameter, RingMismatch, SearchTooLarge
-from lchkit.homology import field_homology, integral_homology
+from lchkit import verify
+from lchkit.homology import GradedHomology, HomologyGroup, field_homology, integral_homology
 from lchkit.linearize import linearized_differential
 from lchkit.rings import QQ, ZZ, Zmod
 from lchkit.verify import (
@@ -285,7 +286,7 @@ def test_torsion_scan_matches_homology_point_by_point(dga, primes):
         assert got == _reference_classes(dga, p), p
 
 
-def test_additivity_examples():
+def test_additivity_examples(monkeypatch):
     l0, l1, l2 = lambda0(), lambda_k(1), lambda_k(2)
     u = unknot()
     empty = Augmentation(ZZ, {})
@@ -298,6 +299,10 @@ def test_additivity_examples():
     ]
     for d1, a1, d2, a2 in cases:
         assert connected_sum_additivity_check(d1, a1, d2, a2)
+    # With every homology read as the same Z in degree 2, the sum's H_2 is
+    # not the direct sum Z^2 of the summands'.
+    monkeypatch.setattr(verify, "integral_homology", lambda C: GradedHomology({2: HomologyGroup(1)}))
+    assert connected_sum_additivity_check(l0, eps_n(2), u, empty) is False
 
 
 def test_additivity_ring_rules():
