@@ -17,8 +17,8 @@ linearization: `evaluate` (apply a scalar value to every symbol) and
 `s_linear_part` (the coefficient of the first-order term after substituting
 x -> s*x + eps(x) on chords, computed positionally so the bookkeeping
 variable s never needs to exist).  They are the reference route: the
-pipeline linearizes by the word rule of `linearize`, on either of its two
-routes, and the tests compare both routes with these.
+pipeline linearizes by the word rule of `linearize`, one point word by
+word or a grid from the plan, and the tests compare both routes with these.
 
 `first_unknown_symbol` is the one rule for which undeclared symbol an
 error names, in the DGA constructor and in the .dga parser alike.

@@ -8,8 +8,9 @@ with a constant term (a word of degree-0 chords and t) imposes a
 constraint: on a validly graded DGA only the degree-1 ones, on a misgraded
 DGA any, so every enumerated point passes `is_augmentation`.  Both the
 check and the enumeration read them through `linearize.constraints`,
-which compiles the DGA's plan (`linearize` states the word rule); that is
-what sends a scan's points down the plan route of linearization.
+which compiles the DGA's plan (`linearize` states the word rule); a
+scan then linearizes its grids from that one plan, with
+`linearize.linearized_grid`.
 """
 
 from __future__ import annotations

@@ -128,7 +128,8 @@ class DGA:
     def linear_plan(self) -> dict[int, list]:
         """The word rule of `linearize`, compiled once by :func:`linearize.compile_plan`.
 
-        Only `linearize.constraints` compiles it, for `augment`: a one-shot
+        `linearize.constraints` compiles it, for `augment`, and
+        `linearize.linearized_grid` sums it over a scan's grids; a one-shot
         linearization reads the words themselves and never compiles it.
         """
         return compile_plan(self)

@@ -16,16 +16,20 @@ order in which their chords first occur in the words, dropped words
 included, as in `algebra.s_linear_part`.
 
 This module holds the rule, the plan `compile_plan` compiles from it (read
-by `augment` through `constraints`), and both routes of the one entry
-point `linearized_differential`: a DGA that holds its plan already (every
-DGA a scan enumerates) sums the plan's terms, any other is read word by
-word.  The boundaries are stored as sparse rows, which the d^2 check and
-the elimination kernel read directly.
+by `augment` through `constraints`), and its two routes: one point is read
+word by word by `linearized_differential`, which compiles nothing, and a
+scan's grid is evaluated from the plan by `linearized_grid`, each term
+over all points at once.  Both give the same rows in the same order and
+raise the same first failure.  The boundaries are stored as sparse rows,
+which the d^2 check and the elimination kernel read directly.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import cached_property
+from itertools import compress, repeat
+from operator import add, mod, mul
 
 from .algebra import T_INV_SYMBOL, T_SYMBOL
 from .errors import NotAComplex, NotAnAugmentation, ValidationFailed
@@ -49,8 +53,9 @@ class ChainComplex:
 
     ``ChainComplex(ring, basis, boundary)`` builds a complex from dense
     matrices, checking that ``boundary[d]`` is len(basis[d-1]) x
-    len(basis[d]); `linearized_differential` hands its rows to the private
-    `_of_rows`.  ``boundary`` and ``matrix(d)`` are dense views.
+    len(basis[d]); `linearized_differential` and `linearized_grid` hand
+    their rows to the private `_of_rows`.  ``boundary`` and ``matrix(d)``
+    are dense views.
 
     Construction checks d^2 = 0 in the ring (raising NotAComplex), so every
     consumer may rely on it without checking again.  Do not mutate the
@@ -207,7 +212,7 @@ def constraints(dga: DGA) -> list[list[tuple[int, tuple[str, ...]]]]:
     """The nonempty constant-term lists of the DGA's plan, in plan order.
 
     Each holds the terms ``(c, names)`` of one eps(d chord).  Reading them
-    compiles :attr:`DGA.linear_plan`, so later linearizations sum the plan.
+    compiles :attr:`DGA.linear_plan`, which `linearized_grid` then sums.
     """
     return [constant for plan in dga.linear_plan.values() for _, _, constant, _ in plan if constant]
 
@@ -217,52 +222,19 @@ def linearized_differential(dga: DGA, aug: Augmentation) -> ChainComplex:
 
     The column of chord a is the s-linear part of d(a) on chords of degree
     |a| - 1, read by the word rule at :meth:`Augmentation.eps_map` (which
-    checks the augmentation's names first) and reduced mod m over Z/m: as
-    the sum of the plan if the DGA holds it, else in one pass over the words.
+    checks the augmentation's names first) and reduced mod m over Z/m, in
+    one pass over the words; the plan is neither read nor compiled.
 
     The s^0 part of every conjugated differential is checked to vanish in
     the ring; a failure raises NotAnAugmentation, quoting the unreduced
     constant.  A nonzero entry on a chord of another degree raises
     ValidationFailed.  Degrees are visited in increasing order, columns in
     basis order, and a column's constant before its entries, so the first
-    failure met is the one raised, on either route.
+    failure met is the one raised.
     """
     eps = aug.eps_map(dga)
     m = aug.ring.modulus or 0
     rows: dict[int, dict[int, dict[int, int]]] = {}
-
-    # The cached plan sits in vars(dga) once compiled; reading the
-    # attribute here would compile it for a one-shot job.
-    if "linear_plan" in vars(dga):
-        for d, plan in dga.linear_plan.items():
-            rows[d] = boundary = {}
-            for j, chord, constant_terms, entries in plan:
-                constant = 0
-                for c, names in constant_terms:
-                    for x in names:
-                        c *= eps[x]
-                    constant += c
-                if constant % m if m else constant:
-                    raise _not_an_augmentation(chord, constant)
-                for i, terms, misgraded in entries:
-                    value = 0
-                    for c, names in terms:
-                        for x in names:
-                            c *= eps[x]
-                        value += c
-                    if m:
-                        value %= m
-                    if not value:
-                        continue
-                    if misgraded:
-                        raise _misgraded(dga, chord, misgraded, d)
-                    row = boundary.get(i)
-                    if row is None:
-                        boundary[i] = {j: value}
-                    else:
-                        row[j] = value
-        return ChainComplex._of_rows(aug.ring, dga.basis, rows)
-
     grading, index, degree_zero = dga.grading, dga.basis_index, dga.degree_zero_chords
     basis, diff = dga.basis, dga.diff
     for d in dga.boundary_degrees:
@@ -321,3 +293,60 @@ def linearized_differential(dga: DGA, aug: Augmentation) -> ChainComplex:
                     row[j] = value
 
     return ChainComplex._of_rows(aug.ring, basis, rows)
+
+
+def linearized_grid(dga: DGA, ring: RingDesc, augs: list[Augmentation]) -> Iterator[ChainComplex]:
+    """`linearized_differential` at each of `augs`, augmentations over `ring`, in order.
+
+    The plan is summed once for the whole grid: each term is evaluated over
+    every point at once, from each degree-0 chord's list of values, and
+    each constant and each entry gets one list of sums, reduced mod m over
+    Z/m.  The least point with a nonzero constant, a nonzero misgraded
+    entry or a name outside degree 0 is the first that fails; entries zero
+    at every point are dropped.  Each point before it yields its complex,
+    its rows inserted in the order `linearized_differential` inserts them,
+    and at that point `linearized_differential` raises its first failure.
+    Only one complex is alive at a time, besides the grid's lists of sums.
+    """
+    n, m = len(augs), ring.modulus or 0
+    degree_zero = dga.degree_zero_chords
+    # Names outside degree 0 carry nonzero values (zeros are dropped), so eps_map raises there.
+    fail = next(compress(range(n), [not aug.values.keys() <= degree_zero for aug in augs]), n)
+    values = {x: [aug.values.get(x, 0) for aug in augs] for x in degree_zero}
+
+    def sums(terms: list) -> list:
+        total = repeat(0, n)
+        for c, names in terms:
+            term = repeat(c, n)
+            for x in names:
+                term = map(mul, term, values[x])
+            total = map(add, total, term)
+        return list(map(mod, total, repeat(m)) if m else total)
+
+    # Every entry kept, as (d, i, j) and its sums, in the order rows are inserted.
+    slots, entries_sums = [], []
+    for d, columns in dga.linear_plan.items():
+        for j, _, constant_terms, entries in columns:
+            if constant_terms:
+                fail = next(compress(range(fail), sums(constant_terms)), fail)
+            for i, terms, misgraded in entries:
+                entry = sums(terms)
+                if misgraded:
+                    fail = next(compress(range(fail), entry), fail)
+                elif any(entry):
+                    slots.append((d, i, j))
+                    entries_sums.append(entry)
+
+    degrees = dga.boundary_degrees
+    for _, point in zip(range(fail), zip(*entries_sums) if slots else repeat(())):
+        rows: dict[int, dict[int, dict[int, int]]] = {d: {} for d in degrees}
+        for (d, i, j), value in compress(zip(slots, point), point):
+            boundary = rows[d]
+            row = boundary.get(i)
+            if row is None:
+                boundary[i] = {j: value}
+            else:
+                row[j] = value
+        yield ChainComplex._of_rows(ring, dga.basis, rows)
+    if fail < n:
+        linearized_differential(dga, augs[fail])  # raises the point's first failure

@@ -36,7 +36,7 @@ from .homology import (
     homology_from_factors,
     integral_homology,
 )
-from .linearize import linearized_differential
+from .linearize import linearized_differential, linearized_grid
 from .rings import ZZ, Zmod
 
 
@@ -289,12 +289,13 @@ def torsion_scan(
     linearized, so a bad bound or an oversized grid fails before any homology.
 
     Every point is linearized, checked and eliminated; the enumerators
-    compile the DGA's plan once for all grids, so `linearized_differential`
-    sums its terms at each point.  Homology is assembled once per distinct
-    invariant vector: all complexes of one DGA share their bases and store
-    the same boundaries, so the ranks over Z/p (or the invariant factors
-    over Z) of those boundaries decide the dims (or the torsion).  Each grid
-    keeps its own table of the vectors seen.
+    compile the DGA's plan once for all grids, and `linearized_grid` sums
+    it over each grid at once, yielding the points' complexes in grid
+    order.  Homology is assembled once per distinct invariant vector: all
+    complexes of one DGA share their bases and store the same boundaries,
+    so the ranks over Z/p (or the invariant factors over Z) of those
+    boundaries decide the dims (or the torsion).  Each grid keeps its own
+    table of the vectors seen.
     """
     rings = [Zmod(p) for p in dict.fromkeys(primes)]
     for ring in rings:
@@ -306,8 +307,7 @@ def torsion_scan(
     for ring, grid in zip(rings, grids):
         dims_of: dict[tuple[int, ...], tuple] = {}
         groups: dict[tuple, list[Augmentation]] = {}
-        for aug in grid:
-            complex_ = linearized_differential(dga, aug)
+        for aug, complex_ in zip(grid, linearized_grid(dga, ring, grid)):
             ranks = boundary_ranks(complex_, ring)
             key = dims_of.get(ranks)
             if key is None:
@@ -321,8 +321,7 @@ def torsion_scan(
     integral: list[tuple[str, tuple]] = []
     torsion_free = 0
     torsion_of: dict[tuple[tuple[int, ...], ...], tuple] = {}
-    for aug in bounded:
-        complex_ = linearized_differential(dga, aug)
+    for aug, complex_ in zip(bounded, linearized_grid(dga, ZZ, bounded)):
         factors = boundary_factors(complex_)
         torsion = torsion_of.get(factors)
         if torsion is None:

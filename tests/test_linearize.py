@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import groupby, product
 
 import pytest
 
@@ -19,7 +19,7 @@ from lchkit.errors import (
     UnknownGenerator,
     ValidationFailed,
 )
-from lchkit.linearize import ChainComplex, linearized_differential
+from lchkit.linearize import ChainComplex, linearized_differential, linearized_grid
 from lchkit.rings import QQ, ZZ, Zmod
 
 
@@ -302,32 +302,45 @@ def _rows_in_order(C):
     return [(d, [(i, list(row.items())) for i, row in rows.items()]) for d, rows in C.rows.items()]
 
 
-def _check_routes(dga, aug):
-    """Both routes against the reference and each other; the first failure or None.
+def _check_routes(dga, augs):
+    """Both routes against the reference and each other over the grid `augs`.
 
-    `linearized_differential` runs on a fresh copy of `dga`, which reads
-    the words and must compile nothing, and on `dga` itself after its plan
-    is read, which sums the plan.  Each must raise the reference's first
-    failure, with its type and message, or build the reference's columns;
-    the two complexes must hold the same rows in the same key order.
+    `linearized_differential` runs at each point on a fresh copy of `dga`,
+    which reads the words and must compile nothing, and `linearized_grid`
+    runs over the grid on `dga` itself after its plan is read, which sums
+    the plan.  At each point the word route must raise the reference's
+    first failure, with its type and message, or build the reference's
+    columns.  The grid must yield the same rows in the same key order at
+    every point before its first failing point, and raise that point's
+    failure there; the points after it are run again as a grid of their
+    own.  Returns each point's failure type, or None where it linearizes.
     """
     fresh = DGA(dga.name, dga.chords, dga.diff)
     dga.linear_plan
-    expected = _first_failure(dga, aug)
-    if expected is not None:
-        for copy in (fresh, dga):
-            with pytest.raises(LchError) as info:
-                linearized_differential(copy, aug)
-            assert (type(info.value), str(info.value)) == expected
-    else:
-        eps = aug.eps_map(dga)
-        one_pass, by_plan = linearized_differential(fresh, aug), linearized_differential(dga, aug)
-        _assert_reference_columns(one_pass, dga, eps)
-        assert _rows_in_order(one_pass) == _rows_in_order(by_plan)
-        assert by_plan.basis is dga.basis
-        assert one_pass.basis is fresh.basis
+    failures = []
+    while augs:
+        grid = linearized_grid(dga, augs[0].ring, augs)
+        for k, aug in enumerate(augs):
+            expected = _first_failure(dga, aug)
+            failures.append(None if expected is None else expected[0])
+            if expected is not None:
+                for route in (lambda: linearized_differential(fresh, aug), lambda: next(grid)):
+                    with pytest.raises(LchError) as info:
+                        route()
+                    assert (type(info.value), str(info.value)) == expected
+                augs = augs[k + 1 :]
+                break
+            eps = aug.eps_map(dga)
+            one_pass, by_plan = linearized_differential(fresh, aug), next(grid)
+            _assert_reference_columns(one_pass, dga, eps)
+            assert _rows_in_order(one_pass) == _rows_in_order(by_plan)
+            assert by_plan.basis is dga.basis and by_plan.ring == aug.ring
+            assert one_pass.basis is fresh.basis
+        else:
+            augs = []
+        assert next(grid, None) is None
     assert "linear_plan" not in vars(fresh)
-    return None if expected is None else expected[0]
+    return failures
 
 
 def _random_dga(rng, index):
@@ -394,17 +407,15 @@ def _random_cases():
 
 
 def test_compiled_route_matches_reference_route(monkeypatch):
-    """`linearized_differential` on both routes, one pass on a fresh DGA and
-    the plan's sum on a DGA that holds it, equals algebra.evaluate and
-    s_linear_part."""
+    """Both routes, one pass on a fresh DGA and `linearized_grid` on a DGA
+    that holds its plan, equal algebra.evaluate and s_linear_part."""
     complexes = rejected = 0
     for dga, aug in _compiled_route_cases():
         ring = aug.ring
         eps = aug.eps_map(dga)
         expected = all(ring.is_zero(evaluate(p, eps)) for p in dga.diff.values())
         assert is_augmentation(dga, aug) == expected
-        failure = _check_routes(dga, aug)
-        assert failure is (None if expected else NotAnAugmentation)
+        assert _check_routes(dga, [aug]) == [None if expected else NotAnAugmentation]
         complexes += expected
         rejected += not expected
     assert complexes > 400 and rejected > 100
@@ -412,16 +423,62 @@ def test_compiled_route_matches_reference_route(monkeypatch):
     # Ill-graded DGAs: the first failure, its type and its message are pinned.
     seen = {None: 0, NotAnAugmentation: 0, ValidationFailed: 0}
     for dga, aug in _ill_graded_cases():
-        seen[_check_routes(dga, aug)] += 1
+        [failure] = _check_routes(dga, [aug])
+        seen[failure] += 1
     assert min(seen.values()) > 10
 
     # Random DGAs are not complexes; d^2 = 0 is checked elsewhere, and
-    # both routes share the check, so here it is skipped.
+    # both routes share the check, so here it is skipped.  Each DGA's
+    # points over one ring form one grid.
     monkeypatch.setattr(ChainComplex, "check_square_zero", lambda self: None)
     seen = {None: 0, NotAnAugmentation: 0, ValidationFailed: 0}
-    for dga, aug in _random_cases():
-        seen[_check_routes(dga, aug)] += 1
-    assert min(seen.values()) > 100
+    grids = mid_grid = 0
+    for _, cases in groupby(_random_cases(), key=lambda case: (case[0].name, case[1].ring)):
+        cases = list(cases)
+        failures = _check_routes(cases[0][0], [aug for _, aug in cases])
+        for failure in failures:
+            seen[failure] += 1
+        grids += 1
+        mid_grid += any(failures[:-1])
+    assert sum(seen.values()) == 4500 and grids == 1800
+    assert min(seen.values()) > 100 and mid_grid > 100
+
+
+def test_grid_raises_at_its_first_failing_point():
+    """A grid yields the complexes of the points before its first failing
+    point, then raises what `linearized_differential` raises there, whatever
+    fails at the points after it."""
+    d, ill, ring = lambda0(), _ill_graded_dga(False), Zmod(3)
+    ill_points = [Augmentation(ring, {"x": vx, "y": vy, "z": vz})
+                  for vx, vy, vz in product(range(3), repeat=3)]
+    # Only x = 2 linearizes (y = z = 0 and 1 + x = 0), so that point repeats.
+    ill_good = [aug for aug in ill_points if _first_failure(ill, aug) is None]
+    lambda0_bad = {
+        NotAnAugmentation: Augmentation(ring, {"a1": 1, "a3": 1, "a6": 1}),
+        UnknownGenerator: Augmentation(ring, {"a1": 2, "zz": 1}),
+        InvalidValue: Augmentation(ring, {"a1": 2, "a7": 1}),
+    }
+    cases = [(d, enumerate_augmentations(d, ring), lambda0_bad),
+             # At x = 2, z = 1 every constant vanishes; only d e has an entry, z, on x.
+             (ill, ill_good * 4, {ValidationFailed: Augmentation(ring, {"x": 2, "z": 1}),
+                                  NotAnAugmentation: Augmentation(ring, {"z": 1})})]
+    raised = set()
+    for dga, good, bad in cases:
+        assert len(good) >= 4
+        for error, point in bad.items():
+            later = [aug for aug in bad.values() if aug is not point]
+            augs = [*good[:2], point, *good[2:4], *later]
+            grid = linearized_grid(dga, ring, augs)
+            for aug in augs[:2]:
+                assert _rows_in_order(next(grid)) == _rows_in_order(linearized_differential(dga, aug))
+            with pytest.raises(LchError) as expected:
+                linearized_differential(dga, point)
+            with pytest.raises(error) as info:
+                next(grid)
+            assert str(info.value) == str(expected.value)
+            assert next(grid, None) is None
+            raised.add(error)
+    assert raised == {NotAnAugmentation, ValidationFailed, UnknownGenerator, InvalidValue}
 
 
 def test_enumerated_points_of_ill_graded_dgas_are_augmentations():

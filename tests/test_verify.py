@@ -8,7 +8,7 @@ from lchkit.dga import DGA, connected_sum, euler_tb, lambda0, lambda_k, unknot
 from lchkit.errors import FieldRequired, InvalidParameter, RingMismatch, SearchTooLarge
 from lchkit import verify
 from lchkit.homology import GradedHomology, HomologyGroup, field_homology, integral_homology
-from lchkit.linearize import linearized_differential
+from lchkit.linearize import ChainComplex, linearized_differential
 from lchkit.rings import QQ, ZZ, Zmod
 from lchkit.verify import (
     Positivity,
@@ -182,30 +182,55 @@ def test_torsion_scan_rejects_composite():
 
 
 def test_torsion_scan_checks_every_grid_before_any_homology(monkeypatch):
+    """Every grid is enumerated before any point is linearized, and each
+    point of each grid, in grid order, builds exactly one checked complex."""
     import lchkit.verify as verify_module
 
-    calls = []
-    real = verify_module.linearized_differential
-    monkeypatch.setattr(verify_module, "linearized_differential",
-                        lambda *args: calls.append(args) or real(*args))
+    events = []
+    for name in ("enumerate_augmentations", "enumerate_augmentations_bounded"):
+        def enumerate_grid(*args, real=getattr(verify_module, name), **kwargs):
+            grid = real(*args, **kwargs)
+            events.append(("grid",))
+            return grid
+        monkeypatch.setattr(verify_module, name, enumerate_grid)
+    check = ChainComplex.check_square_zero
+    monkeypatch.setattr(ChainComplex, "check_square_zero",
+                        lambda self: events.append(("checked", self)) or check(self))
+    real_grid = verify_module.linearized_grid
+
+    def grid(dga, ring, augs):
+        for aug, complex_ in zip(augs, real_grid(dga, ring, augs)):
+            events.append(("point", dga, aug, complex_))
+            yield complex_
+
+    monkeypatch.setattr(verify_module, "linearized_grid", grid)
     with pytest.raises(InvalidParameter, match="bound must be >= 0"):
         torsion_scan(lambda0(), [2, 3, 5], bound=-1)
     with pytest.raises(SearchTooLarge, match=r"5\^6 assignments exceeds cap 1000"):
         torsion_scan(lambda0(), [2, 3, 5], bound=1, cap=1000)
-    assert calls == []
-    # The count is live: a scan that runs linearizes once per grid point.
+    assert all(kind == "grid" for kind, *_ in events)
+    # The count is live: a scan that runs builds one checked complex per grid point.
+    events.clear()
     dga = lambda0()
     torsion_scan(dga, [2, 3], bound=1)
     points = [*enumerate_augmentations(dga, Zmod(2)), *enumerate_augmentations(dga, Zmod(3)),
               *enumerate_augmentations_bounded(dga, 1)]
-    assert calls == [(dga, aug) for aug in points]
+    assert len(points) > 100
+    assert events[:3] == [("grid",)] * 3
+    built, yielded = events[3::2], events[4::2]
+    assert len(built) == len(yielded) == len(points) and len(events) == 3 + 2 * len(points)
+    assert [(kind, dga_, aug) for kind, dga_, aug, _ in yielded] == [("point", dga, aug) for aug in points]
+    for (kind, checked), (*_, aug, complex_) in zip(built, yielded):
+        assert kind == "checked" and checked is complex_
+        assert complex_.ring == aug.ring and complex_.rows == linearized_differential(dga, aug).rows
 
 
 def test_torsion_scan_compiles_the_plan_once_per_dga(monkeypatch):
     """Every point of every grid is linearized from one compiled plan."""
+    import lchkit.linearize as linearize_module
     import lchkit.verify as verify_module
 
-    compiled, took_plan = [], []
+    compiled, took_plan, one_shot = [], [], []
     compile_plan = DGA.linear_plan.func
 
     def counting(dga):
@@ -215,13 +240,20 @@ def test_torsion_scan_compiles_the_plan_once_per_dga(monkeypatch):
     plan = cached_property(counting)
     plan.__set_name__(DGA, "linear_plan")
     monkeypatch.setattr(DGA, "linear_plan", plan)
-    real = verify_module.linearized_differential
-    monkeypatch.setattr(verify_module, "linearized_differential",
-                        lambda dga, aug: took_plan.append("linear_plan" in vars(dga)) or real(dga, aug))
+    for module in (linearize_module, verify_module):
+        monkeypatch.setattr(module, "linearized_differential", lambda *args: one_shot.append(args))
+    real_grid = verify_module.linearized_grid
+
+    def grid(dga, ring, augs):
+        for complex_ in real_grid(dga, ring, augs):
+            took_plan.append("linear_plan" in vars(dga))
+            yield complex_
+
+    monkeypatch.setattr(verify_module, "linearized_grid", grid)
     for dga in (lambda0(), connected_sum(lambda_k(1), unknot())):
         torsion_scan(dga, [2, 3], bound=1)
     assert compiled == ["lambda0", "lambda1#unknot"]
-    assert len(took_plan) > 100 and all(took_plan)
+    assert len(took_plan) > 100 and all(took_plan) and one_shot == []
 
 
 # Two-summand sums have 12 degree-0 chords, so their grids over Z/5, Z/7
