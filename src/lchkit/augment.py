@@ -41,7 +41,7 @@ DEFAULT_SEARCH_CAP = 10**8
 
 
 def search_cap_from_env() -> int:
-    """Enumeration cap, overridable via the LCH_SEARCH_CAP variable."""
+    """Enumeration cap, overridable via the LCH_SEARCH_CAP variable; `_enumerate` reads it."""
     raw = os.environ.get("LCH_SEARCH_CAP")
     if raw is None:
         return DEFAULT_SEARCH_CAP
@@ -189,7 +189,7 @@ def is_augmentation(dga: DGA, aug: Augmentation) -> bool:
 # ----------------------------------------------------------------------
 
 
-def _enumerate(dga: DGA, ring: RingDesc, domain: range, cap: int) -> list[Augmentation]:
+def _enumerate(dga: DGA, ring: RingDesc, domain: range) -> list[Augmentation]:
     """Depth-first walk of the grid `domain` ^ (degree-0 chords), constraint-first.
 
     Each list of :func:`linearize.constraints` is a constraint.  The walk
@@ -220,6 +220,7 @@ def _enumerate(dga: DGA, ring: RingDesc, domain: range, cap: int) -> list[Augmen
     # read from its ends, since len() fails on ranges beyond sys.maxsize.
     # The grid size is not printed: it can have more digits than str() takes.
     values = domain.stop - domain.start
+    cap = search_cap_from_env()
     if values ** len(variables) > cap:
         raise SearchTooLarge(f"{values}^{len(variables)} assignments exceeds cap {cap}")
     declared = {name: i for i, name in enumerate(variables)}
@@ -311,9 +312,7 @@ def _enumerate(dga: DGA, ring: RingDesc, domain: range, cap: int) -> list[Augmen
     ]
 
 
-def enumerate_augmentations(
-    dga: DGA, ring: RingDesc, cap: int | None = None
-) -> list[Augmentation]:
+def enumerate_augmentations(dga: DGA, ring: RingDesc) -> list[Augmentation]:
     """All augmentations over a finite ring Z/m, in lexicographic value order.
 
     The search is a depth-first walk of the value grid that visits the
@@ -322,27 +321,25 @@ def enumerate_augmentations(
     A constraint linear in its last variable, with a unit coefficient,
     solves that variable, so only one value of it is tried.  The points are
     sorted at the end, so the output order is the same as filtering the
-    full grid in lexicographic order.
+    full grid in lexicographic order.  A grid of more than
+    `search_cap_from_env()` points raises SearchTooLarge before it is walked.
     """
     if not ring.is_finite:
         raise InvalidParameter(f"enumeration needs a finite ring, got {ring}")
-    cap = search_cap_from_env() if cap is None else cap
-    return _enumerate(dga, ring, ring.elements(), cap)
+    return _enumerate(dga, ring, ring.elements())
 
 
-def enumerate_augmentations_bounded(
-    dga: DGA, bound: int, cap: int | None = None
-) -> list[Augmentation]:
+def enumerate_augmentations_bounded(dga: DGA, bound: int) -> list[Augmentation]:
     """All integer augmentations with every value in [-bound, bound].
 
     The walk is that of `enumerate_augmentations`; over Z a constraint
     linear in its last variable tries only the exact quotient, if it lies
     in the window, and no value if the coefficient is 0 and the rest is not.
+    The window's grid is held to the same `search_cap_from_env()` budget.
     """
     if bound < 0:
         raise InvalidParameter("bound must be >= 0")
-    cap = search_cap_from_env() if cap is None else cap
-    return _enumerate(dga, ZZ, range(-bound, bound + 1), cap)
+    return _enumerate(dga, ZZ, range(-bound, bound + 1))
 
 
 # ----------------------------------------------------------------------

@@ -35,6 +35,10 @@ from .rings import ZZ
 
 _RESERVED = (algebra.T_SYMBOL, algebra.T_INV_SYMBOL)
 
+# The largest k `lambda_k` builds: its 2k+11 chords would otherwise grow
+# with an index read from the command line.
+MAX_FAMILY_INDEX = 10**4
+
 
 @dataclass(frozen=True)
 class DGA:
@@ -260,7 +264,7 @@ def lambda0() -> DGA:
 
 
 def lambda_k(k: int) -> DGA:
-    """The (2k+11)-chord family member, k >= 1.
+    """The (2k+11)-chord family member, 1 <= k <= MAX_FAMILY_INDEX.
 
     Gradings: |a5| = k+1, |a4| = k, |a7| = -k, |a6| = -k-1; a8, a9 and the
     right-cusp chain a_{k+11}..a_{2k+11} sit in degree 1; a1, a2, a3 and
@@ -271,6 +275,8 @@ def lambda_k(k: int) -> DGA:
     """
     if k < 1:
         raise InvalidParameter(f"lambda_k needs k >= 1, got {k}")
+    if k > MAX_FAMILY_INDEX:
+        raise InvalidParameter(f"lambda_k needs k <= {MAX_FAMILY_INDEX}")
     n_chords = 2 * k + 11
     a = {i: gen(f"a{i}") for i in range(1, n_chords + 1)}
     one = Poly.one()

@@ -144,7 +144,8 @@ def positivity_check(dga: DGA, aug: Augmentation) -> Positivity:
 class ObstructionVerdict:
     """Total field dimension of LCH vs. what a filling would force.
 
-    A filling of a knot with odd tb >= -1 is a once-punctured
+    Stores what was measured: the field, the total dimension and the
+    knot's tb.  A filling of a knot with odd tb >= -1 is a once-punctured
     genus-(tb+1)/2 surface, so the Seidel isomorphism forces the filling
     group, and the dimensions must add up to its rank tb + 2.  Even tb (no
     orientable filling) and odd tb < -1 (negative genus) leave
@@ -154,9 +155,31 @@ class ObstructionVerdict:
 
     field_name: str
     total_dim: int
-    expected_filling_dim: int | None
-    geometric_possible: bool
-    reason: str
+    tb: int
+
+    @property
+    def expected_filling_dim(self) -> int | None:
+        if self.tb % 2 == 0 or self.tb < -1:
+            return None
+        return sum(g.free_rank for g in _filling_homology(self.tb).groups.values())
+
+    @property
+    def geometric_possible(self) -> bool:
+        return self.total_dim == self.expected_filling_dim
+
+    @property
+    def reason(self) -> str:
+        tb, genus = self.tb, (self.tb + 1) // 2
+        if tb % 2 == 0:
+            return (
+                f"tb = {tb} is even: 2g - 1 = tb has no integer solution, "
+                "so no orientable exact filling exists"
+            )
+        if genus < 0:
+            return f"tb = {tb}: the genus (tb+1)/2 = {genus} is negative, so no exact filling exists"
+        if self.geometric_possible:
+            return f"dimension matches a once-punctured genus-{genus} filling"
+        return f"total dimension {self.total_dim} != {self.expected_filling_dim} forced by the Seidel isomorphism"
 
     def format_report(self) -> str:
         expected = "n/a" if self.expected_filling_dim is None else self.expected_filling_dim
@@ -179,30 +202,7 @@ class ObstructionVerdict:
 
 
 def filling_obstruction(dga: DGA, aug: Augmentation) -> ObstructionVerdict:
-    total = sum(_field_dims(dga, aug).values())
-    tb = euler_tb(dga)
-    genus, expected = (tb + 1) // 2, None
-    if tb % 2 == 0:
-        reason = (
-            f"tb = {tb} is even: 2g - 1 = tb has no integer solution, "
-            "so no orientable exact filling exists"
-        )
-    elif genus < 0:
-        reason = f"tb = {tb}: the genus (tb+1)/2 = {genus} is negative, so no exact filling exists"
-    else:
-        expected = sum(g.free_rank for g in _filling_homology(tb).groups.values())
-        reason = (
-            f"dimension matches a once-punctured genus-{genus} filling"
-            if total == expected
-            else f"total dimension {total} != {expected} forced by the Seidel isomorphism"
-        )
-    return ObstructionVerdict(
-        field_name=str(aug.ring),
-        total_dim=total,
-        expected_filling_dim=expected,
-        geometric_possible=total == expected,
-        reason=reason,
-    )
+    return ObstructionVerdict(str(aug.ring), sum(_field_dims(dga, aug).values()), euler_tb(dga))
 
 
 # ----------------------------------------------------------------------
@@ -275,18 +275,13 @@ class TorsionScanReport:
         }
 
 
-def torsion_scan(
-    dga: DGA,
-    primes: list[int],
-    bound: int | None = None,
-    cap: int | None = None,
-) -> TorsionScanReport:
+def torsion_scan(dga: DGA, primes: list[int], bound: int | None = None) -> TorsionScanReport:
     """Dimension classes over each Z/p, plus integral torsion at |values| <= bound.
 
     Each prime is scanned once, in order of first occurrence, and every one
     is checked to be prime before any enumeration starts.  Every grid (each
     prime's, then the bounded one) is enumerated before any point is
-    linearized, so a bad bound or an oversized grid fails before any homology.
+    linearized, so a bad bound or a grid over the enumerators' cap fails before any homology.
 
     Every point is linearized, checked and eliminated; the enumerators
     compile the DGA's plan once for all grids, and `linearized_grid` sums
@@ -301,8 +296,8 @@ def torsion_scan(
     for ring in rings:
         if not ring.is_field:
             raise FieldRequired(f"{ring.modulus} is not prime")
-    grids = [enumerate_augmentations(dga, ring, cap=cap) for ring in rings]
-    bounded = [] if bound is None else enumerate_augmentations_bounded(dga, bound, cap=cap)
+    grids = [enumerate_augmentations(dga, ring) for ring in rings]
+    bounded = [] if bound is None else enumerate_augmentations_bounded(dga, bound)
     prime_classes: dict[int, tuple[DimClass, ...]] = {}
     for ring, grid in zip(rings, grids):
         dims_of: dict[tuple[int, ...], tuple] = {}

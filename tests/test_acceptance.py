@@ -80,12 +80,14 @@ def corpus():
     geo_b, geo_b_aug = geography_dga(-3, 0, [5])
     dgas += [geo_a, geo_b]
     entries = []
-    for dga in dgas:
-        augs = []
-        for p in (2, 3):
-            augs.extend(enumerate_augmentations(dga, Zmod(p), cap=BIG_CAP))
-        complexes = [(aug, linearized_differential(dga, aug)) for aug in augs]
-        entries.append((dga, complexes))
+    with pytest.MonkeyPatch.context() as env:
+        env.setenv("LCH_SEARCH_CAP", str(BIG_CAP))
+        for dga in dgas:
+            augs = []
+            for p in (2, 3):
+                augs.extend(enumerate_augmentations(dga, Zmod(p)))
+            complexes = [(aug, linearized_differential(dga, aug)) for aug in augs]
+            entries.append((dga, complexes))
     return {
         "entries": entries,
         "geography_pairs": [(geo_a, geo_a_aug), (geo_b, geo_b_aug)],

@@ -354,12 +354,14 @@ def test_constant_term_on_a_degree_two_chord_is_checked():
             assert not evaluates_to_zero(d, ring, {"x": v})
 
 
-def test_search_cap():
+def test_search_cap(monkeypatch):
     d = lambda0()
+    monkeypatch.setenv("LCH_SEARCH_CAP", "100")
     with pytest.raises(SearchTooLarge):
-        enumerate_augmentations(d, Zmod(5), cap=100)
+        enumerate_augmentations(d, Zmod(5))
+    monkeypatch.setenv("LCH_SEARCH_CAP", "1000")
     with pytest.raises(SearchTooLarge):
-        enumerate_augmentations_bounded(d, 3, cap=1000)
+        enumerate_augmentations_bounded(d, 3)
     with pytest.raises(InvalidParameter):
         enumerate_augmentations(d, ZZ)
 

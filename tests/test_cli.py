@@ -9,7 +9,7 @@ import pytest
 
 import lchkit
 from lchkit.cli import load_dga, run
-from lchkit.dga import DGA, connected_sum, lambda0, lambda_k
+from lchkit.dga import DGA, MAX_FAMILY_INDEX, connected_sum, lambda0, lambda_k
 from lchkit.dgafile import MAX_DOCUMENT_BYTES, MAX_WORD_LETTERS, parse, serialize
 from lchkit.homology import GradedHomology, HomologyGroup
 
@@ -474,6 +474,22 @@ def test_overlong_builtin_index_is_an_error(capsys):
     assert err == f"error: builtin:lambda<k> index of {len(digits)} digits is too long\n"
 
 
+def test_family_index_limit(capsys):
+    """The largest family index builds and validates; one past it is
+    refused before anything is built, on every route to `lambda_k`."""
+    code, out, err = invoke(capsys, "validate", f"builtin:lambda{MAX_FAMILY_INDEX}")
+    assert (code, out, err) == (0, f"lambda{MAX_FAMILY_INDEX}: OK (grading and d^2 = 0)\n", "")
+    over = MAX_FAMILY_INDEX + 1
+    refusal = f"error: lambda_k needs k <= {MAX_FAMILY_INDEX}\n"
+    for argv in (
+        ["validate", f"builtin:lambda{over}"],
+        ["builtin", "lambda_k", "--k", str(over)],
+        ["geography", "--grading", str(over), "--torsion", "2"],
+        ["geography", "--grading", str(-over - 1), "--torsion", "2"],
+    ):
+        assert invoke(capsys, *argv) == (2, "", refusal), argv
+
+
 def test_builtin_index_digits(capsys):
     """A builtin name is the whole argument, with an index of ASCII digits;
     anything else is a file path."""
@@ -663,7 +679,7 @@ def test_scan_rejects_a_composite_before_enumerating(capsys, monkeypatch):
     scanned = []
     monkeypatch.setattr(
         lchkit.verify, "enumerate_augmentations",
-        lambda dga, ring, cap=None: scanned.append(ring) or [],
+        lambda dga, ring: scanned.append(ring) or [],
     )
     code, out, err = invoke(capsys, "scan", "builtin:lambda0", "--primes", "7,4", "--json")
     assert code == 2

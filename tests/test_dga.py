@@ -5,6 +5,7 @@ from lchkit.augment import Augmentation
 from lchkit.cli import run
 from lchkit.dga import (
     DGA,
+    MAX_FAMILY_INDEX,
     _connected_sum_augmented,
     _connected_sum_parts,
     _family_member_for_grading,
@@ -68,6 +69,9 @@ def test_lambda_k_rejects_bad_k():
         lambda_k(0)
     with pytest.raises(InvalidParameter):
         lambda_k(-2)
+    for k in (MAX_FAMILY_INDEX + 1, 10**5000):
+        with pytest.raises(InvalidParameter, match=f"^lambda_k needs k <= {MAX_FAMILY_INDEX}$"):
+            lambda_k(k)
 
 
 def test_grading_failure_detected():

@@ -3,7 +3,12 @@ from functools import cached_property
 import pytest
 
 from lchkit.algebra import Poly, t_gen
-from lchkit.augment import Augmentation, enumerate_augmentations, enumerate_augmentations_bounded
+from lchkit.augment import (
+    Augmentation,
+    enumerate_augmentations,
+    enumerate_augmentations_bounded,
+    parse_augmentation_literal,
+)
 from lchkit.dga import DGA, connected_sum, euler_tb, lambda0, lambda_k, unknot
 from lchkit.errors import FieldRequired, InvalidParameter, RingMismatch, SearchTooLarge
 from lchkit import verify
@@ -206,8 +211,10 @@ def test_torsion_scan_checks_every_grid_before_any_homology(monkeypatch):
     monkeypatch.setattr(verify_module, "linearized_grid", grid)
     with pytest.raises(InvalidParameter, match="bound must be >= 0"):
         torsion_scan(lambda0(), [2, 3, 5], bound=-1)
-    with pytest.raises(SearchTooLarge, match=r"5\^6 assignments exceeds cap 1000"):
-        torsion_scan(lambda0(), [2, 3, 5], bound=1, cap=1000)
+    with monkeypatch.context() as env:
+        env.setenv("LCH_SEARCH_CAP", "1000")
+        with pytest.raises(SearchTooLarge, match=r"5\^6 assignments exceeds cap 1000"):
+            torsion_scan(lambda0(), [2, 3, 5], bound=1)
     assert all(kind == "grid" for kind, *_ in events)
     # The count is live: a scan that runs builds one checked complex per grid point.
     events.clear()
@@ -267,7 +274,7 @@ def _reference_classes(dga, p):
     point by point."""
     ring = Zmod(p)
     groups = {}
-    for aug in enumerate_augmentations(dga, ring, cap=ORACLE_CAP):
+    for aug in enumerate_augmentations(dga, ring):
         dims = field_homology(linearized_differential(dga, aug), ring)
         groups.setdefault(tuple(sorted(dims.items())), []).append(aug)
     return [(dims, len(augs), augs[0].literal()) for dims, augs in sorted(groups.items())]
@@ -277,7 +284,7 @@ def _reference_torsion(dga, bound):
     """(torsion literals in grid order, torsion-free count), from
     `integral_homology` point by point."""
     torsion, free = [], 0
-    for aug in enumerate_augmentations_bounded(dga, bound, cap=ORACLE_CAP):
+    for aug in enumerate_augmentations_bounded(dga, bound):
         H = integral_homology(linearized_differential(dga, aug))
         found = tuple((d, g.torsion) for d, g in sorted(H.groups.items()) if g.torsion)
         if found:
@@ -303,12 +310,13 @@ def _reference_torsion(dga, bound):
         ]
     ],
 )
-def test_torsion_scan_matches_homology_point_by_point(dga, primes):
+def test_torsion_scan_matches_homology_point_by_point(dga, primes, monkeypatch):
     """The scan assembles homology once per invariant vector; a reference
     that computes every point's homology must give the same report.  The
     Z/p grids do not depend on the bound, so they are scanned once."""
+    monkeypatch.setenv("LCH_SEARCH_CAP", str(ORACLE_CAP))
     for bound in (0, 1, 2):
-        report = torsion_scan(dga, primes if bound == 2 else [], bound=bound, cap=ORACLE_CAP)
+        report = torsion_scan(dga, primes if bound == 2 else [], bound=bound)
         torsion, free = _reference_torsion(dga, bound)
         assert list(report.integral_torsion) == torsion, bound
         assert report.torsion_free_count == free, bound
@@ -356,3 +364,22 @@ def test_reports_have_json_forms():
     assert verdict.to_json_obj()["total_dim"] == 1
     scan = torsion_scan(unknot(), [2])
     assert scan.to_json_obj()["flagged_primes"] == []
+
+
+@pytest.mark.parametrize(
+    "dga, points, silent",
+    [pytest.param(lambda0(), 140, 56, id="lambda0")]
+    + [pytest.param(lambda_k(k), 10, 4, id=f"lambda{k}") for k in range(1, 5)],
+)
+def test_mod2_obstruction_is_silent_exactly_at_odd_torsion(dga, points, silent):
+    """At each integral torsion point with |values| <= 3, the field
+    obstruction of the reduction mod 2 is silent exactly when every
+    torsion order is odd.  This is the mod-2 half of the paper's
+    consequence; it says nothing of the integral points themselves."""
+    report = torsion_scan(dga, [], bound=3)
+    odd = []
+    for literal, torsion in report.integral_torsion:
+        aug = parse_augmentation_literal(literal)
+        odd.append(all(n % 2 for _, orders in torsion for n in orders))
+        assert filling_obstruction(dga, aug.reduction(2)).geometric_possible == odd[-1], literal
+    assert (len(odd), sum(odd)) == (points, silent)
