@@ -28,6 +28,7 @@ from .errors import (
     ParseError,
     SearchTooLarge,
     UnknownGenerator,
+    int_text,
 )
 from .linearize import constraints, linearized_differential
 from .matrices import rank_of_rows
@@ -222,7 +223,7 @@ def _enumerate(dga: DGA, ring: RingDesc, domain: range) -> list[Augmentation]:
     values = domain.stop - domain.start
     cap = search_cap_from_env()
     if values ** len(variables) > cap:
-        raise SearchTooLarge(f"{values}^{len(variables)} assignments exceeds cap {cap}")
+        raise SearchTooLarge(f"{int_text(values)}^{len(variables)} assignments exceeds cap {cap}")
     declared = {name: i for i, name in enumerate(variables)}
     walk = [
         (sorted({x for _, names in terms for x in names}, key=declared.__getitem__), terms)

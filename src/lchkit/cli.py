@@ -260,10 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--aug", required=True, help="literal like 'a1=2,a3=1' (zeros omitted)")
     p.add_argument("--ring", default=None, help="Z (default), Z/p, or Q")
 
-    p = add("duality", cmd_duality, "Sabloff duality report over a field")
+    p = add("duality", cmd_duality, "Sabloff duality report over Z or a field")
     p.add_argument("dga")
     p.add_argument("--aug", required=True)
-    p.add_argument("--field", required=True, help="Q or Z/p")
+    p.add_argument("--field", required=True, help="Z, Q or Z/p")
 
     p = add("scan", cmd_scan, "torsion evidence scan over several primes")
     p.add_argument("dga")
@@ -283,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("obstruction", cmd_obstruction, "filling dimension obstruction")
     p.add_argument("dga")
     p.add_argument("--aug", required=True)
-    p.add_argument("--field", required=True)
+    p.add_argument("--field", required=True, help="Z, Q or Z/p")
 
     return parser
 

@@ -29,6 +29,7 @@ from .errors import (
     RingMismatch,
     UnknownGenerator,
     ValidationFailed,
+    int_text,
 )
 from .linearize import compile_plan
 from .rings import ZZ
@@ -274,7 +275,7 @@ def lambda_k(k: int) -> DGA:
     and -k-1 (for k = 1 the degree-k copy merges into degree 1).
     """
     if k < 1:
-        raise InvalidParameter(f"lambda_k needs k >= 1, got {k}")
+        raise InvalidParameter(f"lambda_k needs k >= 1, got {int_text(k)}")
     if k > MAX_FAMILY_INDEX:
         raise InvalidParameter(f"lambda_k needs k <= {MAX_FAMILY_INDEX}")
     n_chords = 2 * k + 11
@@ -480,7 +481,7 @@ def geography_dga(i: int, m: int, torsions: list[int]):
         raise InvalidParameter("free rank must be >= 0")
     for n in torsions:
         if n < 2:
-            raise InvalidParameter(f"torsion orders must be >= 2, got {n}")
+            raise InvalidParameter(f"torsion orders must be >= 2, got {int_text(n)}")
     if m + len(torsions) < 1:
         raise InvalidParameter("need at least one summand")
 

@@ -4,6 +4,8 @@ Everything raised deliberately by this package derives from LchError, so
 callers (and the CLI) can distinguish controlled failures from bugs.
 """
 
+from decimal import Decimal
+
 
 class LchError(Exception):
     """Base class for all lchkit errors."""
@@ -63,3 +65,11 @@ class NotAComplex(LchError):
 
 class RingMismatch(LchError):
     """Two arguments were expected to share a coefficient ring."""
+
+
+def int_text(n: int) -> str:
+    """n in decimal for a message, or its digit count where str() refuses so long an int."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"{'-' if n < 0 else ''}<{Decimal(n).adjusted() + 1} digits>"

@@ -1,17 +1,17 @@
 """Structural checks on linearized homology.
 
 These operations package the theorems that constrain what linearized
-homology can look like: Sabloff duality over fields, the rigidity of
-knots with all chords in nonnegative degree, the dimension obstruction to
-a filling inducing an augmentation, torsion evidence scans over several
-primes, and additivity of homology under connected sums away from
-degrees 0 and 1.  A scan eliminates every point of its grids, but
-assembles homology once per distinct vector of boundary invariants
-(ranks over Z/p, invariant factors over Z).  Each report keeps what was
-measured and reads its verdict from one rule.  The filling group (Z in
-degree 1, Z^{tb+1} in degree 0) is one helper: positivity compares LCH
-with it, and the obstruction, which fires outright on even tb and on odd
-tb < -1, needs the total dimension to be its rank tb + 2.
+homology can look like: Sabloff duality, the rigidity of knots with all
+chords in nonnegative degree, the obstruction to a filling inducing an
+augmentation, torsion evidence scans over several primes, and additivity
+under connected sums away from degrees 0 and 1.  Each one-point check
+reads LCH through `_lch`: integral homology over Z, and over a field the
+dimensions as free ranks, so each theorem is stated once for every ring,
+and each report keeps the homology it read.  A filling forces LCH to be
+the filling group (Z in degree 1, Z^{tb+1} in degree 0): positivity is
+that equality, and so is the obstruction, which also fires on even tb and
+on odd tb < -1.  A scan eliminates every point of its grids, but
+assembles homology once per distinct vector of boundary invariants.
 """
 
 from __future__ import annotations
@@ -40,11 +40,20 @@ from .linearize import linearized_differential, linearized_grid
 from .rings import ZZ, Zmod
 
 
-def _field_dims(dga: DGA, aug: Augmentation) -> dict[int, int]:
+def _lch(dga: DGA, aug: Augmentation) -> GradedHomology:
+    """LCH at aug: integral homology over Z, the dimensions as free ranks over
+    a field; any other ring is refused before anything is linearized."""
+    if aug.ring == ZZ:
+        return integral_homology(linearized_differential(dga, aug))
     if not aug.ring.is_field:
         raise FieldRequired(f"a field augmentation is required, got {aug.ring}")
-    complex_ = linearized_differential(dga, aug)
-    return field_homology(complex_, aug.ring)
+    dims = field_homology(linearized_differential(dga, aug), aug.ring)
+    return GradedHomology({d: HomologyGroup(free_rank=n) for d, n in dims.items()})
+
+
+def _free_ranks(homology: GradedHomology) -> dict[int, int]:
+    """Free rank per degree, nonzero only: the dimensions over a field, or over Q for Z."""
+    return {d: g.free_rank for d, g in homology.groups.items() if g.free_rank}
 
 
 def _filling_homology(tb: int) -> GradedHomology:
@@ -59,28 +68,39 @@ def _filling_homology(tb: int) -> GradedHomology:
 # ----------------------------------------------------------------------
 
 
-def _duality_rows(dims: dict[int, int]):
-    """(i, dim_i, dim_{-i}, holds) for i = 0, 1 and each |degree| that occurs;
-    duality wants dim_i - dim_{-i} to be 1 at i = 1 and 0 at every other i."""
-    for i in sorted({0, 1, *(abs(d) for d in dims)}):
+def _duality_rows(homology: GradedHomology):
+    """(name, value, dual name, dual value, holds): the ranks of degrees i and
+    -i, for i = 0, 1 and each |degree| of nonzero rank, then the torsion of
+    degrees k >= 0 and -k-1 wherever either has some; see `DualityReport`."""
+    dims = _free_ranks(homology)
+    for i in sorted({0, 1, *map(abs, dims)}):
         a, b = dims.get(i, 0), dims.get(-i, 0)
-        yield i, a, b, a - b == (1 if i == 1 else 0)
+        yield f"dim_{i}", a, f"dim_{-i}", b, a - b == (1 if i == 1 else 0)
+    for k in sorted({max(d, -d - 1) for d, g in homology.groups.items() if g.torsion}):
+        a, b = list(homology.group(k).torsion), list(homology.group(-k - 1).torsion)
+        yield f"torsion_{k}", a, f"torsion_{-k - 1}", b, a == b
 
 
 @dataclass(frozen=True)
 class DualityReport:
-    """Field dimensions of LCH paired degree against minus-degree.
+    """LCH paired degree against degree, over Z or a field.
 
-    Duality holds when dim_i = dim_{-i} for every i != 1 and the degree-1
-    dimension exceeds the degree minus-1 dimension by exactly one.
+    Stores the ring's name and the homology read there.  Duality holds when
+    the free ranks (dimensions over a field) have dim_i = dim_{-i} for
+    i != 1 and dim_1 = dim_{-1} + 1, and the torsion of H_k equals that of
+    H_{-k-1} as lists of orders (Sabloff, Geom. Topol. 10, 2006).
     """
 
     field_name: str
-    dims: dict[int, int]
+    homology: GradedHomology
+
+    @property
+    def dims(self) -> dict[int, int]:
+        return _free_ranks(self.homology)
 
     @property
     def duality_ok(self) -> bool:
-        return all(holds for *_, holds in _duality_rows(self.dims))
+        return all(holds for *_, holds in _duality_rows(self.homology))
 
     @property
     def degree1_excess(self) -> int:
@@ -88,24 +108,26 @@ class DualityReport:
 
     def format_report(self) -> str:
         lines = [f"field {self.field_name}"]
-        for i, a, b, holds in _duality_rows(self.dims):
+        for name, a, dual, b, holds in _duality_rows(self.homology):
             mark = "" if holds else "  <-- mismatch"
-            lines.append(f"dim_{i} = {a}   dim_{-i} = {b}{mark}")
+            lines.append(f"{name} = {a}   {dual} = {b}{mark}")
         lines.append("duality holds" if self.duality_ok else "duality FAILS")
         return "\n".join(lines)
 
     def to_json_obj(self) -> dict:
-        return {
+        obj = {
             "field": self.field_name,
             "dims": {str(d): v for d, v in sorted(self.dims.items(), reverse=True)},
             "duality_ok": self.duality_ok,
             "degree1_excess": self.degree1_excess,
         }
+        torsion = {str(d): list(g.torsion) for d, g in self.homology.groups.items() if g.torsion}
+        return {**obj, "torsion": torsion} if torsion else obj
 
 
 def sabloff_check(dga: DGA, aug: Augmentation) -> DualityReport:
-    """Dimension symmetry dim_i = dim_{-i} (i != 1), dim_1 = dim_{-1} + 1."""
-    return DualityReport(field_name=str(aug.ring), dims=_field_dims(dga, aug))
+    """Duality of LCH at aug, over Z or a field: see `DualityReport`."""
+    return DualityReport(str(aug.ring), _lch(dga, aug))
 
 
 # ----------------------------------------------------------------------
@@ -130,8 +152,7 @@ def positivity_check(dga: DGA, aug: Augmentation) -> Positivity:
         raise RingMismatch("positivity_check is an integral statement; use a Z augmentation")
     if any(deg < 0 for _, deg in dga.chords):
         return Positivity.NOT_APPLICABLE
-    homology = integral_homology(linearized_differential(dga, aug))
-    matches = homology == _filling_homology(euler_tb(dga))
+    matches = _lch(dga, aug) == _filling_homology(euler_tb(dga))
     return Positivity.HOLDS if matches else Positivity.FAILS
 
 
@@ -142,30 +163,35 @@ def positivity_check(dga: DGA, aug: Augmentation) -> Positivity:
 
 @dataclass(frozen=True)
 class ObstructionVerdict:
-    """Total field dimension of LCH vs. what a filling would force.
+    """LCH vs. what a filling would force, over Z or a field.
 
-    Stores what was measured: the field, the total dimension and the
-    knot's tb.  A filling of a knot with odd tb >= -1 is a once-punctured
-    genus-(tb+1)/2 surface, so the Seidel isomorphism forces the filling
-    group, and the dimensions must add up to its rank tb + 2.  Even tb (no
-    orientable filling) and odd tb < -1 (negative genus) leave
-    `expected_filling_dim` None.  `geometric_possible` False is
-    conclusive; True only means this obstruction is silent.
+    Stores what was measured: the ring's name, the homology read there and
+    the knot's tb.  A filling of a knot with odd tb >= -1 is a once-punctured
+    genus-(tb+1)/2 surface, so the Seidel isomorphism forces LCH to be the
+    filling group (Ekholm 2012; Ekholm-Honda-Kalman 2016), free of torsion.
+    Even tb (no orientable filling) and odd tb < -1 (negative genus) leave
+    `expected_filling_dim` None.  `total_dim` is the total free rank.
+    `geometric_possible` False is conclusive: the augmentation is not
+    induced by a filling; True only means this obstruction is silent.
     """
 
     field_name: str
-    total_dim: int
+    homology: GradedHomology
     tb: int
+
+    @property
+    def total_dim(self) -> int:
+        return sum(_free_ranks(self.homology).values())
 
     @property
     def expected_filling_dim(self) -> int | None:
         if self.tb % 2 == 0 or self.tb < -1:
             return None
-        return sum(g.free_rank for g in _filling_homology(self.tb).groups.values())
+        return sum(_free_ranks(_filling_homology(self.tb)).values())
 
     @property
     def geometric_possible(self) -> bool:
-        return self.total_dim == self.expected_filling_dim
+        return self.expected_filling_dim is not None and self.homology == _filling_homology(self.tb)
 
     @property
     def reason(self) -> str:
@@ -179,7 +205,14 @@ class ObstructionVerdict:
             return f"tb = {tb}: the genus (tb+1)/2 = {genus} is negative, so no exact filling exists"
         if self.geometric_possible:
             return f"dimension matches a once-punctured genus-{genus} filling"
-        return f"total dimension {self.total_dim} != {self.expected_filling_dim} forced by the Seidel isomorphism"
+        groups = sorted(self.homology.groups.items(), reverse=True)
+        torsion = [f"H_{d} has torsion {list(g.torsion)}" for d, g in groups if g.torsion]
+        if torsion:
+            return ", ".join(torsion) + "; the Seidel isomorphism forces free LCH"
+        if self.total_dim != self.expected_filling_dim:
+            return f"total dimension {self.total_dim} != {self.expected_filling_dim} forced by the Seidel isomorphism"
+        forced = _free_ranks(_filling_homology(tb))
+        return f"dimensions by degree {_free_ranks(self.homology)} != {forced} forced by the Seidel isomorphism"
 
     def format_report(self) -> str:
         expected = "n/a" if self.expected_filling_dim is None else self.expected_filling_dim
@@ -202,7 +235,7 @@ class ObstructionVerdict:
 
 
 def filling_obstruction(dga: DGA, aug: Augmentation) -> ObstructionVerdict:
-    return ObstructionVerdict(str(aug.ring), sum(_field_dims(dga, aug).values()), euler_tb(dga))
+    return ObstructionVerdict(str(aug.ring), _lch(dga, aug), euler_tb(dga))
 
 
 # ----------------------------------------------------------------------
@@ -357,9 +390,7 @@ def connected_sum_additivity_check(
     if aug1.ring != ZZ:
         raise RingMismatch("additivity is compared integrally; use Z augmentations")
     summed, combined = connected_sum_augmented(d1, aug1, d2, aug2)
-    H_sum = integral_homology(linearized_differential(summed, combined))
-    H1 = integral_homology(linearized_differential(d1, aug1))
-    H2 = integral_homology(linearized_differential(d2, aug2))
+    H_sum, H1, H2 = _lch(summed, combined), _lch(d1, aug1), _lch(d2, aug2)
     degrees = set(H_sum.degrees()) | set(H1.degrees()) | set(H2.degrees())
     for d in degrees:
         if d in (0, 1):

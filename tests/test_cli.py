@@ -258,6 +258,17 @@ def test_cap_message_for_a_grid_too_large_to_print(tmp_path, capsys):
     assert out == "" and f"{2**61 - 1}^600 assignments exceeds cap" in err
 
 
+def test_cap_message_for_a_window_too_wide_to_print(capsys, monkeypatch):
+    # --bound 5 * 10^4299 parses, but the window's 10^4300 + 1 values have
+    # more digits than str() takes: the message gives their digit count.
+    monkeypatch.delenv("LCH_SEARCH_CAP", raising=False)
+    bound = "5" + "0" * 4299
+    for argv in (["augs", "builtin:lambda0", "--ring", "Z"], ["scan", "builtin:lambda0", "--primes", ""]):
+        assert invoke(capsys, *argv, "--bound", bound) == (
+            2, "", "error: <4301 digits>^6 assignments exceeds cap 100000000\n"
+        )
+
+
 def test_deep_augmentation_walk_does_not_recurse(tmp_path):
     # 1200 free degree-0 chords on a one-point grid pass the cap; the walk
     # is 1200 deep, past the interpreter's default recursion limit.
@@ -644,13 +655,29 @@ def test_duality_exit_codes(capsys):
 
 
 def test_duality_and_obstruction_need_a_field(capsys):
+    # Z is read integrally: the torsion Z/2 of H_0 pairs with that of H_-1,
+    # and a filling forces free LCH, so the obstruction fires on it.
+    argv = ["builtin:lambda0", "--aug", EPS_2, "--field", "Z"]
+    assert_pinned(
+        capsys, ["duality", *argv], 0,
+        ["field Z", "dim_0 = 2   dim_0 = 2", "dim_1 = 1   dim_-1 = 0",
+         "torsion_0 = [2]   torsion_-1 = [2]", "duality holds"],
+        {"degree1_excess": 1, "dims": {"1": 1, "0": 2}, "duality_ok": True, "field": "Z",
+         "torsion": {"0": [2], "-1": [2]}},
+    )
+    reason = "H_0 has torsion [2], H_-1 has torsion [2]; the Seidel isomorphism forces free LCH"
+    assert_pinned(
+        capsys, ["obstruction", *argv], 1,
+        ["field Z", "total LCH dimension: 3", "filling would give:  3", f"NOT geometric: {reason}"],
+        {"expected_filling_dim": 3, "field": "Z", "geometric_possible": False,
+         "reason": reason, "total_dim": 3},
+    )
     for command in ("duality", "obstruction"):
-        for ring in ("Z", "Z/4"):
-            for json_flag in ([], ["--json"]):
-                argv = [command, "builtin:lambda0", "--aug", EPS_2, "--field", ring, *json_flag]
-                assert invoke(capsys, *argv) == (
-                    2, "", f"error: a field augmentation is required, got {ring}\n"
-                )
+        for json_flag in ([], ["--json"]):
+            argv = [command, "builtin:lambda0", "--aug", EPS_2, "--field", "Z/4", *json_flag]
+            assert invoke(capsys, *argv) == (
+                2, "", "error: a field augmentation is required, got Z/4\n"
+            )
 
 
 def test_scan(capsys):

@@ -67,8 +67,11 @@ def test_lambda_k_data():
 def test_lambda_k_rejects_bad_k():
     with pytest.raises(InvalidParameter):
         lambda_k(0)
-    with pytest.raises(InvalidParameter):
+    with pytest.raises(InvalidParameter, match=r"^lambda_k needs k >= 1, got -2$"):
         lambda_k(-2)
+    # Too long for str(): the message gives the digit count.
+    with pytest.raises(InvalidParameter, match=r"^lambda_k needs k >= 1, got -<5001 digits>$"):
+        lambda_k(-10**5000)
     for k in (MAX_FAMILY_INDEX + 1, 10**5000):
         with pytest.raises(InvalidParameter, match=f"^lambda_k needs k <= {MAX_FAMILY_INDEX}$"):
             lambda_k(k)
@@ -357,6 +360,8 @@ def test_geography_rejects_bad_gradings():
         geography_dga(2, 0, [])
     with pytest.raises(InvalidParameter):
         geography_dga(2, 0, [1])
+    with pytest.raises(InvalidParameter, match=r"^torsion orders must be >= 2, got -<5001 digits>$"):
+        geography_dga(2, 0, [-10**5000])
     with pytest.raises(InvalidParameter) as err:
         geography_dga(2, -1, [2])
     assert str(err.value) == "free rank must be >= 0"

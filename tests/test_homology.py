@@ -46,7 +46,7 @@ from lchkit.matrices import (
     sparse_rows,
 )
 from lchkit.rings import QQ, ZZ, Zmod
-from lchkit.verify import torsion_scan
+from lchkit.verify import DualityReport, torsion_scan
 
 
 def eps_n(n):
@@ -1071,13 +1071,25 @@ def test_integral_sabloff_duality(scanned_complexes):
     # Sabloff, "Duality for Legendrian contact homology", Geom. Topol. 10
     # (2006).  Field duality plus UCT only fixes how many p-primary summands
     # each degree has; over Z the orders themselves must pair up, so this
-    # checks where `integral_homology` puts each torsion order.
+    # checks where `integral_homology` puts each torsion order.  The
+    # report of `lch duality --field Z` reads the same rules, and must agree.
     torsion = 0
     for C in scanned_complexes + _seeded_geography_sums():
         H = integral_homology(C)
         assert _integral_duality_failures(H) == [], H.format_report()
+        assert DualityReport("Z", H).duality_ok
         torsion += any(g.torsion for g in H.groups.values())
     assert torsion > 60
+    # Torsion moved from H_-1 to H_-2: the ranks still pair, the orders do not.
+    moved = GradedHomology({1: HomologyGroup(1), 0: HomologyGroup(2, (5,)), -2: HomologyGroup(0, (5,))})
+    assert _integral_duality_failures(moved) == [("torsion", -2), ("torsion", 0), ("torsion", 1)]
+    report = DualityReport("Z", moved)
+    assert not report.duality_ok
+    assert report.format_report().splitlines()[-3:] == [
+        "torsion_0 = [5]   torsion_-1 = []  <-- mismatch",
+        "torsion_1 = []   torsion_-2 = [5]  <-- mismatch",
+        "duality FAILS",
+    ]
 
 
 def _apply(rows, vector):

@@ -56,8 +56,13 @@ def test_sabloff_unknot():
 
 
 def test_sabloff_needs_field():
-    with pytest.raises(FieldRequired):
-        sabloff_check(lambda0(), eps_n(2))
+    # Z is read integrally; a ring that is neither Z nor a field is refused.
+    report = sabloff_check(lambda0(), eps_n(2))
+    assert report.duality_ok
+    assert report.dims == {1: 1, 0: 2}
+    assert report.homology == GradedHomology(
+        {1: HomologyGroup(1), 0: HomologyGroup(2, (2,)), -1: HomologyGroup(0, (2,))}
+    )
     with pytest.raises(FieldRequired):
         sabloff_check(lambda0(), eps_n(2).reduction(6))
 
@@ -138,6 +143,32 @@ def test_obstruction_silent_cases():
     verdict = filling_obstruction(lambda0(), eps_n(5, ring=QQ))
     assert verdict.total_dim == 3 == verdict.expected_filling_dim
     assert verdict.geometric_possible
+
+
+def test_obstruction_over_z_sees_the_torsion_mod_2_misses():
+    # eps_5 on lambda0: H_0 = Z^2 + Z/5 and H_-1 = Z/5, which pair under
+    # duality.  The free ranks match the filling group, so only Z and Z/5
+    # see the obstruction.
+    verdict = filling_obstruction(lambda0(), eps_n(5))
+    assert (verdict.total_dim, verdict.expected_filling_dim) == (3, 3)
+    assert not verdict.geometric_possible
+    assert verdict.reason == "H_0 has torsion [5], H_-1 has torsion [5]; the Seidel isomorphism forces free LCH"
+    assert sabloff_check(lambda0(), eps_n(5)).duality_ok
+    assert filling_obstruction(lambda0(), eps_n(5).reduction(2)).geometric_possible
+    assert filling_obstruction(lambda0(), eps_n(5).reduction(5)).total_dim == 7
+
+
+def test_obstruction_compares_degree_by_degree():
+    # The totals agree (5 = tb + 2), but a filling forces Q in degree 1 and
+    # Q^4 in degree 0, and nothing in degrees 2 and -2.
+    dims = {2: 1, 1: 1, 0: 2, -2: 1}
+    homology = GradedHomology({d: HomologyGroup(n) for d, n in dims.items()})
+    verdict = verify.ObstructionVerdict("Q", homology, 3)
+    assert (verdict.total_dim, verdict.expected_filling_dim) == (5, 5)
+    assert not verdict.geometric_possible
+    assert verdict.reason == (
+        "dimensions by degree {2: 1, 1: 1, 0: 2, -2: 1} != {1: 1, 0: 4} forced by the Seidel isomorphism"
+    )
 
 
 def test_obstruction_even_tb():
@@ -383,3 +414,28 @@ def test_mod2_obstruction_is_silent_exactly_at_odd_torsion(dga, points, silent):
         odd.append(all(n % 2 for _, orders in torsion for n in orders))
         assert filling_obstruction(dga, aug.reduction(2)).geometric_possible == odd[-1], literal
     assert (len(odd), sum(odd)) == (points, silent)
+
+
+@pytest.mark.parametrize(
+    "dga, eps_1, points, fires, odd_torsion",
+    [pytest.param(lambda0(), eps_n(1), 427, 189, 56, id="lambda0")]
+    + [pytest.param(lambda_k(k), eps_n_k(k, 1), 34, 17, 4, id=f"lambda{k}") for k in range(1, 5)],
+)
+def test_integral_obstruction_fires_at_every_torsion_point(dga, eps_1, points, fires, odd_torsion):
+    """The Z half of the paper's consequence, at |values| <= 3: over Z the
+    obstruction fires at every integral torsion point, so none of them is
+    induced by a filling, and the points where it fires over Z but is
+    silent mod 2 are exactly those whose torsion orders are all odd.
+    Silence proves nothing: eps_1 is silent, and whether a filling induces
+    it is geometry that no computation here decides."""
+    torsion = dict(torsion_scan(dga, [], bound=3).integral_torsion)
+    odd = {lit for lit, t in torsion.items() if all(n % 2 for _, orders in t for n in orders)}
+    bounded = enumerate_augmentations_bounded(dga, 3)
+    fired = [aug for aug in bounded if not filling_obstruction(dga, aug).geometric_possible]
+    assert torsion.keys() <= {aug.literal() for aug in fired}
+    silent_mod2 = {
+        aug.literal() for aug in fired if filling_obstruction(dga, aug.reduction(2)).geometric_possible
+    }
+    assert silent_mod2 == odd
+    assert (len(bounded), len(fired), len(odd)) == (points, fires, odd_torsion)
+    assert filling_obstruction(dga, eps_1).geometric_possible
