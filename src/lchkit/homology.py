@@ -9,13 +9,12 @@ is #{orders f of H_{d-1}(Z) with f = 2 mod 4}.  Groups are built from two
 answers of `matrices`, straight from a complex's sparse rows: the Smith
 diagonal over Z (`diagonal_of_rows`, which `invariant_factors`, the one
 Smith reader, puts in divisibility order) and the rank over a field
-(`rank_of_rows`).  Each reader takes two steps: the invariants of the
-stored boundaries (`boundary_factors`, `boundary_ranks`), then the
-assembly of groups or dims from them and the bases
-(`homology_from_factors`, `dims_from_ranks`).  `integral_homology` and
-`field_homology` run both; a caller that meets the same invariants often,
-as a torsion scan does, may assemble once per distinct vector.  A
-universal-coefficient consistency check rounds out the module.
+(`rank_of_rows`).  `integral_homology` and `field_homology` take two
+steps: the invariants of a complex's stored boundaries by degree, then
+the groups or dims assembled from the bases and those invariants alone
+(`homology_from_factors`, `dims_from_ranks`), which a torsion scan calls
+once per distinct vector of its grid points' invariants, with no complex.
+A universal-coefficient consistency check rounds out the module.
 """
 
 from __future__ import annotations
@@ -165,21 +164,9 @@ class GradedHomology:
         )
 
 
-def boundary_factors(C: ChainComplex) -> tuple[tuple[int, ...], ...]:
-    """Invariant factors of each stored boundary of an integer complex.
-
-    One tuple per boundary, in ``C.rows`` order, in divisibility order with
-    the ones kept, so its length is the rank; an empty boundary gives ().
-    With the bases, these decide the integral homology:
-    see `homology_from_factors`.
-    """
-    if C.ring != ZZ:
-        raise NotAComplex(f"integral homology needs an integer complex, got {C.ring}")
-    return tuple(tuple(invariant_factors(rows)) if rows else () for rows in C.rows.values())
-
-
-def homology_from_factors(C: ChainComplex, factors) -> GradedHomology:
-    """H_d over Z from the `boundary_factors` of C, as free rank + torsion.
+def homology_from_factors(basis: dict[int, list[str]], factors: dict) -> GradedHomology:
+    """H_d over Z from the bases and the invariant factors of the boundary
+    from each degree d (none where missing), as free rank + torsion.
 
     C_d / ker M_d embeds in the free group C_{d-1}, so it is free and
     ker M_d is a direct summand of C_d.  Hence
@@ -187,11 +174,10 @@ def homology_from_factors(C: ChainComplex, factors) -> GradedHomology:
     f_i > 1 are the invariant factors of M_{d+1}; no kernel coordinates
     are needed.  Only nontrivial groups are built.
     """
-    by_degree = dict(zip(C.rows, factors))
     groups: dict[int, HomologyGroup] = {}
-    for d in C.degrees():
-        lower, upper = by_degree.get(d, ()), by_degree.get(d + 1, ())
-        free_rank = len(C.basis_of(d)) - len(lower) - len(upper)
+    for d, names in sorted(basis.items()):
+        lower, upper = factors.get(d, ()), factors.get(d + 1, ())
+        free_rank = len(names) - len(lower) - len(upper)
         torsion = tuple(f for f in upper if f > 1)
         if free_rank or torsion:
             groups[d] = HomologyGroup(free_rank=free_rank, torsion=torsion)
@@ -199,43 +185,41 @@ def homology_from_factors(C: ChainComplex, factors) -> GradedHomology:
 
 
 def integral_homology(C: ChainComplex) -> GradedHomology:
-    """H_d over Z: `homology_from_factors` of `boundary_factors`, one
-    reduction per nonempty boundary."""
-    return homology_from_factors(C, boundary_factors(C))
+    """H_d over Z: `homology_from_factors` of the `invariant_factors` of
+    each nonempty stored boundary (ones kept, so their count is the rank);
+    an empty boundary has none and is not reduced."""
+    if C.ring != ZZ:
+        raise NotAComplex(f"integral homology needs an integer complex, got {C.ring}")
+    factors = {d: tuple(invariant_factors(rows)) if rows else () for d, rows in C.rows.items()}
+    return homology_from_factors(C.basis, factors)
 
 
-def boundary_ranks(C: ChainComplex, field_ring: RingDesc) -> tuple[int, ...]:
-    """Rank over Q or Z/p of each stored boundary, in ``C.rows`` order.
-
-    An integer complex may be tensored with any field; a Z/p complex can
-    only be read over Z/p itself.  An empty boundary has rank 0 and is not
-    ranked.  With the bases, these decide the dimensions: see
-    `dims_from_ranks`.
-    """
-    if not field_ring.is_field:
-        raise FieldRequired(f"{field_ring} is not a field")
-    if C.ring != ZZ and C.ring != field_ring:
-        raise RingMismatch(f"complex over {C.ring} cannot be read over {field_ring}")
-    modulus = field_ring.modulus
-    return tuple(rank_of_rows(rows, modulus) if rows else 0 for rows in C.rows.values())
-
-
-def dims_from_ranks(C: ChainComplex, ranks) -> dict[int, int]:
-    """Per-degree dimensions n_d - rk M_d - rk M_{d+1} from the
-    `boundary_ranks` of C; nonzero entries only."""
-    by_degree = dict(zip(C.rows, ranks))
+def dims_from_ranks(basis: dict[int, list[str]], ranks: dict[int, int]) -> dict[int, int]:
+    """Per-degree dimensions n_d - rk M_d - rk M_{d+1} from the bases and the
+    rank of the boundary from each degree d (0 where missing); nonzero only."""
     dims: dict[int, int] = {}
-    for d in C.degrees():
-        dim = len(C.basis_of(d)) - by_degree.get(d, 0) - by_degree.get(d + 1, 0)
+    for d, names in sorted(basis.items()):
+        dim = len(names) - ranks.get(d, 0) - ranks.get(d + 1, 0)
         if dim:
             dims[d] = dim
     return dims
 
 
 def field_homology(C: ChainComplex, field_ring: RingDesc) -> dict[int, int]:
-    """Per-degree dimensions over Q or Z/p: `dims_from_ranks` of
-    `boundary_ranks`; nonzero entries only."""
-    return dims_from_ranks(C, boundary_ranks(C, field_ring))
+    """Per-degree dimensions over Q or Z/p, nonzero entries only:
+    `dims_from_ranks` of the rank of each stored boundary.
+
+    An integer complex may be tensored with any field; a Z/p complex can
+    only be read over Z/p itself.  An empty boundary has rank 0 and is not
+    ranked.
+    """
+    if not field_ring.is_field:
+        raise FieldRequired(f"{field_ring} is not a field")
+    if C.ring != ZZ and C.ring != field_ring:
+        raise RingMismatch(f"complex over {C.ring} cannot be read over {field_ring}")
+    modulus = field_ring.modulus
+    ranks = {d: rank_of_rows(rows, modulus) if rows else 0 for d, rows in C.rows.items()}
+    return dims_from_ranks(C.basis, ranks)
 
 
 def bockstein(C: ChainComplex) -> dict[int, int]:

@@ -17,18 +17,20 @@ included, as in `algebra.s_linear_part`.
 
 This module holds the rule, the plan `compile_plan` compiles from it (read
 by `augment` through `constraints`), and its two routes: one point is read
-word by word by `linearized_differential`, which compiles nothing, and a
-scan's grid is evaluated from the plan by `linearized_grid`, each term
-over all points at once.  Both give the same rows in the same order and
-raise the same first failure.  The boundaries are stored as sparse rows,
-which the d^2 check and the elimination kernel read directly.
+word by word by `linearized_differential`, which compiles nothing and
+builds a checked `ChainComplex`, and a scan's grid is evaluated from the
+plan by `linearized_grid`, each term and each entry of d^2 over all points
+at once, with no complex: each point's values fill the grid's slots, which
+`grid_rows` turns into rows.  Both give the same rows in the same order
+and raise the same first failure.  Boundaries are sparse rows, which the
+d^2 check and the elimination kernel read directly.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import compress, islice, repeat
 from operator import add, mod, mul
 
 from .algebra import T_INV_SYMBOL, T_SYMBOL
@@ -53,9 +55,8 @@ class ChainComplex:
 
     ``ChainComplex(ring, basis, boundary)`` builds a complex from dense
     matrices, checking that ``boundary[d]`` is len(basis[d-1]) x
-    len(basis[d]); `linearized_differential` and `linearized_grid` hand
-    their rows to the private `_of_rows`.  ``boundary`` and ``matrix(d)``
-    are dense views.
+    len(basis[d]); `linearized_differential` hands its rows to the private
+    `_of_rows`.  ``boundary`` and ``matrix(d)`` are dense views.
 
     Construction checks d^2 = 0 in the ring (raising NotAComplex), so every
     consumer may rely on it without checking again.  Do not mutate the
@@ -295,18 +296,34 @@ def linearized_differential(dga: DGA, aug: Augmentation) -> ChainComplex:
     return ChainComplex._of_rows(aug.ring, basis, rows)
 
 
-def linearized_grid(dga: DGA, ring: RingDesc, augs: list[Augmentation]) -> Iterator[ChainComplex]:
+def grid_rows(slots: list[tuple[int, int]], values: tuple) -> dict[int, dict[int, int]]:
+    """One boundary's rows at one point, from its slots in a `linearized_grid`
+    layout and the point's values there, as `linearized_differential` stores them."""
+    rows: dict[int, dict[int, int]] = {}
+    for (i, j), value in compress(zip(slots, values), values):
+        row = rows.get(i)
+        if row is None:
+            rows[i] = {j: value}
+        else:
+            row[j] = value
+    return rows
+
+
+def linearized_grid(dga: DGA, ring: RingDesc, augs: list[Augmentation]) -> tuple[dict, Iterator]:
     """`linearized_differential` at each of `augs`, augmentations over `ring`, in order.
 
     The plan is summed once for the whole grid: each term is evaluated over
     every point at once, from each degree-0 chord's list of values, and
     each constant and each entry gets one list of sums, reduced mod m over
-    Z/m.  The least point with a nonzero constant, a nonzero misgraded
-    entry or a name outside degree 0 is the first that fails; entries zero
-    at every point are dropped.  Each point before it yields its complex,
-    its rows inserted in the order `linearized_differential` inserts them,
-    and at that point `linearized_differential` raises its first failure.
-    Only one complex is alive at a time, besides the grid's lists of sums.
+    Z/m.  Entries zero at every point are dropped; the rest are the slots.
+    Each entry of each M_d M_{d+1} gets the sum of its slots' products,
+    reduced mod m.  The least point with a nonzero constant, misgraded
+    entry or entry of d^2, or a name outside degree 0, is the first that
+    fails.  Returns the layout, each boundary degree to the ``(i, j)`` of
+    its slots in the order `linearized_differential` inserts its rows, and
+    an iterator that yields each point before the first failing one as a
+    tuple, per degree, of its values in those slots (see `grid_rows`), then
+    raises what `linearized_differential` raises at that point.
     """
     n, m = len(augs), ring.modulus or 0
     degree_zero = dga.degree_zero_chords
@@ -323,9 +340,11 @@ def linearized_grid(dga: DGA, ring: RingDesc, augs: list[Augmentation]) -> Itera
             total = map(add, total, term)
         return list(map(mod, total, repeat(m)) if m else total)
 
-    # Every entry kept, as (d, i, j) and its sums, in the order rows are inserted.
-    slots, entries_sums = [], []
+    # Per degree, every entry kept, as (i, j) and its sums, in the order rows are inserted.
+    layout: dict[int, list[tuple[int, int]]] = {}
+    kept: dict[int, list[list]] = {}
     for d, columns in dga.linear_plan.items():
+        layout[d], kept[d] = slots, lists = [], []
         for j, _, constant_terms, entries in columns:
             if constant_terms:
                 fail = next(compress(range(fail), sums(constant_terms)), fail)
@@ -334,19 +353,26 @@ def linearized_grid(dga: DGA, ring: RingDesc, augs: list[Augmentation]) -> Itera
                 if misgraded:
                     fail = next(compress(range(fail), entry), fail)
                 elif any(entry):
-                    slots.append((d, i, j))
-                    entries_sums.append(entry)
+                    slots.append((i, j))
+                    lists.append(entry)
 
-    degrees = dga.boundary_degrees
-    for _, point in zip(range(fail), zip(*entries_sums) if slots else repeat(())):
-        rows: dict[int, dict[int, dict[int, int]]] = {d: {} for d in degrees}
-        for (d, i, j), value in compress(zip(slots, point), point):
-            boundary = rows[d]
-            row = boundary.get(i)
-            if row is None:
-                boundary[i] = {j: value}
-            else:
-                row[j] = value
-        yield ChainComplex._of_rows(ring, dga.basis, rows)
-    if fail < n:
-        linearized_differential(dga, augs[fail])  # raises the point's first failure
+    for d, slots in layout.items():  # entry (i, j) of M_d M_{d+1} sums over k
+        above: dict[int, list] = {}
+        for (k, j), upper in zip(layout.get(d + 1, ()), kept.get(d + 1, ())):
+            above.setdefault(k, []).append((j, upper))
+        square: dict[tuple[int, int], Iterator] = {}
+        for (i, k), lower in zip(slots, kept[d]):
+            for j, upper in above.get(k, ()):
+                product, total = map(mul, lower, upper), square.get((i, j))
+                square[i, j] = product if total is None else map(add, total, product)
+        for total in square.values():
+            fail = next(compress(range(fail), map(mod, total, repeat(m)) if m else total), fail)
+
+    def points() -> Iterator[tuple[tuple, ...]]:
+        columns = [zip(*lists) if lists else repeat(()) for lists in kept.values()]
+        yield from islice(zip(*columns) if columns else repeat(()), fail)
+        if fail < n:
+            linearized_differential(dga, augs[fail])  # raises the point's first failure
+            raise RuntimeError(f"grid point {fail} was marked as failing, but it linearizes")
+
+    return layout, points()

@@ -41,9 +41,10 @@ alone in its column takes no step at all.
   block-and-link boundaries of connected sums about half the pivots are
   such units.
 
-No rows, or one row, need no kernel and are not copied: the rank is 1
-exactly when some entry of the row is nonzero in the field, and the
-diagonal is the gcd of the row's values.
+No rows, or one row, need no kernel and are not loaded: the rank is 1
+exactly when some value of the row is nonzero in the field, and the
+diagonal is the gcd of its values.  `rank_of_row` and `diagonal_of_row`
+state this rule once, also for a scan's boundaries filled in one row.
 """
 
 from __future__ import annotations
@@ -257,6 +258,20 @@ class _SparseMatrix:
                 self.singles.append(j)
 
 
+def rank_of_row(values, modulus: int | None = None) -> int:
+    """Rank of one row's values over Q (modulus None) or Z/p: 1 if any is nonzero there."""
+    for x in values:
+        if x % modulus if modulus else x:
+            return 1
+    return 0
+
+
+def diagonal_of_row(values) -> list[int]:
+    """The nonzero Smith diagonal over Z of one row's values: their gcd, if not 0."""
+    g = gcd(*values)
+    return [g] if g else []
+
+
 def rank_of_rows(rows: dict[int, dict[int, int]], modulus: int | None = None) -> int:
     """Rank of sparse rows over Q (modulus None) or over Z/p (modulus p prime).
 
@@ -264,11 +279,7 @@ def rank_of_rows(rows: dict[int, dict[int, int]], modulus: int | None = None) ->
     which leaves the row space unchanged.
     """
     if len(rows) < 2:
-        for row in rows.values():
-            for x in row.values():
-                if x % modulus if modulus else x:
-                    return 1
-        return 0
+        return rank_of_row([x for row in rows.values() for x in row.values()], modulus)
     if not modulus:
         cleared = {}
         for i, row in rows.items():
@@ -298,10 +309,7 @@ def diagonal_of_rows(rows: dict[int, dict[int, int]]) -> list[int]:
     falls.
     """
     if len(rows) < 2:
-        for row in rows.values():
-            g = gcd(*row.values())
-            return [g] if g else []
-        return []
+        return diagonal_of_row([x for row in rows.values() for x in row.values()])
     A = _SparseMatrix(rows)
     diagonal = []
     for j in A.singles:

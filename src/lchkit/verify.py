@@ -10,8 +10,10 @@ dimensions as free ranks, so each theorem is stated once for every ring,
 and each report keeps the homology it read.  A filling forces LCH to be
 the filling group (Z in degree 1, Z^{tb+1} in degree 0): positivity is
 that equality, and so is the obstruction, which also fires on even tb and
-on odd tb < -1.  A scan eliminates every point of its grids, but
-assembles homology once per distinct vector of boundary invariants.
+on odd tb < -1.  A scan reads every point of its grids from the grid's
+sums and builds no complex: a boundary its grid fills in one row or none
+is read by rule, only the rest are eliminated, and homology is assembled
+once per distinct vector of boundary invariants.
 """
 
 from __future__ import annotations
@@ -29,15 +31,15 @@ from .errors import FieldRequired, RingMismatch
 from .homology import (
     GradedHomology,
     HomologyGroup,
-    boundary_factors,
-    boundary_ranks,
     dims_from_ranks,
     field_homology,
     homology_from_factors,
     integral_homology,
+    invariant_factors,
 )
-from .linearize import linearized_differential, linearized_grid
-from .rings import ZZ, Zmod
+from .linearize import grid_rows, linearized_differential, linearized_grid
+from .matrices import diagonal_of_row, rank_of_row, rank_of_rows
+from .rings import ZZ, RingDesc, Zmod
 
 
 def _lch(dga: DGA, aug: Augmentation) -> GradedHomology:
@@ -46,7 +48,7 @@ def _lch(dga: DGA, aug: Augmentation) -> GradedHomology:
     if aug.ring == ZZ:
         return integral_homology(linearized_differential(dga, aug))
     if not aug.ring.is_field:
-        raise FieldRequired(f"a field augmentation is required, got {aug.ring}")
+        raise FieldRequired(f"Z or a field is required, got {aug.ring}")
     dims = field_homology(linearized_differential(dga, aug), aug.ring)
     return GradedHomology({d: HomologyGroup(free_rank=n) for d, n in dims.items()})
 
@@ -308,6 +310,27 @@ class TorsionScanReport:
         }
 
 
+def _read_grid(dga: DGA, ring: RingDesc, grid: list[Augmentation], one_row, of_rows, assemble):
+    """Each point of `grid` with `assemble` of its boundaries' invariants by
+    degree, assembled once per distinct vector.  A boundary with no slot in
+    the grid's layout reads as ``one_row(())``, one whose slots share a row
+    as `one_row` of the point's values, and any other as `of_rows` of its rows."""
+    layout, points = linearized_grid(dga, ring, grid)
+    readers = []
+    for slots in layout.values():
+        if len({i for i, _ in slots}) > 1:
+            readers.append(lambda values, slots=slots: of_rows(grid_rows(slots, values)))
+        else:
+            readers.append(one_row if slots else lambda values, empty=one_row(()): empty)
+    seen: dict[tuple, object] = {}
+    for aug, point in zip(grid, points):
+        key = tuple([read(values) for read, values in zip(readers, point)])
+        value = seen.get(key)
+        if value is None:
+            value = seen[key] = assemble(dict(zip(layout, key)))
+        yield aug, value
+
+
 def torsion_scan(dga: DGA, primes: list[int], bound: int | None = None) -> TorsionScanReport:
     """Dimension classes over each Z/p, plus integral torsion at |values| <= bound.
 
@@ -316,14 +339,15 @@ def torsion_scan(dga: DGA, primes: list[int], bound: int | None = None) -> Torsi
     prime's, then the bounded one) is enumerated before any point is
     linearized, so a bad bound or a grid over the enumerators' cap fails before any homology.
 
-    Every point is linearized, checked and eliminated; the enumerators
-    compile the DGA's plan once for all grids, and `linearized_grid` sums
-    it over each grid at once, yielding the points' complexes in grid
-    order.  Homology is assembled once per distinct invariant vector: all
-    complexes of one DGA share their bases and store the same boundaries,
-    so the ranks over Z/p (or the invariant factors over Z) of those
-    boundaries decide the dims (or the torsion).  Each grid keeps its own
-    table of the vectors seen.
+    Every point is linearized, checked for d^2 = 0 and read, and no complex
+    is built: the enumerators compile the DGA's plan once for all grids,
+    and `linearized_grid` sums it over each grid at once.  A boundary with
+    no slot in its grid has rank 0 and no invariant factor, one filled in
+    one row only is read by the one-row rule of `matrices`, and only the
+    rest go to the elimination kernel (`rank_of_rows` over Z/p,
+    `invariant_factors` over Z).  All points of one DGA share their bases,
+    so these invariants decide the dims (or the torsion), which are
+    assembled once per distinct vector, in a table local to each grid.
     """
     rings = [Zmod(p) for p in dict.fromkeys(primes)]
     for ring in rings:
@@ -333,32 +357,26 @@ def torsion_scan(dga: DGA, primes: list[int], bound: int | None = None) -> Torsi
     bounded = [] if bound is None else enumerate_augmentations_bounded(dga, bound)
     prime_classes: dict[int, tuple[DimClass, ...]] = {}
     for ring, grid in zip(rings, grids):
-        dims_of: dict[tuple[int, ...], tuple] = {}
+        p = ring.modulus
         groups: dict[tuple, list[Augmentation]] = {}
-        for aug, complex_ in zip(grid, linearized_grid(dga, ring, grid)):
-            ranks = boundary_ranks(complex_, ring)
-            key = dims_of.get(ranks)
-            if key is None:
-                key = dims_of[ranks] = tuple(sorted(dims_from_ranks(complex_, ranks).items()))
-            groups.setdefault(key, []).append(aug)
-        prime_classes[ring.modulus] = tuple(
+        for aug, dims in _read_grid(
+            dga, ring, grid, lambda values: rank_of_row(values, p), lambda rows: rank_of_rows(rows, p),
+            lambda ranks: tuple(sorted(dims_from_ranks(dga.basis, ranks).items())),
+        ):
+            groups.setdefault(dims, []).append(aug)
+        prime_classes[p] = tuple(
             DimClass(dims=key, count=len(augs), example=augs[0].literal())
             for key, augs in sorted(groups.items())
         )
 
     integral: list[tuple[str, tuple]] = []
     torsion_free = 0
-    torsion_of: dict[tuple[tuple[int, ...], ...], tuple] = {}
-    for aug, complex_ in zip(bounded, linearized_grid(dga, ZZ, bounded)):
-        factors = boundary_factors(complex_)
-        torsion = torsion_of.get(factors)
-        if torsion is None:
-            homology = homology_from_factors(complex_, factors)
-            torsion = torsion_of[factors] = tuple(
-                (d, homology.group(d).torsion)
-                for d in homology.degrees()
-                if homology.group(d).torsion
-            )
+    for aug, torsion in _read_grid(
+        dga, ZZ, bounded, lambda values: tuple(diagonal_of_row(values)),
+        lambda rows: tuple(invariant_factors(rows)),
+        lambda factors: tuple((d, g.torsion) for d, g in sorted(
+            homology_from_factors(dga.basis, factors).groups.items()) if g.torsion),
+    ):
         if torsion:
             integral.append((aug.literal(), torsion))
         else:

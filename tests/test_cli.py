@@ -676,7 +676,7 @@ def test_duality_and_obstruction_need_a_field(capsys):
         for json_flag in ([], ["--json"]):
             argv = [command, "builtin:lambda0", "--aug", EPS_2, "--field", "Z/4", *json_flag]
             assert invoke(capsys, *argv) == (
-                2, "", "error: a field augmentation is required, got Z/4\n"
+                2, "", "error: Z or a field is required, got Z/4\n"
             )
 
 

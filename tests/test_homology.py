@@ -28,7 +28,6 @@ from lchkit.homology import (
     HomologyGroup,
     _divisibility_chain,
     bockstein,
-    boundary_factors,
     field_homology,
     from_orders,
     integral_homology,
@@ -38,6 +37,7 @@ from lchkit.homology import (
 from lchkit.linearize import ChainComplex, linearized_differential
 from lchkit.matrices import (
     _SparseMatrix,
+    diagonal_of_row,
     diagonal_of_rows,
     matmul,
     rank_mod_p,
@@ -46,6 +46,7 @@ from lchkit.matrices import (
     sparse_rows,
 )
 from lchkit.rings import QQ, ZZ, Zmod
+from lchkit import verify
 from lchkit.verify import DualityReport, torsion_scan
 
 
@@ -859,8 +860,10 @@ def test_invariant_factors():
 def test_rebound_invariant_factors_sees_every_integral_elimination(monkeypatch):
     # A profiler wraps `invariant_factors` by rebinding every lchkit module
     # attribute that holds it (``from .x import f`` copies the binding).
-    # The wrapper must then see one call per nonempty boundary that the
-    # integral readers eliminate, and none for an empty one.
+    # The wrapper must then see one call per nonempty boundary that
+    # `integral_homology` eliminates, and none for an empty one; a scan
+    # sends it each point's rows of each boundary that its grid fills in
+    # two or more rows, and reads the others without it.
     calls = []
 
     def counted(rows):
@@ -882,13 +885,31 @@ def test_rebound_invariant_factors_sees_every_integral_elimination(monkeypatch):
     assert {len(nonempty(C)) for C in complexes} == {1, 2}
     assert all(len(nonempty(C)) < len(C.rows) for C in complexes)
     for C in complexes[:8]:
-        for reader in (boundary_factors, integral_homology):
-            calls.clear()
-            reader(C)
-            assert calls == nonempty(C)
+        calls.clear()
+        integral_homology(C)
+        assert calls == nonempty(C)
+    # The rows each boundary has at some point of the grid.
+    filled = {d: set() for d in dga.boundary_degrees}
+    for C in complexes:
+        for d, rows in C.rows.items():
+            filled[d].update(rows)
+    shapes = sorted(len(rows) for rows in filled.values())
+    assert shapes[0] == 0 and 1 in shapes and shapes[-1] > 1
+    one_row = [d for d, rows in filled.items() if len(rows) == 1]
+    kernel = [d for d, rows in filled.items() if len(rows) > 1]
+    read = []
+    monkeypatch.setattr(verify, "diagonal_of_row",
+                        lambda values: read.append(values) or diagonal_of_row(values))
     calls.clear()
     torsion_scan(dga, [2, 3], bound=1)
-    assert len(calls) == sum(len(nonempty(C)) for C in complexes) > len(bounded)
+    assert len(calls) == len(kernel) * len(bounded)
+    assert calls == [C.rows[d] for C in complexes for d in kernel]
+    # The one-row reads equal `invariant_factors` on those rows.
+    one_row_reads = [values for values in read if values]
+    assert len(one_row_reads) == len(one_row) * len(bounded)
+    expected = [invariant_factors(C.rows[d]) for C in complexes for d in one_row]
+    assert [diagonal_of_row(values) for values in one_row_reads] == expected
+    assert any(expected)
 
 
 # ----------------------------------------------------------------------

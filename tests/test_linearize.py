@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import groupby, product
+from operator import mul
 
 import pytest
 
@@ -15,11 +16,13 @@ from lchkit.dga import DGA, connected_sum, connected_sum_augmented, lambda0, lam
 from lchkit.errors import (
     InvalidValue,
     LchError,
+    NotAComplex,
     NotAnAugmentation,
     UnknownGenerator,
     ValidationFailed,
 )
-from lchkit.linearize import ChainComplex, linearized_differential, linearized_grid
+from lchkit import linearize
+from lchkit.linearize import ChainComplex, grid_rows, linearized_differential, linearized_grid
 from lchkit.rings import QQ, ZZ, Zmod
 
 
@@ -287,6 +290,35 @@ def _first_failure(dga, aug):
     return None
 
 
+def _square_failure(dga, aug):
+    """(NotAComplex, message) if the reference columns do not compose to zero.
+
+    Each boundary is read densely from `s_linear_part`, degrees go up, and
+    the first degree d + 1 where some entry of M_d M_{d+1} is nonzero in
+    the ring is named; None if d^2 = 0.  Meant for points where
+    `_first_failure` finds nothing.
+    """
+    ring, eps = aug.ring, aug.eps_map(dga)
+    basis = {}
+    for name, deg in dga.chords:
+        basis.setdefault(deg, []).append(name)
+
+    def matrix(d):
+        rows, cols = basis.get(d - 1, []), basis.get(d, [])
+        M = [[0] * len(cols) for _ in rows]
+        for j, chord in enumerate(cols):
+            for name, value in s_linear_part(dga.differential(chord), eps).items():
+                if name in rows:
+                    M[rows.index(name)][j] = value
+        return M
+
+    for d in sorted({*basis, *(d + 1 for d in basis)}):
+        lower, upper = matrix(d), matrix(d + 1)
+        if any(not ring.is_zero(sum(map(mul, row, col))) for row in lower for col in zip(*upper)):
+            return NotAComplex, f"boundary squared is nonzero from degree {d + 1}"
+    return None
+
+
 def _assert_reference_columns(C, dga, eps):
     for chord in dga.chord_names():
         reference = s_linear_part(dga.differential(chord), eps)
@@ -297,9 +329,14 @@ def _assert_reference_columns(C, dga, eps):
         }
 
 
-def _rows_in_order(C):
-    """Every stored row with its keys in order: the degrees, rows and entries."""
-    return [(d, [(i, list(row.items())) for i, row in rows.items()]) for d, rows in C.rows.items()]
+def _rows_in_order(rows):
+    """Every row of `{d: {i: {j: x}}}` with its keys in order: the degrees, rows and entries."""
+    return [(d, [(i, list(row.items())) for i, row in boundary.items()]) for d, boundary in rows.items()]
+
+
+def _point_rows(layout, point):
+    """A grid point's rows by degree, built from the grid's layout."""
+    return {d: grid_rows(slots, values) for (d, slots), values in zip(layout.items(), point)}
 
 
 def _check_routes(dga, augs):
@@ -309,19 +346,22 @@ def _check_routes(dga, augs):
     which reads the words and must compile nothing, and `linearized_grid`
     runs over the grid on `dga` itself after its plan is read, which sums
     the plan.  At each point the word route must raise the reference's
-    first failure, with its type and message, or build the reference's
-    columns.  The grid must yield the same rows in the same key order at
-    every point before its first failing point, and raise that point's
-    failure there; the points after it are run again as a grid of their
-    own.  Returns each point's failure type, or None where it linearizes.
+    first failure (d^2 = 0 last), with its type and message, or build the
+    reference's columns.  At every point before its first failing point,
+    the rows built from the grid's layout and the point's values must be
+    the word route's, with the same keys in the same order, and at that
+    point the grid must raise its failure; the points after it are run
+    again as a grid of their own.  Returns each point's failure type, or
+    None where it linearizes.
     """
     fresh = DGA(dga.name, dga.chords, dga.diff)
     dga.linear_plan
     failures = []
     while augs:
-        grid = linearized_grid(dga, augs[0].ring, augs)
+        layout, grid = linearized_grid(dga, augs[0].ring, augs)
+        assert list(layout) == dga.boundary_degrees
         for k, aug in enumerate(augs):
-            expected = _first_failure(dga, aug)
+            expected = _first_failure(dga, aug) or _square_failure(dga, aug)
             failures.append(None if expected is None else expected[0])
             if expected is not None:
                 for route in (lambda: linearized_differential(fresh, aug), lambda: next(grid)):
@@ -331,10 +371,9 @@ def _check_routes(dga, augs):
                 augs = augs[k + 1 :]
                 break
             eps = aug.eps_map(dga)
-            one_pass, by_plan = linearized_differential(fresh, aug), next(grid)
+            one_pass, point = linearized_differential(fresh, aug), next(grid)
             _assert_reference_columns(one_pass, dga, eps)
-            assert _rows_in_order(one_pass) == _rows_in_order(by_plan)
-            assert by_plan.basis is dga.basis and by_plan.ring == aug.ring
+            assert _rows_in_order(one_pass.rows) == _rows_in_order(_point_rows(layout, point))
             assert one_pass.basis is fresh.basis
         else:
             augs = []
@@ -406,7 +445,7 @@ def _random_cases():
                 yield dga, aug
 
 
-def test_compiled_route_matches_reference_route(monkeypatch):
+def test_compiled_route_matches_reference_route():
     """Both routes, one pass on a fresh DGA and `linearized_grid` on a DGA
     that holds its plan, equal algebra.evaluate and s_linear_part."""
     complexes = rejected = 0
@@ -427,12 +466,11 @@ def test_compiled_route_matches_reference_route(monkeypatch):
         seen[failure] += 1
     assert min(seen.values()) > 10
 
-    # Random DGAs are not complexes; d^2 = 0 is checked elsewhere, and
-    # both routes share the check, so here it is skipped.  Each DGA's
+    # Random DGAs need not be complexes: where nothing else fails first,
+    # both routes must raise the reference's NotAComplex.  Each DGA's
     # points over one ring form one grid.
-    monkeypatch.setattr(ChainComplex, "check_square_zero", lambda self: None)
-    seen = {None: 0, NotAnAugmentation: 0, ValidationFailed: 0}
-    grids = mid_grid = 0
+    seen = {None: 0, NotAnAugmentation: 0, ValidationFailed: 0, NotAComplex: 0}
+    grids = mid_grid = square_first = 0
     for _, cases in groupby(_random_cases(), key=lambda case: (case[0].name, case[1].ring)):
         cases = list(cases)
         failures = _check_routes(cases[0][0], [aug for _, aug in cases])
@@ -440,14 +478,18 @@ def test_compiled_route_matches_reference_route(monkeypatch):
             seen[failure] += 1
         grids += 1
         mid_grid += any(failures[:-1])
+        square_first += next(filter(None, failures), None) is NotAComplex
     assert sum(seen.values()) == 4500 and grids == 1800
-    assert min(seen.values()) > 100 and mid_grid > 100
+    assert min(seen[None], seen[NotAnAugmentation], seen[ValidationFailed]) > 100 and mid_grid > 100
+    # 30 points fail d^2 = 0 first, and in 21 grids that is the first failure.
+    assert (seen[NotAComplex], square_first) == (30, 21)
 
 
 def test_grid_raises_at_its_first_failing_point():
-    """A grid yields the complexes of the points before its first failing
-    point, then raises what `linearized_differential` raises there, whatever
-    fails at the points after it."""
+    """A grid yields the points before its first failing point, each with
+    the rows of `linearized_differential` there, then raises what
+    `linearized_differential` raises there, whatever fails at the points
+    after it."""
     d, ill, ring = lambda0(), _ill_graded_dga(False), Zmod(3)
     ill_points = [Augmentation(ring, {"x": vx, "y": vy, "z": vz})
                   for vx, vy, vz in product(range(3), repeat=3)]
@@ -468,9 +510,10 @@ def test_grid_raises_at_its_first_failing_point():
         for error, point in bad.items():
             later = [aug for aug in bad.values() if aug is not point]
             augs = [*good[:2], point, *good[2:4], *later]
-            grid = linearized_grid(dga, ring, augs)
+            layout, grid = linearized_grid(dga, ring, augs)
             for aug in augs[:2]:
-                assert _rows_in_order(next(grid)) == _rows_in_order(linearized_differential(dga, aug))
+                assert (_rows_in_order(_point_rows(layout, next(grid)))
+                        == _rows_in_order(linearized_differential(dga, aug).rows))
             with pytest.raises(LchError) as expected:
                 linearized_differential(dga, point)
             with pytest.raises(error) as info:
@@ -479,6 +522,55 @@ def test_grid_raises_at_its_first_failing_point():
             assert next(grid, None) is None
             raised.add(error)
     assert raised == {NotAnAugmentation, ValidationFailed, UnknownGenerator, InvalidValue}
+
+
+def _not_a_complex_dga():
+    """d a = y and d b = x*a: the grading is valid, but d d b = x*y, so the
+    linearization is a complex exactly where eps(x) = 0 (eps(y) = 0 always)."""
+    x, y, a = gen("x"), gen("y"), gen("a")
+    return DGA(name="square", chords=(("x", 0), ("y", 0), ("a", 1), ("b", 2)),
+               diff={"a": y, "b": x * a})
+
+
+def test_grid_raises_d_squared_mid_grid():
+    """On an unvalidated DGA, a grid yields the points before the first
+    where d^2 != 0 in the ring, then raises the NotAComplex of
+    `linearized_differential` there: eps(x) = 2 fails over Z/4, Z and Q,
+    but not over Z/2, where the product 2 is 0."""
+    dga, values = _not_a_complex_dga(), (0, 0, 2, 0, 1, 2)
+    for ring in RINGS:
+        augs = [Augmentation(ring, {"x": v}) for v in values]
+        first = next(k for k, v in enumerate(values) if not ring.is_zero(v))
+        assert first == (4 if ring == Zmod(2) else 2)
+        layout, grid = linearized_grid(dga, ring, augs)
+        for aug in augs[:first]:
+            assert (_rows_in_order(_point_rows(layout, next(grid)))
+                    == _rows_in_order(linearized_differential(dga, aug).rows))
+        with pytest.raises(NotAComplex) as expected:
+            linearized_differential(dga, augs[first])
+        with pytest.raises(NotAComplex) as info:
+            next(grid)
+        assert str(info.value) == str(expected.value) == "boundary squared is nonzero from degree 2"
+        assert next(grid, None) is None
+
+
+def test_grid_never_ends_early_without_an_error(monkeypatch):
+    """A point the grid marks as failing that `linearized_differential`
+    accepts after all raises an internal error naming it, not LchError, so
+    a scan cannot count fewer points in silence; a grid of a DGA without
+    chords yields every point."""
+    ring = Zmod(3)
+    layout, grid = linearized_grid(DGA(name="none", chords=()), ring, [Augmentation(ring, {})] * 3)
+    assert layout == {} and list(grid) == [()] * 3
+    dga = lambda0()
+    good = enumerate_augmentations(dga, ring)
+    bad = Augmentation(ring, {"a1": 1, "a3": 1, "a6": 1})
+    monkeypatch.setattr(linearize, "linearized_differential", lambda dga, aug: None)
+    layout, grid = linearized_grid(dga, ring, [*good[:2], bad, good[2]])
+    assert len([next(grid), next(grid)]) == 2
+    with pytest.raises(RuntimeError, match="^grid point 2 was marked as failing, but it linearizes$"):
+        next(grid)
+    assert not issubclass(RuntimeError, LchError)
 
 
 def test_enumerated_points_of_ill_graded_dgas_are_augmentations():

@@ -1,4 +1,5 @@
 from functools import cached_property
+from math import prod
 
 import pytest
 
@@ -10,10 +11,10 @@ from lchkit.augment import (
     parse_augmentation_literal,
 )
 from lchkit.dga import DGA, connected_sum, euler_tb, lambda0, lambda_k, unknot
-from lchkit.errors import FieldRequired, InvalidParameter, RingMismatch, SearchTooLarge
+from lchkit.errors import FieldRequired, InvalidParameter, NotAComplex, RingMismatch, SearchTooLarge
 from lchkit import verify
 from lchkit.homology import GradedHomology, HomologyGroup, field_homology, integral_homology
-from lchkit.linearize import ChainComplex, linearized_differential
+from lchkit.linearize import ChainComplex, grid_rows, linearized_differential
 from lchkit.rings import QQ, ZZ, Zmod
 from lchkit.verify import (
     Positivity,
@@ -218,8 +219,11 @@ def test_torsion_scan_rejects_composite():
 
 
 def test_torsion_scan_checks_every_grid_before_any_homology(monkeypatch):
-    """Every grid is enumerated before any point is linearized, and each
-    point of each grid, in grid order, builds exactly one checked complex."""
+    """Every grid is enumerated before any point is read; then each point
+    of each grid is read once, in grid order, from the rows the one-shot
+    route builds there, with no complex built; and d^2 = 0 is enforced at
+    every point: the first point where it fails raises, after the points
+    before it are read."""
     import lchkit.verify as verify_module
 
     events = []
@@ -235,9 +239,14 @@ def test_torsion_scan_checks_every_grid_before_any_homology(monkeypatch):
     real_grid = verify_module.linearized_grid
 
     def grid(dga, ring, augs):
-        for aug, complex_ in zip(augs, real_grid(dga, ring, augs)):
-            events.append(("point", dga, aug, complex_))
-            yield complex_
+        layout, points = real_grid(dga, ring, augs)
+
+        def read():
+            for aug, point in zip(augs, points):
+                rows = {d: grid_rows(slots, values) for (d, slots), values in zip(layout.items(), point)}
+                events.append(("point", dga, aug, rows))
+                yield point
+        return layout, read()
 
     monkeypatch.setattr(verify_module, "linearized_grid", grid)
     with pytest.raises(InvalidParameter, match="bound must be >= 0"):
@@ -247,20 +256,36 @@ def test_torsion_scan_checks_every_grid_before_any_homology(monkeypatch):
         with pytest.raises(SearchTooLarge, match=r"5\^6 assignments exceeds cap 1000"):
             torsion_scan(lambda0(), [2, 3, 5], bound=1)
     assert all(kind == "grid" for kind, *_ in events)
-    # The count is live: a scan that runs builds one checked complex per grid point.
+    # The count is live: a scan that runs reads each grid point once.
     events.clear()
     dga = lambda0()
     torsion_scan(dga, [2, 3], bound=1)
     points = [*enumerate_augmentations(dga, Zmod(2)), *enumerate_augmentations(dga, Zmod(3)),
               *enumerate_augmentations_bounded(dga, 1)]
     assert len(points) > 100
-    assert events[:3] == [("grid",)] * 3
-    built, yielded = events[3::2], events[4::2]
-    assert len(built) == len(yielded) == len(points) and len(events) == 3 + 2 * len(points)
-    assert [(kind, dga_, aug) for kind, dga_, aug, _ in yielded] == [("point", dga, aug) for aug in points]
-    for (kind, checked), (*_, aug, complex_) in zip(built, yielded):
-        assert kind == "checked" and checked is complex_
-        assert complex_.ring == aug.ring and complex_.rows == linearized_differential(dga, aug).rows
+    assert events[:3] == [("grid",)] * 3 and len(events) == 3 + len(points)
+    assert [(kind, dga_, aug) for kind, dga_, aug, _ in events[3:]] == [("point", dga, aug) for aug in points]
+
+    def in_order(rows):
+        return [(d, [(i, list(row.items())) for i, row in b.items()]) for d, b in rows.items()]
+
+    for *_, aug, rows in events[3:]:
+        assert in_order(rows) == in_order(linearized_differential(dga, aug).rows)
+    # d b = x*a on d a = y: d^2 != 0 exactly where eps(x) != 0.
+    x, y, a = Poly.gen("x"), Poly.gen("y"), Poly.gen("a")
+    square = DGA(name="square", chords=(("x", 0), ("y", 0), ("a", 1), ("b", 2)),
+                 diff={"a": y, "b": x * a})
+    grid3 = enumerate_augmentations(square, Zmod(3))
+    first = next(k for k, aug in enumerate(grid3) if aug.values.get("x"))
+    with pytest.raises(NotAComplex) as expected:
+        linearized_differential(square, grid3[first])
+    events.clear()
+    with pytest.raises(NotAComplex) as info:
+        torsion_scan(square, [3])
+    assert str(info.value) == str(expected.value)
+    # The one complex built is the one-shot route's, at the failing point.
+    assert first > 0 and [kind for kind, *_ in events] == ["grid"] + ["point"] * first + ["checked"]
+    assert [aug for _, _, aug, _ in events[1:-1]] == grid3[:first]
 
 
 def test_torsion_scan_compiles_the_plan_once_per_dga(monkeypatch):
@@ -283,9 +308,13 @@ def test_torsion_scan_compiles_the_plan_once_per_dga(monkeypatch):
     real_grid = verify_module.linearized_grid
 
     def grid(dga, ring, augs):
-        for complex_ in real_grid(dga, ring, augs):
-            took_plan.append("linear_plan" in vars(dga))
-            yield complex_
+        layout, points = real_grid(dga, ring, augs)
+
+        def read():
+            for point in points:
+                took_plan.append("linear_plan" in vars(dga))
+                yield point
+        return layout, read()
 
     monkeypatch.setattr(verify_module, "linearized_grid", grid)
     for dga in (lambda0(), connected_sum(lambda_k(1), unknot())):
@@ -439,3 +468,73 @@ def test_integral_obstruction_fires_at_every_torsion_point(dga, eps_1, points, f
     assert silent_mod2 == odd
     assert (len(bounded), len(fired), len(odd)) == (points, fires, odd_torsion)
     assert filling_obstruction(dga, eps_1).geometric_possible
+
+
+def _valuation(x, p):
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
+def _local_valuations(rows, p):
+    """p-valuations of the nonzero Smith diagonal over Z of sparse rows, by
+    elimination over Z/p^e: each pivot is an entry of least p-valuation,
+    which divides every other entry of its column, so one step per row
+    clears the column, and the pivot's row then splits off (column steps
+    touch it alone).  No row is swapped or reduced.  p^e exceeds the
+    product of (1 + the row's 1-norm) over the rows, which bounds every
+    minor, so each diagonal entry keeps its valuation below e."""
+    bound = prod(1 + sum(map(abs, row.values())) for row in rows.values())
+    e = 1
+    while p**e <= bound:
+        e += 1
+    q = p**e
+    M = {i: {j: x % q for j, x in row.items() if x % q} for i, row in rows.items()}
+    M = {i: row for i, row in M.items() if row}
+    valuations = []
+    while M:
+        v, r, c = min((_valuation(x, p), i, j) for i, row in M.items() for j, x in row.items())
+        pivot_row = M.pop(r)
+        inverse = pow(pivot_row[c] // p**v, -1, q)
+        for i, row in list(M.items()):
+            if c in row:
+                factor = row[c] // p**v * inverse % q
+                for j, x in pivot_row.items():
+                    y = (row.get(j, 0) - factor * x) % q
+                    if y:
+                        row[j] = y
+                    else:
+                        row.pop(j, None)
+                if not row:
+                    del M[i]
+        valuations.append(v)
+    return valuations
+
+
+@pytest.mark.parametrize(
+    "dga", [pytest.param(lambda0(), id="lambda0")]
+    + [pytest.param(lambda_k(k), id=f"lambda{k}") for k in range(1, 5)],
+)
+def test_scan_torsion_matches_local_smith_forms(dga):
+    """At every point of the bound-3 scan, torsion and torsion-free alike,
+    the p-valuations of each printed order of H_d equal the positive
+    valuations of the local Smith form of M_{d+1} over Z/p^e, for p in
+    2, 3, 5, 7 and every prime dividing a printed order: a second route
+    to the torsion that shares no step with the Euclid kernel."""
+    report = torsion_scan(dga, [], bound=3)
+    torsion = dict(report.integral_torsion)
+    orders = {n for t in torsion.values() for _, ns in t for n in ns}
+    primes = {2, 3, 5, 7} | {p for n in orders for p in range(2, n + 1)
+                             if n % p == 0 and all(p % f for f in range(2, p))}
+    bounded = enumerate_augmentations_bounded(dga, 3)
+    assert len(bounded) - len(torsion) == report.torsion_free_count > 0 and torsion
+    for aug in bounded:
+        C = linearized_differential(dga, aug)
+        printed = dict(torsion.get(aug.literal(), ()))
+        for p in sorted(primes):
+            for d in C.degrees():
+                local = sorted(v for v in _local_valuations(C.rows_of(d + 1), p) if v)
+                assert local == sorted(_valuation(n, p) for n in printed.get(d, ()) if n % p == 0), (
+                    aug.literal(), p, d)
