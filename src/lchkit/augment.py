@@ -9,8 +9,7 @@ constraint: on a validly graded DGA only the degree-1 ones, on a misgraded
 DGA any, so every enumerated point passes `is_augmentation`.  Both the
 check and the enumeration read them through `linearize.constraints`,
 which compiles the DGA's plan (`linearize` states the word rule); a
-scan then linearizes its grids from that one plan, with
-`linearize.linearized_grid`.
+scan of a valid DGA then linearizes its grids from that one plan.
 """
 
 from __future__ import annotations

@@ -133,9 +133,9 @@ class DGA:
     def linear_plan(self) -> dict[int, list]:
         """The word rule of `linearize`, compiled once by :func:`linearize.compile_plan`.
 
-        `linearize.constraints` compiles it, for `augment`, and
-        `linearize.linearized_grid` sums it over a scan's grids; a one-shot
-        linearization reads the words themselves and never compiles it.
+        `linearize.constraints` compiles it, for `augment`, and a scan of a
+        valid DGA sums it over its grids; a one-shot linearization reads the
+        words themselves and never compiles it.
         """
         return compile_plan(self)
 

@@ -17,20 +17,23 @@ included, as in `algebra.s_linear_part`.
 
 This module holds the rule, the plan `compile_plan` compiles from it (read
 by `augment` through `constraints`), and its two routes: one point is read
-word by word by `linearized_differential`, which compiles nothing and
-builds a checked `ChainComplex`, and a scan's grid is evaluated from the
-plan by `linearized_grid`, each term and each entry of d^2 over all points
-at once, with no complex: each point's values fill the grid's slots, which
-`grid_rows` turns into rows.  Both give the same rows in the same order
-and raise the same first failure.  Boundaries are sparse rows, which the
-d^2 check and the elimination kernel read directly.
+word by word by `linearized_differential`, which compiles nothing, raises
+the first failure it meets and builds a checked `ChainComplex`, and a
+scan's grid is evaluated from the plan by `linearized_grid`, each term
+over all points at once, with no complex and no check: each point's
+values fill the grid's slots, which `grid_rows` turns into rows.  The grid
+is only for a valid DGA at augmentations, where (d^eps)^2 = 0 holds at
+every point (Chekanov 2002) and nothing can fail; `verify.torsion_scan`
+validates the DGA before it sums any grid.  Where both routes run, they
+give the same rows in the same order.  Boundaries are sparse rows, which
+the d^2 check and the elimination kernel read directly.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from functools import cached_property
-from itertools import compress, islice, repeat
+from itertools import compress, repeat
 from operator import add, mod, mul
 
 from .algebra import T_INV_SYMBOL, T_SYMBOL
@@ -144,31 +147,19 @@ class ChainComplex:
                     raise NotAComplex(f"boundary squared is nonzero from degree {d + 1}")
 
 
-def _not_an_augmentation(chord: str, constant) -> NotAnAugmentation:
-    return NotAnAugmentation(f"eps(d {chord}) = {constant} != 0: not an augmentation")
-
-
-def _misgraded(dga: DGA, chord: str, name: str, degree: int) -> ValidationFailed:
-    """A nonzero entry of d `chord`, from `degree`, on a row chord of another degree."""
-    return ValidationFailed(
-        f"d {chord} has an s-linear term on {name} of degree "
-        f"{dga.grading[name]}, expected {degree - 1}; validate the DGA"
-    )
-
-
 def compile_plan(dga: DGA) -> dict[int, list]:
     """The word rule compiled for evaluation at many augmentations.
 
     Maps each of :attr:`DGA.boundary_degrees` to the columns of the
-    boundary from that degree d: ``(j, chord, constant, entries)`` for the
-    chord at index j of :attr:`DGA.basis`, if its differential is nonzero.
+    boundary from that degree d: ``(j, constant, entries)`` for the chord
+    at index j of :attr:`DGA.basis`, if its differential is nonzero.
     ``constant`` holds the terms of eps(d chord), and ``entries`` holds
-    ``(i, terms, misgraded)`` per row chord of its linear part, in the
-    rule's order: i is the row chord's index within its degree, and
-    ``misgraded`` is None, or the row chord's name if it does not sit in
-    degree d - 1, so that a nonzero entry there is an error.  A term
-    ``(c, names)`` is c * eps(x_1) * ... * eps(x_k).  One pass reads each
-    word once; :attr:`DGA.linear_plan` caches the result.
+    ``(i, terms)`` per row chord of degree d - 1 in its linear part, in the
+    rule's order, where i is the row chord's index within its degree.  On a
+    validly graded DGA these are all its entries; a row chord of another
+    degree is left out, and only `linearized_differential` reports it.  A
+    term ``(c, names)`` is c * eps(x_1) * ... * eps(x_k).  One pass reads
+    each word once; :attr:`DGA.linear_plan` caches the result.
     """
     grading, index, degree_zero = dga.grading, dga.basis_index, dga.degree_zero_chords
     basis = dga.basis
@@ -201,11 +192,11 @@ def compile_plan(dga: DGA) -> dict[int, list]:
                 if degree_zero.issuperset(rest):  # else a second graded letter drops the word
                     rows[graded].append((coeff, rest))
             entries = [
-                (index[name], row_terms, None if grading[name] == d - 1 else name)
+                (index[name], row_terms)
                 for name, row_terms in rows.items()
-                if row_terms
+                if row_terms and grading[name] == d - 1
             ]
-            plan.append((j, chord, constant, entries))
+            plan.append((j, constant, entries))
     return columns
 
 
@@ -215,7 +206,7 @@ def constraints(dga: DGA) -> list[list[tuple[int, tuple[str, ...]]]]:
     Each holds the terms ``(c, names)`` of one eps(d chord).  Reading them
     compiles :attr:`DGA.linear_plan`, which `linearized_grid` then sums.
     """
-    return [constant for plan in dga.linear_plan.values() for _, _, constant, _ in plan if constant]
+    return [constant for plan in dga.linear_plan.values() for _, constant, _ in plan if constant]
 
 
 def linearized_differential(dga: DGA, aug: Augmentation) -> ChainComplex:
@@ -278,14 +269,17 @@ def linearized_differential(dga: DGA, aug: Augmentation) -> ChainComplex:
                 if coeff:
                     entries[graded] += coeff
             if constant % m if m else constant:
-                raise _not_an_augmentation(chord, constant)
+                raise NotAnAugmentation(f"eps(d {chord}) = {constant} != 0: not an augmentation")
             for name, value in entries.items():
                 if m:
                     value %= m
                 if not value:
                     continue
                 if grading[name] != d - 1:
-                    raise _misgraded(dga, chord, name, d)
+                    raise ValidationFailed(
+                        f"d {chord} has an s-linear term on {name} of degree "
+                        f"{grading[name]}, expected {d - 1}; validate the DGA"
+                    )
                 i = index[name]
                 row = boundary.get(i)
                 if row is None:
@@ -310,26 +304,25 @@ def grid_rows(slots: list[tuple[int, int]], values: tuple) -> dict[int, dict[int
 
 
 def linearized_grid(dga: DGA, ring: RingDesc, augs: list[Augmentation]) -> tuple[dict, Iterator]:
-    """`linearized_differential` at each of `augs`, augmentations over `ring`, in order.
+    """`linearized_differential` at each of `augs`, in order, with nothing checked.
+
+    The caller enforces the precondition: `dga` is valid (`dga.validate`),
+    and each of `augs` is an augmentation over `ring` that assigns only
+    degree-0 chords, as the enumerators return.  Then no entry is misgraded
+    and d^2 = 0 at every point, so the rows are those of
+    `linearized_differential`, which would raise nothing there.
 
     The plan is summed once for the whole grid: each term is evaluated over
     every point at once, from each degree-0 chord's list of values, and
-    each constant and each entry gets one list of sums, reduced mod m over
-    Z/m.  Entries zero at every point are dropped; the rest are the slots.
-    Each entry of each M_d M_{d+1} gets the sum of its slots' products,
-    reduced mod m.  The least point with a nonzero constant, misgraded
-    entry or entry of d^2, or a name outside degree 0, is the first that
-    fails.  Returns the layout, each boundary degree to the ``(i, j)`` of
-    its slots in the order `linearized_differential` inserts its rows, and
-    an iterator that yields each point before the first failing one as a
-    tuple, per degree, of its values in those slots (see `grid_rows`), then
-    raises what `linearized_differential` raises at that point.
+    each entry gets one list of sums, reduced mod m over Z/m.  Entries zero
+    at every point are dropped; the rest are the slots.  Returns the
+    layout, each boundary degree to the ``(i, j)`` of its slots in the
+    order `linearized_differential` inserts its rows, and an iterator that
+    yields each point as a tuple, per degree, of its values in those slots
+    (see `grid_rows`).
     """
     n, m = len(augs), ring.modulus or 0
-    degree_zero = dga.degree_zero_chords
-    # Names outside degree 0 carry nonzero values (zeros are dropped), so eps_map raises there.
-    fail = next(compress(range(n), [not aug.values.keys() <= degree_zero for aug in augs]), n)
-    values = {x: [aug.values.get(x, 0) for aug in augs] for x in degree_zero}
+    values = {x: [aug.values.get(x, 0) for aug in augs] for x in dga.degree_zero_chords}
 
     def sums(terms: list) -> list:
         total = repeat(0, n)
@@ -345,34 +338,11 @@ def linearized_grid(dga: DGA, ring: RingDesc, augs: list[Augmentation]) -> tuple
     kept: dict[int, list[list]] = {}
     for d, columns in dga.linear_plan.items():
         layout[d], kept[d] = slots, lists = [], []
-        for j, _, constant_terms, entries in columns:
-            if constant_terms:
-                fail = next(compress(range(fail), sums(constant_terms)), fail)
-            for i, terms, misgraded in entries:
+        for j, _, entries in columns:
+            for i, terms in entries:
                 entry = sums(terms)
-                if misgraded:
-                    fail = next(compress(range(fail), entry), fail)
-                elif any(entry):
+                if any(entry):
                     slots.append((i, j))
                     lists.append(entry)
-
-    for d, slots in layout.items():  # entry (i, j) of M_d M_{d+1} sums over k
-        above: dict[int, list] = {}
-        for (k, j), upper in zip(layout.get(d + 1, ()), kept.get(d + 1, ())):
-            above.setdefault(k, []).append((j, upper))
-        square: dict[tuple[int, int], Iterator] = {}
-        for (i, k), lower in zip(slots, kept[d]):
-            for j, upper in above.get(k, ()):
-                product, total = map(mul, lower, upper), square.get((i, j))
-                square[i, j] = product if total is None else map(add, total, product)
-        for total in square.values():
-            fail = next(compress(range(fail), map(mod, total, repeat(m)) if m else total), fail)
-
-    def points() -> Iterator[tuple[tuple, ...]]:
-        columns = [zip(*lists) if lists else repeat(()) for lists in kept.values()]
-        yield from islice(zip(*columns) if columns else repeat(()), fail)
-        if fail < n:
-            linearized_differential(dga, augs[fail])  # raises the point's first failure
-            raise RuntimeError(f"grid point {fail} was marked as failing, but it linearizes")
-
-    return layout, points()
+    columns = [zip(*lists) if lists else repeat((), n) for lists in kept.values()]
+    return layout, zip(*columns) if columns else repeat((), n)

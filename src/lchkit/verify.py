@@ -10,10 +10,11 @@ dimensions as free ranks, so each theorem is stated once for every ring,
 and each report keeps the homology it read.  A filling forces LCH to be
 the filling group (Z in degree 1, Z^{tb+1} in degree 0): positivity is
 that equality, and so is the obstruction, which also fires on even tb and
-on odd tb < -1.  A scan reads every point of its grids from the grid's
-sums and builds no complex: a boundary its grid fills in one row or none
-is read by rule, only the rest are eliminated, and homology is assembled
-once per distinct vector of boundary invariants.
+on odd tb < -1.  A scan validates its DGA once, before it enumerates
+anything, and then reads every point of its grids from the grid's sums,
+with no check per point and no complex: a boundary its grid fills in one
+row or none is read by rule, only the rest are eliminated, and homology
+is assembled once per distinct vector of boundary invariants.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from .augment import (
     enumerate_augmentations,
     enumerate_augmentations_bounded,
 )
-from .dga import DGA, connected_sum_augmented, euler_tb
-from .errors import FieldRequired, RingMismatch
+from .dga import DGA, connected_sum_augmented, euler_tb, validate
+from .errors import FieldRequired, RingMismatch, ValidationFailed
 from .homology import (
     GradedHomology,
     HomologyGroup,
@@ -335,13 +336,16 @@ def torsion_scan(dga: DGA, primes: list[int], bound: int | None = None) -> Torsi
     """Dimension classes over each Z/p, plus integral torsion at |values| <= bound.
 
     Each prime is scanned once, in order of first occurrence, and every one
-    is checked to be prime before any enumeration starts.  Every grid (each
-    prime's, then the bounded one) is enumerated before any point is
-    linearized, so a bad bound or a grid over the enumerators' cap fails before any homology.
+    is checked to be prime before any enumeration starts.  Then the DGA is
+    validated once: one that `validate` rejects raises ValidationFailed, as
+    LCH is read only for a valid DGA.  Every grid (each prime's, then the
+    bounded one) is enumerated before any point is linearized, so a bad
+    bound or a grid over the enumerators' cap fails before any homology.
 
-    Every point is linearized, checked for d^2 = 0 and read, and no complex
-    is built: the enumerators compile the DGA's plan once for all grids,
-    and `linearized_grid` sums it over each grid at once.  A boundary with
+    On a valid DGA, (d^eps)^2 = 0 at every augmentation, so every point is
+    linearized and read with no check and no complex built: the
+    enumerators compile the DGA's plan once for all grids, and
+    `linearized_grid` sums it over each grid at once.  A boundary with
     no slot in its grid has rank 0 and no invariant factor, one filled in
     one row only is read by the one-row rule of `matrices`, and only the
     rest go to the elimination kernel (`rank_of_rows` over Z/p,
@@ -353,6 +357,8 @@ def torsion_scan(dga: DGA, primes: list[int], bound: int | None = None) -> Torsi
     for ring in rings:
         if not ring.is_field:
             raise FieldRequired(f"{ring.modulus} is not prime")
+    if not validate(dga).ok:
+        raise ValidationFailed(f"torsion_scan needs a valid DGA; {dga.name} fails validation")
     grids = [enumerate_augmentations(dga, ring) for ring in rings]
     bounded = [] if bound is None else enumerate_augmentations_bounded(dga, bound)
     prime_classes: dict[int, tuple[DimClass, ...]] = {}

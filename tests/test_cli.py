@@ -602,8 +602,9 @@ def test_augs_mod2(capsys):
 def test_augs_of_a_misgraded_document_are_augmentations(tmp_path, capsys):
     """d a = 1 + b puts a constant on a degree-0 chord: it constrains b.
 
-    Every enumerated point passes the augmentation check; the scan then
-    stops at the misgraded entry on b, and d a = 1 leaves no point at all.
+    Every enumerated point passes the augmentation check; the scan refuses
+    the document, which `lch validate` rejects, and d a = 1 leaves no point
+    at all.
     """
     doc = tmp_path / "bad.dga"
     doc.write_text('dga "bad"\ngen a 0\ngen b 0\nd a = 1 + b\n')
@@ -611,10 +612,41 @@ def test_augs_of_a_misgraded_document_are_augmentations(tmp_path, capsys):
         0, "2 augmentation(s)\nb=1 @ Z/2\na=1, b=1 @ Z/2\n", "",
     )
     assert invoke(capsys, "scan", str(doc)) == (
-        2, "", "error: d a has an s-linear term on b of degree 0, expected -1; validate the DGA\n",
+        2, "", "error: torsion_scan needs a valid DGA; bad fails validation\n",
     )
     doc.write_text('dga "const"\ngen a 0\nd a = 1\n')
     assert invoke(capsys, "augs", str(doc), "--ring", "Z/2") == (0, "0 augmentation(s)\n(none)\n", "")
+
+
+def test_scan_refuses_a_document_that_validate_rejects(tmp_path, capsys):
+    """d a holds z*b, a word with two graded letters: it drops out of every
+    linearization, and every point the scan enumerates linearizes with
+    d^2 = 0, but d d a = -z*d b is not 0.  Its LCH is not an invariant, so
+    the scan refuses the document, as `lch validate` does, and prints no
+    report.  Without z*b the document is valid, with the same
+    linearization at every point, and the same scan reports."""
+    doc = tmp_path / "tinv.dga"
+    lines = ['dga "tinv"', "gen x 0", "gen y 0", "gen z -1", "gen a 1", "gen b 1",
+             "d a = t^-1*x - x*y*t + 1 + z*b", "d b = t*x*t^-1*y - 2*t*t*y*y + y*y"]
+    doc.write_text("\n".join(lines) + "\n")
+    code, out, err = invoke(capsys, "validate", str(doc))
+    assert (code, err) == (1, "") and out.startswith("tinv: INVALID\n")
+    for json_flag in ((), ("--json",)):
+        assert invoke(capsys, "scan", str(doc), "--primes", "2,3", "--bound", "1", *json_flag) == (
+            2, "", "error: torsion_scan needs a valid DGA; tinv fails validation\n",
+        )
+    doc.write_text("\n".join(lines).replace(" + z*b", "") + "\n")
+    assert invoke(capsys, "validate", str(doc))[0] == 0
+    assert invoke(capsys, "scan", str(doc), "--primes", "2,3", "--bound", "1") == (0, "\n".join([
+        "torsion scan: tinv",
+        "mod 2: 1 dimension class(es)",
+        "  {-1:1} x1   e.g. x=1 @ Z/2",
+        "mod 3: 2 dimension class(es)  ** dimension jump **",
+        "  {-1:1} x1   e.g. x=1 @ Z/3",
+        "  {-1:1, 0:1, 1:1} x1   e.g. x=2, y=2 @ Z/3",
+        "integer augmentations with |values| <= 1:",
+        "  torsion-free: 1",
+    ]) + "\n", "")
 
 
 def test_augs_json_parses_back(capsys):

@@ -12,18 +12,19 @@ from lchkit.augment import (
     enumerate_augmentations_bounded,
     is_augmentation,
 )
-from lchkit.dga import DGA, connected_sum, connected_sum_augmented, lambda0, lambda_k, unknot
+from lchkit.dga import DGA, connected_sum, connected_sum_augmented, lambda0, lambda_k, unknot, validate
 from lchkit.errors import (
     InvalidValue,
     LchError,
     NotAComplex,
     NotAnAugmentation,
+    SearchTooLarge,
     UnknownGenerator,
     ValidationFailed,
 )
-from lchkit import linearize
 from lchkit.linearize import ChainComplex, grid_rows, linearized_differential, linearized_grid
 from lchkit.rings import QQ, ZZ, Zmod
+from lchkit.verify import torsion_scan
 
 
 def reduce_mod(M, m):
@@ -167,13 +168,16 @@ def _family_points(dga, ring, limit):
     return out
 
 
-def _t_inverse_dga():
+def _t_inverse_dga(valid=False):
+    """d a and d b hold t^-1 words.  The word z*b of d a has two graded
+    letters, so it drops out of every linearization, but d d a = -z*d b is
+    not 0: the DGA is valid only without it, and linearizes the same."""
     x, y, z, b = gen("x"), gen("y"), gen("z"), gen("b")
     return DGA(
-        name="tinv",
+        name="tinv_valid" if valid else "tinv",
         chords=(("x", 0), ("y", 0), ("z", -1), ("a", 1), ("b", 1)),
         diff={
-            "a": t_inv_gen * x - x * y * t_gen + 1 + z * b,
+            "a": t_inv_gen * x - x * y * t_gen + 1 + (0 if valid else z * b),
             "b": t_gen * x * t_inv_gen * y - 2 * t_gen * t_gen * y * y + y * y,
         },
     )
@@ -188,15 +192,15 @@ def _compiled_route_cases():
             for a1 in _family_points(d1, ring, 3):
                 for a2 in _family_points(d2, ring, 4):
                     yield connected_sum_augmented(d1, a1, d2, a2)
-        tinv = _t_inverse_dga()
         if ring.is_finite:
             domain = list(ring.elements())
         elif ring == ZZ:
             domain = range(-2, 3)
         else:
             domain = [-2, -1, Fraction(-1, 2), 0, Fraction(1, 2), 1, 2]
-        for vx, vy in product(domain, repeat=2):
-            yield tinv, Augmentation(ring, {"x": vx, "y": vy})
+        for tinv in (_t_inverse_dga(), _t_inverse_dga(valid=True)):
+            for vx, vy in product(domain, repeat=2):
+                yield tinv, Augmentation(ring, {"x": vx, "y": vy})
 
 
 def _ill_graded_dga(c_first):
@@ -343,43 +347,42 @@ def _check_routes(dga, augs):
     """Both routes against the reference and each other over the grid `augs`.
 
     `linearized_differential` runs at each point on a fresh copy of `dga`,
-    which reads the words and must compile nothing, and `linearized_grid`
-    runs over the grid on `dga` itself after its plan is read, which sums
-    the plan.  At each point the word route must raise the reference's
-    first failure (d^2 = 0 last), with its type and message, or build the
-    reference's columns.  At every point before its first failing point,
-    the rows built from the grid's layout and the point's values must be
-    the word route's, with the same keys in the same order, and at that
-    point the grid must raise its failure; the points after it are run
-    again as a grid of their own.  Returns each point's failure type, or
-    None where it linearizes.
+    which reads the words and must compile nothing: it must raise the
+    reference's first failure (d^2 = 0 last), with its type and message,
+    or build the reference's columns.  On a valid DGA, `linearized_grid`
+    then runs on `dga` itself after its plan is read, over the points that
+    linearize, as a scan runs it: the rows built from its layout and each
+    point's values must be the word route's, with the same keys in the same
+    order.  Returns each point's failure type, or None where it linearizes.
     """
     fresh = DGA(dga.name, dga.chords, dga.diff)
-    dga.linear_plan
-    failures = []
-    while augs:
-        layout, grid = linearized_grid(dga, augs[0].ring, augs)
-        assert list(layout) == dga.boundary_degrees
-        for k, aug in enumerate(augs):
-            expected = _first_failure(dga, aug) or _square_failure(dga, aug)
-            failures.append(None if expected is None else expected[0])
-            if expected is not None:
-                for route in (lambda: linearized_differential(fresh, aug), lambda: next(grid)):
-                    with pytest.raises(LchError) as info:
-                        route()
-                    assert (type(info.value), str(info.value)) == expected
-                augs = augs[k + 1 :]
-                break
-            eps = aug.eps_map(dga)
-            one_pass, point = linearized_differential(fresh, aug), next(grid)
-            _assert_reference_columns(one_pass, dga, eps)
-            assert _rows_in_order(one_pass.rows) == _rows_in_order(_point_rows(layout, point))
-            assert one_pass.basis is fresh.basis
-        else:
-            augs = []
-        assert next(grid, None) is None
+    failures, linearized = [], []
+    for aug in augs:
+        expected = _first_failure(dga, aug) or _square_failure(dga, aug)
+        failures.append(None if expected is None else expected[0])
+        if expected is not None:
+            with pytest.raises(LchError) as info:
+                linearized_differential(fresh, aug)
+            assert (type(info.value), str(info.value)) == expected
+            continue
+        one_pass = linearized_differential(fresh, aug)
+        _assert_reference_columns(one_pass, dga, aug.eps_map(dga))
+        assert one_pass.basis is fresh.basis
+        linearized.append((aug, one_pass))
     assert "linear_plan" not in vars(fresh)
+    if linearized and validate(dga).ok:
+        _assert_grid_rows(dga, augs[0].ring, linearized)
     return failures
+
+
+def _assert_grid_rows(dga, ring, linearized):
+    """`linearized_grid` over the points of `linearized`, pairs of a point
+    and its complex by the word route, gives that complex's rows at each."""
+    dga.linear_plan
+    layout, grid = linearized_grid(dga, ring, [aug for aug, _ in linearized])
+    assert list(layout) == dga.boundary_degrees
+    for (_, one_pass), point in zip(linearized, grid, strict=True):
+        assert _rows_in_order(one_pass.rows) == _rows_in_order(_point_rows(layout, point))
 
 
 def _random_dga(rng, index):
@@ -445,10 +448,88 @@ def _random_cases():
                 yield dga, aug
 
 
+def _random_valid_dga(rng, index):
+    """Chords in degrees -1..2, about half of them closed; each other chord's
+    differential is words in the closed chords, t and t^-1, each drawn until
+    its degree is right, so the grading holds and d^2 = 0.  Every odd DGA
+    has its constants cancelled at one integer point, so it has
+    augmentations with nonzero values.
+    """
+    chords = []
+    for deg, count in ((0, rng.randint(1, 4)), (-1, rng.randint(0, 2)),
+                       (1, rng.randint(1, 3)), (2, rng.randint(0, 2))):
+        chords += [(f"{'zabc'[deg + 1]}{i}", deg) for i in range(count)]
+    rng.shuffle(chords)
+    grading = dict([chord for chord in chords if rng.random() < 0.5], **{"t": 0, "t^-1": 0})
+    symbols = list(grading)
+    diff = {}
+    for name, deg in chords:
+        if name in grading:
+            continue
+        p = Poly.zero()
+        for _ in range(rng.randint(1, 4)):
+            for _ in range(50):
+                word = tuple(rng.choice(symbols) for _ in range(rng.randint(0, 3)))
+                if sum(grading[x] for x in word) == deg - 1:
+                    p = p + rng.choice((-2, -1, 1, 1, 2, 3)) * Poly({word: 1})
+                    break
+        diff[name] = p
+    dga = DGA(name=f"valid{index}", chords=tuple(chords), diff=diff)
+    if index % 2:
+        eps = next(_random_points(rng, dga, ZZ, 1)).eps_map(dga)
+        dga = DGA(dga.name, dga.chords, {
+            chord: p - evaluate(p, eps) * Poly.one() for chord, p in dga.diff.items()
+        })
+    return dga
+
+
+def test_enumerated_points_of_valid_dgas_linearize():
+    """The precondition a scan's grid rests on: on a valid DGA, every point
+    the enumerators find linearizes by `linearized_differential`, with no
+    error, and the grid gives its rows there.  Checked over Z/2, Z/3, Z/4,
+    Z/5 and at bounds 0, 1 and 2, on 120 seeded random valid DGAs, the
+    lambda family, its sums, the valid t^-1 DGA and the DGAs of
+    `test_invariance`; two grids of lambda0#lambda1 exceed the search cap."""
+    from test_invariance import CASES, elementary, stabilized
+
+    rng = random.Random(7)
+    dgas = [_random_valid_dga(rng, index) for index in range(120)]
+    dgas += [unknot(), lambda0(), lambda_k(1), lambda_k(2), lambda_k(3), _t_inverse_dga(valid=True),
+             connected_sum(unknot(), lambda0()), connected_sum(lambda0(), lambda_k(1))]
+    for build, _, sequences in CASES.values():
+        for steps in sequences:
+            dga = build()
+            for step in steps:
+                dga = stabilized(dga, step[1]) if step[0] == "stab" else elementary(dga, *step[1:])
+            dgas.append(dga)
+    points, sliced, too_large = 0, set(), []
+    for dga in dgas:
+        assert validate(dga).ok, dga.name
+        grids = [(ring, lambda ring=ring: enumerate_augmentations(dga, ring))
+                 for ring in (Zmod(2), Zmod(3), Zmod(4), Zmod(5))]
+        grids += [(ZZ, lambda bound=bound: enumerate_augmentations_bounded(dga, bound)) for bound in range(3)]
+        for ring, enumerate_grid in grids:
+            try:
+                augs = enumerate_grid()
+            except SearchTooLarge:
+                too_large.append((dga.name, ring))
+                continue
+            linearized = [(aug, linearized_differential(dga, aug)) for aug in augs]
+            if linearized:
+                _assert_grid_rows(dga, ring, linearized)
+            points += len(augs)
+            if any(any(C.rows.values()) for _, C in linearized):
+                sliced.add(dga.name)
+    assert too_large == [("lambda0#lambda1", Zmod(5)), ("lambda0#lambda1", ZZ)]
+    # 46659 points; 75 of the random DGAs have a nonzero entry at some point.
+    assert points > 40000 and sum(name.startswith("valid") for name in sliced) > 60
+
+
 def test_compiled_route_matches_reference_route():
-    """Both routes, one pass on a fresh DGA and `linearized_grid` on a DGA
-    that holds its plan, equal algebra.evaluate and s_linear_part."""
-    complexes = rejected = 0
+    """Both routes, one pass on a fresh DGA and, on a valid DGA at its
+    augmentations, `linearized_grid` on a DGA that holds its plan, equal
+    algebra.evaluate and s_linear_part."""
+    complexes = rejected = gridded = 0
     for dga, aug in _compiled_route_cases():
         ring = aug.ring
         eps = aug.eps_map(dga)
@@ -457,7 +538,8 @@ def test_compiled_route_matches_reference_route():
         assert _check_routes(dga, [aug]) == [None if expected else NotAnAugmentation]
         complexes += expected
         rejected += not expected
-    assert complexes > 400 and rejected > 100
+        gridded += expected and dga.name != "tinv"
+    assert complexes > 400 and rejected > 100 and gridded > 400
 
     # Ill-graded DGAs: the first failure, its type and its message are pinned.
     seen = {None: 0, NotAnAugmentation: 0, ValidationFailed: 0}
@@ -467,8 +549,8 @@ def test_compiled_route_matches_reference_route():
     assert min(seen.values()) > 10
 
     # Random DGAs need not be complexes: where nothing else fails first,
-    # both routes must raise the reference's NotAComplex.  Each DGA's
-    # points over one ring form one grid.
+    # the word route must raise the reference's NotAComplex.  Each DGA's
+    # points over one ring form one grid, which the valid DGAs also sum.
     seen = {None: 0, NotAnAugmentation: 0, ValidationFailed: 0, NotAComplex: 0}
     grids = mid_grid = square_first = 0
     for _, cases in groupby(_random_cases(), key=lambda case: (case[0].name, case[1].ring)):
@@ -485,45 +567,6 @@ def test_compiled_route_matches_reference_route():
     assert (seen[NotAComplex], square_first) == (30, 21)
 
 
-def test_grid_raises_at_its_first_failing_point():
-    """A grid yields the points before its first failing point, each with
-    the rows of `linearized_differential` there, then raises what
-    `linearized_differential` raises there, whatever fails at the points
-    after it."""
-    d, ill, ring = lambda0(), _ill_graded_dga(False), Zmod(3)
-    ill_points = [Augmentation(ring, {"x": vx, "y": vy, "z": vz})
-                  for vx, vy, vz in product(range(3), repeat=3)]
-    # Only x = 2 linearizes (y = z = 0 and 1 + x = 0), so that point repeats.
-    ill_good = [aug for aug in ill_points if _first_failure(ill, aug) is None]
-    lambda0_bad = {
-        NotAnAugmentation: Augmentation(ring, {"a1": 1, "a3": 1, "a6": 1}),
-        UnknownGenerator: Augmentation(ring, {"a1": 2, "zz": 1}),
-        InvalidValue: Augmentation(ring, {"a1": 2, "a7": 1}),
-    }
-    cases = [(d, enumerate_augmentations(d, ring), lambda0_bad),
-             # At x = 2, z = 1 every constant vanishes; only d e has an entry, z, on x.
-             (ill, ill_good * 4, {ValidationFailed: Augmentation(ring, {"x": 2, "z": 1}),
-                                  NotAnAugmentation: Augmentation(ring, {"z": 1})})]
-    raised = set()
-    for dga, good, bad in cases:
-        assert len(good) >= 4
-        for error, point in bad.items():
-            later = [aug for aug in bad.values() if aug is not point]
-            augs = [*good[:2], point, *good[2:4], *later]
-            layout, grid = linearized_grid(dga, ring, augs)
-            for aug in augs[:2]:
-                assert (_rows_in_order(_point_rows(layout, next(grid)))
-                        == _rows_in_order(linearized_differential(dga, aug).rows))
-            with pytest.raises(LchError) as expected:
-                linearized_differential(dga, point)
-            with pytest.raises(error) as info:
-                next(grid)
-            assert str(info.value) == str(expected.value)
-            assert next(grid, None) is None
-            raised.add(error)
-    assert raised == {NotAnAugmentation, ValidationFailed, UnknownGenerator, InvalidValue}
-
-
 def _not_a_complex_dga():
     """d a = y and d b = x*a: the grading is valid, but d d b = x*y, so the
     linearization is a complex exactly where eps(x) = 0 (eps(y) = 0 always)."""
@@ -532,45 +575,47 @@ def _not_a_complex_dga():
                diff={"a": y, "b": x * a})
 
 
-def test_grid_raises_d_squared_mid_grid():
-    """On an unvalidated DGA, a grid yields the points before the first
-    where d^2 != 0 in the ring, then raises the NotAComplex of
-    `linearized_differential` there: eps(x) = 2 fails over Z/4, Z and Q,
-    but not over Z/2, where the product 2 is 0."""
-    dga, values = _not_a_complex_dga(), (0, 0, 2, 0, 1, 2)
-    for ring in RINGS:
-        augs = [Augmentation(ring, {"x": v}) for v in values]
-        first = next(k for k, v in enumerate(values) if not ring.is_zero(v))
-        assert first == (4 if ring == Zmod(2) else 2)
-        layout, grid = linearized_grid(dga, ring, augs)
-        for aug in augs[:first]:
-            assert (_rows_in_order(_point_rows(layout, next(grid)))
-                    == _rows_in_order(linearized_differential(dga, aug).rows))
-        with pytest.raises(NotAComplex) as expected:
-            linearized_differential(dga, augs[first])
-        with pytest.raises(NotAComplex) as info:
-            next(grid)
-        assert str(info.value) == str(expected.value) == "boundary squared is nonzero from degree 2"
-        assert next(grid, None) is None
-
-
-def test_grid_never_ends_early_without_an_error(monkeypatch):
-    """A point the grid marks as failing that `linearized_differential`
-    accepts after all raises an internal error naming it, not LchError, so
-    a scan cannot count fewer points in silence; a grid of a DGA without
-    chords yields every point."""
+def test_grid_yields_every_point_of_a_dga_without_slots():
+    """A grid has one point per augmentation even where no boundary has a
+    slot: a DGA without chords, and the unknot, whose d a = t + 1 has no
+    linear part."""
     ring = Zmod(3)
     layout, grid = linearized_grid(DGA(name="none", chords=()), ring, [Augmentation(ring, {})] * 3)
     assert layout == {} and list(grid) == [()] * 3
-    dga = lambda0()
-    good = enumerate_augmentations(dga, ring)
-    bad = Augmentation(ring, {"a1": 1, "a3": 1, "a6": 1})
-    monkeypatch.setattr(linearize, "linearized_differential", lambda dga, aug: None)
-    layout, grid = linearized_grid(dga, ring, [*good[:2], bad, good[2]])
-    assert len([next(grid), next(grid)]) == 2
-    with pytest.raises(RuntimeError, match="^grid point 2 was marked as failing, but it linearizes$"):
-        next(grid)
-    assert not issubclass(RuntimeError, LchError)
+    layout, grid = linearized_grid(unknot(), ring, [Augmentation(ring, {})] * 3)
+    assert layout == {1: [], 2: []} and list(grid) == [((), ())] * 3
+
+
+def test_torsion_scan_refuses_an_invalid_dga_before_any_grid(monkeypatch):
+    """A scan validates its DGA first: an ill-graded DGA, one whose d^2 is
+    not 0 and one with both raise ValidationFailed before any grid is
+    enumerated or any point linearized.  So does the t^-1 DGA, although
+    every point the enumerators find on it linearizes, with d^2 = 0: its
+    LCH is not an invariant, as d d a != 0."""
+    import lchkit.verify as verify_module
+
+    tinv = _t_inverse_dga()
+    assert not validate(tinv).d_squared_ok and validate(tinv).grading_ok
+    points = [*enumerate_augmentations(tinv, Zmod(2)), *enumerate_augmentations(tinv, Zmod(3)),
+              *enumerate_augmentations_bounded(tinv, 1)]
+    assert len(points) == 4
+    for aug in points:  # each linearizes, d^2 = 0 included
+        linearized_differential(tinv, aug)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an invalid DGA reached a grid")
+
+    for name in ("enumerate_augmentations", "enumerate_augmentations_bounded", "linearized_grid"):
+        monkeypatch.setattr(verify_module, name, refuse)
+    invalid = [_ill_graded_dga(False), _ill_graded_dga(True), _not_a_complex_dga(),
+               _first_occurrence_dga(), _late_letter_dga(), _t_inverse_dga()]
+    assert [(validate(dga).grading_ok, validate(dga).d_squared_ok) for dga in invalid] == [
+        (False, True), (False, True), (True, False), (False, True), (False, True), (True, False)]
+    for dga in invalid:
+        with pytest.raises(ValidationFailed) as info:
+            torsion_scan(dga, [2, 3], bound=1)
+        assert str(info.value) == f"torsion_scan needs a valid DGA; {dga.name} fails validation"
+        assert "linear_plan" not in vars(dga)
 
 
 def test_enumerated_points_of_ill_graded_dgas_are_augmentations():

@@ -11,7 +11,14 @@ from lchkit.augment import (
     parse_augmentation_literal,
 )
 from lchkit.dga import DGA, connected_sum, euler_tb, lambda0, lambda_k, unknot
-from lchkit.errors import FieldRequired, InvalidParameter, NotAComplex, RingMismatch, SearchTooLarge
+from lchkit.errors import (
+    FieldRequired,
+    InvalidParameter,
+    NotAComplex,
+    RingMismatch,
+    SearchTooLarge,
+    ValidationFailed,
+)
 from lchkit import verify
 from lchkit.homology import GradedHomology, HomologyGroup, field_homology, integral_homology
 from lchkit.linearize import ChainComplex, grid_rows, linearized_differential
@@ -219,14 +226,17 @@ def test_torsion_scan_rejects_composite():
 
 
 def test_torsion_scan_checks_every_grid_before_any_homology(monkeypatch):
-    """Every grid is enumerated before any point is read; then each point
-    of each grid is read once, in grid order, from the rows the one-shot
-    route builds there, with no complex built; and d^2 = 0 is enforced at
-    every point: the first point where it fails raises, after the points
-    before it are read."""
+    """The DGA is validated once, before any grid is enumerated, and every
+    grid is enumerated before any point is read; then each point of each
+    grid is read once, in grid order, from the rows the one-shot route
+    builds there, with no complex built.  A DGA whose d^2 is not 0 is
+    refused by that one validation, before any grid, point or complex."""
     import lchkit.verify as verify_module
 
     events = []
+    real_validate = verify_module.validate
+    monkeypatch.setattr(verify_module, "validate",
+                        lambda dga: events.append(("validated",)) or real_validate(dga))
     for name in ("enumerate_augmentations", "enumerate_augmentations_bounded"):
         def enumerate_grid(*args, real=getattr(verify_module, name), **kwargs):
             grid = real(*args, **kwargs)
@@ -251,11 +261,13 @@ def test_torsion_scan_checks_every_grid_before_any_homology(monkeypatch):
     monkeypatch.setattr(verify_module, "linearized_grid", grid)
     with pytest.raises(InvalidParameter, match="bound must be >= 0"):
         torsion_scan(lambda0(), [2, 3, 5], bound=-1)
+    assert events == [("validated",)] + [("grid",)] * 3
+    events.clear()
     with monkeypatch.context() as env:
         env.setenv("LCH_SEARCH_CAP", "1000")
         with pytest.raises(SearchTooLarge, match=r"5\^6 assignments exceeds cap 1000"):
             torsion_scan(lambda0(), [2, 3, 5], bound=1)
-    assert all(kind == "grid" for kind, *_ in events)
+    assert events == [("validated",)] + [("grid",)] * 2
     # The count is live: a scan that runs reads each grid point once.
     events.clear()
     dga = lambda0()
@@ -263,29 +275,29 @@ def test_torsion_scan_checks_every_grid_before_any_homology(monkeypatch):
     points = [*enumerate_augmentations(dga, Zmod(2)), *enumerate_augmentations(dga, Zmod(3)),
               *enumerate_augmentations_bounded(dga, 1)]
     assert len(points) > 100
-    assert events[:3] == [("grid",)] * 3 and len(events) == 3 + len(points)
-    assert [(kind, dga_, aug) for kind, dga_, aug, _ in events[3:]] == [("point", dga, aug) for aug in points]
+    assert events[:4] == [("validated",)] + [("grid",)] * 3 and len(events) == 4 + len(points)
+    assert [(kind, dga_, aug) for kind, dga_, aug, _ in events[4:]] == [("point", dga, aug) for aug in points]
 
     def in_order(rows):
         return [(d, [(i, list(row.items())) for i, row in b.items()]) for d, b in rows.items()]
 
-    for *_, aug, rows in events[3:]:
+    for *_, aug, rows in events[4:]:
         assert in_order(rows) == in_order(linearized_differential(dga, aug).rows)
-    # d b = x*a on d a = y: d^2 != 0 exactly where eps(x) != 0.
+    # d b = x*a on d a = y: d^2 != 0 exactly where eps(x) != 0, and such
+    # points exist in the Z/3 grid, but the scan refuses the DGA itself.
     x, y, a = Poly.gen("x"), Poly.gen("y"), Poly.gen("a")
     square = DGA(name="square", chords=(("x", 0), ("y", 0), ("a", 1), ("b", 2)),
                  diff={"a": y, "b": x * a})
     grid3 = enumerate_augmentations(square, Zmod(3))
-    first = next(k for k, aug in enumerate(grid3) if aug.values.get("x"))
-    with pytest.raises(NotAComplex) as expected:
-        linearized_differential(square, grid3[first])
+    with pytest.raises(NotAComplex):
+        linearized_differential(square, next(aug for aug in grid3 if aug.values.get("x")))
     events.clear()
-    with pytest.raises(NotAComplex) as info:
-        torsion_scan(square, [3])
-    assert str(info.value) == str(expected.value)
-    # The one complex built is the one-shot route's, at the failing point.
-    assert first > 0 and [kind for kind, *_ in events] == ["grid"] + ["point"] * first + ["checked"]
-    assert [aug for _, _, aug, _ in events[1:-1]] == grid3[:first]
+    with pytest.raises(FieldRequired, match="^4 is not prime$"):
+        torsion_scan(square, [3, 4])
+    assert events == []
+    with pytest.raises(ValidationFailed, match="^torsion_scan needs a valid DGA; square fails validation$"):
+        torsion_scan(square, [3], bound=1)
+    assert events == [("validated",)]
 
 
 def test_torsion_scan_compiles_the_plan_once_per_dga(monkeypatch):
