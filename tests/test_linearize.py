@@ -586,14 +586,87 @@ def test_grid_yields_every_point_of_a_dga_without_slots():
     assert layout == {1: [], 2: []} and list(grid) == [((), ())] * 3
 
 
-def test_torsion_scan_refuses_an_invalid_dga_before_any_grid(monkeypatch):
-    """A scan validates its DGA first: an ill-graded DGA, one whose d^2 is
-    not 0 and one with both raise ValidationFailed before any grid is
-    enumerated or any point linearized.  So does the t^-1 DGA, although
-    every point the enumerators find on it linearizes, with d^2 = 0: its
-    LCH is not an invariant, as d d a != 0."""
+def _refuse_grids(monkeypatch):
+    """Make the scan's enumerators and grid fail if an invalid DGA reaches them."""
     import lchkit.verify as verify_module
 
+    def refuse(*args, **kwargs):
+        raise AssertionError("an invalid DGA reached a grid")
+
+    for name in ("enumerate_augmentations", "enumerate_augmentations_bounded", "linearized_grid"):
+        monkeypatch.setattr(verify_module, name, refuse)
+
+
+def _assert_scan_refuses(dga):
+    with pytest.raises(ValidationFailed) as info:
+        torsion_scan(dga, [2, 3], bound=1)
+    assert str(info.value) == f"torsion_scan needs a valid DGA; {dga.name} fails validation"
+    assert "linear_plan" not in vars(dga)
+
+
+def test_grid_raises_at_its_first_failing_point(monkeypatch):
+    """A scan never reads a grid up to a failing point: it raises before
+    the grid.  The ill-graded DGAs (in both chord orders) have Z/3 points
+    that linearize and points where `linearized_differential` raises
+    NotAnAugmentation or ValidationFailed, and on the first-occurrence and
+    late-letter DGAs every point raises ValidationFailed; `validate`
+    rejects each, so the scan raises ValidationFailed before any grid is
+    enumerated or any point linearized."""
+    ring, raised = Zmod(3), set()
+    for dga in (_ill_graded_dga(False), _ill_graded_dga(True)):
+        linearized = 0
+        for vx, vy, vz in product(range(3), repeat=3):
+            aug = Augmentation(ring, {"x": vx, "y": vy, "z": vz})
+            expected = _first_failure(dga, aug)
+            if expected is None:
+                linearized_differential(dga, aug)
+                linearized += 1
+                continue
+            with pytest.raises(LchError) as info:
+                linearized_differential(dga, aug)
+            assert (type(info.value), str(info.value)) == expected
+            raised.add(expected[0])
+        # Only x = 2 linearizes (y = z = 0 and 1 + x = 0).
+        assert linearized == 1
+    for dga in (_first_occurrence_dga(), _late_letter_dga()):
+        for vx in range(3):
+            with pytest.raises(ValidationFailed):
+                linearized_differential(dga, Augmentation(ring, {"x": vx}))
+    assert raised == {NotAnAugmentation, ValidationFailed}
+    _refuse_grids(monkeypatch)
+    invalid = [_ill_graded_dga(False), _ill_graded_dga(True), _first_occurrence_dga(), _late_letter_dga()]
+    for dga in invalid:
+        assert (validate(dga).grading_ok, validate(dga).d_squared_ok) == (False, True)
+        _assert_scan_refuses(dga)
+
+
+def test_grid_raises_d_squared_mid_grid(monkeypatch):
+    """On the not-a-complex DGA, `linearized_differential` linearizes at
+    the points before the first where d^2 != 0 in the ring and raises
+    NotAComplex there: eps(x) = 2 fails over Z/4, Z and Q, but not over
+    Z/2, where the product 2 is 0.  A scan reaches none of these points:
+    `validate` rejects the DGA, so the scan raises ValidationFailed before
+    any grid."""
+    dga, values = _not_a_complex_dga(), (0, 0, 2, 0, 1, 2)
+    for ring in RINGS:
+        augs = [Augmentation(ring, {"x": v}) for v in values]
+        first = next(k for k, v in enumerate(values) if not ring.is_zero(v))
+        assert first == (4 if ring == Zmod(2) else 2)
+        for aug in augs[:first]:
+            linearized_differential(dga, aug)
+        with pytest.raises(NotAComplex) as info:
+            linearized_differential(dga, augs[first])
+        assert str(info.value) == "boundary squared is nonzero from degree 2"
+    assert (validate(dga).grading_ok, validate(dga).d_squared_ok) == (True, False)
+    _refuse_grids(monkeypatch)
+    _assert_scan_refuses(dga)
+
+
+def test_torsion_scan_refuses_an_invalid_dga_before_any_grid(monkeypatch):
+    """A scan validates its DGA first, even where every point linearizes:
+    on the t^-1 DGA every point the enumerators find linearizes, with
+    d^2 = 0, but d d a != 0, so its LCH is not an invariant, and the scan
+    raises ValidationFailed before any grid is enumerated."""
     tinv = _t_inverse_dga()
     assert not validate(tinv).d_squared_ok and validate(tinv).grading_ok
     points = [*enumerate_augmentations(tinv, Zmod(2)), *enumerate_augmentations(tinv, Zmod(3)),
@@ -601,21 +674,8 @@ def test_torsion_scan_refuses_an_invalid_dga_before_any_grid(monkeypatch):
     assert len(points) == 4
     for aug in points:  # each linearizes, d^2 = 0 included
         linearized_differential(tinv, aug)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("an invalid DGA reached a grid")
-
-    for name in ("enumerate_augmentations", "enumerate_augmentations_bounded", "linearized_grid"):
-        monkeypatch.setattr(verify_module, name, refuse)
-    invalid = [_ill_graded_dga(False), _ill_graded_dga(True), _not_a_complex_dga(),
-               _first_occurrence_dga(), _late_letter_dga(), _t_inverse_dga()]
-    assert [(validate(dga).grading_ok, validate(dga).d_squared_ok) for dga in invalid] == [
-        (False, True), (False, True), (True, False), (False, True), (False, True), (True, False)]
-    for dga in invalid:
-        with pytest.raises(ValidationFailed) as info:
-            torsion_scan(dga, [2, 3], bound=1)
-        assert str(info.value) == f"torsion_scan needs a valid DGA; {dga.name} fails validation"
-        assert "linear_plan" not in vars(dga)
+    _refuse_grids(monkeypatch)
+    _assert_scan_refuses(_t_inverse_dga())
 
 
 def test_enumerated_points_of_ill_graded_dgas_are_augmentations():
